@@ -15,8 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-MIN_NORM = 1e-15
-ARTANH_CLIP = 1.0 - 1e-12
+from .kernels import ARTANH_CLIP, MIN_NORM
 
 
 class AutodiffError(RuntimeError):
@@ -66,23 +65,8 @@ class Tape:
         """Seed d(loss)/d(loss) = 1 and accumulate grads through the record."""
         if loss.value.size != 1:
             raise AutodiffError(f"backward needs a scalar loss, got shape {loss.value.shape}")
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(loss, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
         loss.grad = np.ones((1, 1))
-        for node in reversed(topo):
+        for node in reversed(self.nodes):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
 

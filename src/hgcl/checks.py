@@ -15,6 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from . import data as data_mod
 from . import diffgeo as dg
+from . import kernels
 from . import manifolds as mf
 from . import pipeline as pl
 from .encoder import Encoder, encode_views
@@ -109,16 +110,16 @@ def manifold_property_suites(trials: int = 1000, seed: int = 0) -> list[Property
                      ctx + " roundtrip")
 
             zero = np.zeros_like(X)
-            _observe(r_mob, np.max(np.abs(mf.kernels.mobius_add(X, zero, man.k) - X), axis=1),
+            _observe(r_mob, np.max(np.abs(kernels.mobius_add(X, zero, man.k) - X), axis=1),
                      ctx + " x+0")
-            _observe(r_mob, np.max(np.abs(mf.kernels.mobius_add(-X, X, man.k)), axis=1),
+            _observe(r_mob, np.max(np.abs(kernels.mobius_add(-X, X, man.k)), axis=1),
                      ctx + " -x+x")
-            mxy = mf.kernels.mobius_add(X, Y, man.k)
-            _observe(r_mob, np.max(np.abs(mf.kernels.mobius_add(-X, mxy, man.k) - Y), axis=1),
+            mxy = kernels.mobius_add(X, Y, man.k)
+            _observe(r_mob, np.max(np.abs(kernels.mobius_add(-X, mxy, man.k) - Y), axis=1),
                      ctx + " left cancel")
-            mnorm = np.sqrt(np.sum(mf.kernels.mobius_add(-X, Y, man.k) ** 2, axis=1))
+            mnorm = np.sqrt(np.sum(kernels.mobius_add(-X, Y, man.k) ** 2, axis=1))
             alt = 2.0 / man.sqrt_abs_k * np.arctanh(
-                np.clip(man.sqrt_abs_k * mnorm, 0, mf.ARTANH_CLIP))
+                np.clip(man.sqrt_abs_k * mnorm, 0, kernels.ARTANH_CLIP))
             _observe(r_mob, np.abs(alt - d_xy), ctx + " dist identity")
 
             # transfer across models and curvatures

@@ -158,7 +158,7 @@ def cmd_train(args) -> int:
         metric_name = config.eval_metric
         result = pl.train(graph, config)
         stream = "\n".join(rec.to_json() for rec in result.history) + "\n"
-        (out / f"metrics_seed{seed}.jsonl").write_text(stream)
+        _atomic_write(out / f"metrics_seed{seed}.jsonl", stream)
         summary = {
             "seed": seed,
             "ablation": config.ablation,
@@ -242,12 +242,9 @@ def cmd_manifold_test(args) -> int:
 def cmd_delta(args) -> int:
     graph, _ = _load_dataset(args)
     exact = True if args.exact else None
-    delta = data_mod.gromov_delta(graph, num_quadruples=args.samples, seed=args.seed,
-                                  exact=exact)
-    mode = "exact" if (args.exact or (args.samples is None
-                                      and graph.n_nodes <= data_mod.EXACT_LIMIT)) else "sampled"
-    print(json.dumps({"delta": delta, "mode": mode, "n_nodes": graph.n_nodes},
-                     sort_keys=True))
+    report = data_mod.gromov_delta_report(graph, num_quadruples=args.samples, seed=args.seed,
+                                          exact=exact)
+    print(json.dumps(report._asdict(), sort_keys=True))
     return 0
 
 

@@ -18,6 +18,7 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -322,11 +323,18 @@ def sample_quadruples(n: int, count: int, rng: np.random.Generator) -> np.ndarra
     return out
 
 
-def gromov_delta(graph: Graph, num_quadruples: int | None = None, seed: int = 0,
-                 exact: bool | None = None) -> float:
+class DeltaReport(NamedTuple):
+    delta: float
+    mode: str        # "exact" or "sampled"
+    n_nodes: int     # size of the component the delta was computed on
+
+
+def gromov_delta_report(graph: Graph, num_quadruples: int | None = None, seed: int = 0,
+                        exact: bool | None = None) -> DeltaReport:
     """Max (S1 - S2)/2 over quadruple pairwise-distance sums, on BFS shortest
-    paths of the largest component. Exact enumeration for n <= 60 (or on
-    request), otherwise a sampled lower bound."""
+    paths of the largest component, with the mode and component size used.
+    Exact enumeration for n <= 60 (or on request), otherwise a sampled lower
+    bound."""
     nodes = _largest_component(graph)
     n = len(nodes)
     if n < 4:
@@ -340,8 +348,14 @@ def gromov_delta(graph: Graph, num_quadruples: int | None = None, seed: int = 0,
         )
     d = _distance_matrix(graph, nodes)
     if exact:
-        return float(kernels.four_point_delta_exact(d))
+        return DeltaReport(float(kernels.four_point_delta_exact(d)), "exact", n)
     count = 50_000 if num_quadruples is None else int(num_quadruples)
     rng = np.random.default_rng(seed)
     quads = sample_quadruples(n, count, rng)
-    return float(kernels.four_point_delta_quads(d, quads))
+    return DeltaReport(float(kernels.four_point_delta_quads(d, quads)), "sampled", n)
+
+
+def gromov_delta(graph: Graph, num_quadruples: int | None = None, seed: int = 0,
+                 exact: bool | None = None) -> float:
+    """The delta of :func:`gromov_delta_report` alone."""
+    return gromov_delta_report(graph, num_quadruples, seed, exact).delta

@@ -13,9 +13,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .kernels import MIN_NORM
 from .manifolds import Manifold, Model, transfer_scale
-
-MIN_NORM = ad.MIN_NORM
 
 
 def internal_to_ambient(man: Manifold, coords: np.ndarray) -> np.ndarray:

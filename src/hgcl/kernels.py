@@ -1,10 +1,12 @@
-"""Numpy reference backend for the hot numeric kernels.
+"""Numpy kernels for the hot non-differentiable array paths.
 
-Every function here has a drop-in twin in the compiled backend
-(`_core.pyx`); the dispatcher in ``hgcl.kernels`` picks whichever is
-available. Curvature ``k`` is always the signed value (k < 0). Lorentz
-arrays are ambient, time coordinate first; Poincare arrays are ball
-coordinates. All math is float64.
+Rowwise and pairwise closed forms for the Poincare ball and the hyperboloid,
+all-pairs BFS graph distances, and the four-point (Gromov) scans. Curvature
+``k`` is always the signed value (k < 0). Lorentz arrays are ambient, time
+coordinate first; Poincare arrays are ball coordinates. All math is float64.
+
+``MIN_NORM`` and ``ARTANH_CLIP`` are the package's clamp constants; every
+other module imports them from here.
 """
 
 from __future__ import annotations
@@ -16,7 +18,11 @@ from scipy.sparse.csgraph import shortest_path
 MIN_NORM = 1e-15
 ARTANH_CLIP = 1.0 - 1e-12
 
-BACKEND_NAME = "numpy"
+
+def backend_name():
+    # Only one implementation exists; kept because benchmark run metadata
+    # records it.
+    return "numpy"
 
 
 def _as2d(x):
@@ -143,6 +149,12 @@ def lorentz_log0_rows(x, k):
 
 def bfs_all_pairs(indptr, indices, n):
     """All-pairs unweighted shortest paths; -1 marks unreachable pairs."""
+    indptr = np.asarray(indptr, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    if indptr.shape != (n + 1,):
+        raise ValueError(f"indptr has shape {indptr.shape}, expected ({n + 1},)")
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        raise ValueError(f"CSR indices must lie in [0, {n})")
     data = np.ones(len(indices), dtype=np.float64)
     g = csr_matrix((data, indices, indptr), shape=(n, n))
     d = shortest_path(g, method="D", unweighted=True, directed=False)

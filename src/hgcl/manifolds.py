@@ -11,8 +11,7 @@ Conventions used throughout:
 * everything is float64 - these formulas shed precision fast near the
   ball boundary in 32-bit.
 
-The rowwise/pairwise closed forms are delegated to ``hgcl.kernels`` which
-dispatches between the compiled and the numpy backend.
+The rowwise/pairwise closed forms live in the numpy module ``hgcl.kernels``.
 """
 
 from __future__ import annotations
@@ -23,9 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
+from .kernels import ARTANH_CLIP, MIN_NORM
 
-MIN_NORM = kernels.MIN_NORM
-ARTANH_CLIP = kernels.ARTANH_CLIP
 BALL_GUARD = 1e-5  # relative margin kept between renormalized points and the boundary
 
 

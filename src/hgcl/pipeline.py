@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -164,8 +166,16 @@ class HgclModel:
             p.value = a.copy()
 
     def save(self, path) -> None:
+        """Write the checkpoint atomically; like ``np.savez``, append ``.npz``
+        to a name without it."""
+        path = Path(path)
+        if path.suffix != ".npz":
+            path = path.with_name(path.name + ".npz")
+        tmp = path.with_name(path.name + ".tmp")
         arrays = {f"param_{i}": a for i, a in enumerate(self.state_arrays())}
-        np.savez(path, config=json.dumps(self.to_meta()), **arrays)
+        with open(tmp, "wb") as fh:
+            np.savez(fh, config=json.dumps(self.to_meta()), **arrays)
+        os.replace(tmp, path)
 
     def to_meta(self) -> dict:
         return {"config": self.config.to_dict(), "d_feat": self.d_feat,
@@ -173,10 +183,10 @@ class HgclModel:
 
     @classmethod
     def load(cls, path) -> "HgclModel":
-        blob = np.load(path, allow_pickle=False)
-        meta = json.loads(str(blob["config"]))
-        model = cls(TrainConfig.from_dict(meta["config"]), meta["d_feat"], meta["n_classes"])
-        arrays = [blob[f"param_{i}"] for i in range(len(model.parameters()))]
+        with np.load(path, allow_pickle=False) as blob:
+            meta = json.loads(str(blob["config"]))
+            model = cls(TrainConfig.from_dict(meta["config"]), meta["d_feat"], meta["n_classes"])
+            arrays = [blob[f"param_{i}"] for i in range(len(model.parameters()))]
         model.load_state_arrays(arrays)
         return model
 

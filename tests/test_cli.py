@@ -103,6 +103,19 @@ class TestTrainCommand:
                   + FAST_TRAIN)
         assert rc == 0
 
+    def test_outputs_are_complete_with_no_temp_files(self, tmp_path):
+        out = tmp_path / "run"
+        rc = main(["train", "--synthetic", "2,3,8,0.2", "--out", str(out),
+                   "--seeds", "0,1"] + FAST_TRAIN)
+        assert rc == 0
+        assert list(out.glob("*.tmp")) == []
+        expected = ["aggregate.json"] + [f"{stem}_seed{s}.{ext}" for s in (0, 1)
+                                         for stem, ext in (("metrics", "jsonl"), ("model", "npz"),
+                                                           ("summary", "json"))]
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["outputs"] == sorted(expected)
+        assert sorted(p.name for p in out.iterdir()) == sorted(expected + ["manifest.json"])
+
     def test_writes_stay_under_out(self, tmp_path, monkeypatch):
         workdir = tmp_path / "cwd"
         workdir.mkdir()
@@ -118,6 +131,19 @@ class TestOtherCommands:
         assert rc == 0
         rec = json.loads(capsys.readouterr().out.strip())
         assert rec == {"delta": 0.0, "mode": "exact", "n_nodes": 40}
+
+    def test_delta_reports_the_component_it_ran_on(self, tmp_path, capsys):
+        from hgcl.data import Graph, gromov_delta, save_graph
+        cycle = [(i, (i + 1) % 50) for i in range(50)]
+        path = [(i, i + 1) for i in range(50, 79)]
+        labels = np.arange(80) % 2
+        save_graph(tmp_path / "two", Graph(80, np.array(cycle + path), np.eye(80, 4), labels))
+        comp = Graph(50, np.array(cycle), np.eye(50, 4), labels[:50])
+        with pytest.warns(UserWarning, match="2 components"):
+            rc = main(["delta", "--data", str(tmp_path / "two")])
+        assert rc == 0
+        rec = json.loads(capsys.readouterr().out.strip())
+        assert rec == {"delta": gromov_delta(comp, exact=True), "mode": "exact", "n_nodes": 50}
 
     def test_delta_exact_refused_above_limit(self, capsys):
         rc = main(["delta", "--synthetic", "2,6", "--exact"])

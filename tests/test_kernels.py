@@ -1,68 +1,12 @@
-"""Backend parity: the compiled kernels must match the numpy reference."""
+"""The numpy kernel module: exported names, input validation, exact cases."""
+
+import itertools
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from hgcl.kernels import _numpy as knp, available_backends
-
-backends = available_backends()
-needs_compiled = pytest.mark.skipif("compiled" not in backends,
-                                    reason="compiled kernels not built")
-
-
-@pytest.fixture(scope="module")
-def kc():
-    return backends.get("compiled")
-
-
-@pytest.fixture(scope="module")
-def inputs():
-    rng = np.random.default_rng(3)
-    k = -1.3
-    ball_a = rng.uniform(-0.4, 0.4, (64, 7))
-    ball_b = rng.uniform(-0.4, 0.4, (64, 7))
-    tan = rng.uniform(-2.0, 2.0, (64, 7))
-    hyp_a = knp.lorentz_exp0_rows(tan, k)
-    hyp_b = knp.lorentz_exp0_rows(rng.uniform(-2, 2, (64, 7)), k)
-    return k, ball_a, ball_b, tan, hyp_a, hyp_b
-
-
-@needs_compiled
-@pytest.mark.parametrize("name,arg_spec", [
-    ("mobius_add", "bbk"),
-    ("poincare_dist_rows", "bbk"),
-    ("poincare_pairwise_dist", "bbk"),
-    ("poincare_exp0_rows", "tk"),
-    ("poincare_log0_rows", "bk"),
-    ("lorentz_inner_rows", "hh"),
-    ("lorentz_dist_rows", "hhk"),
-    ("lorentz_pairwise_dist", "hhk"),
-    ("lorentz_exp0_rows", "tk"),
-    ("lorentz_log0_rows", "hk"),
-])
-def test_geometry_parity(kc, inputs, name, arg_spec):
-    k, ball_a, ball_b, tan, hyp_a, hyp_b = inputs
-    pool = {"b": [ball_a, ball_b], "h": [hyp_a, hyp_b], "t": [tan]}
-    args, used = [], {"b": 0, "h": 0, "t": 0}
-    for c in arg_spec:
-        if c == "k":
-            args.append(k)
-        else:
-            args.append(pool[c][used[c]])
-            used[c] += 1
-    ref = np.asarray(getattr(knp, name)(*args))
-    got = np.asarray(getattr(kc, name)(*args))
-    assert got.shape == ref.shape
-    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
-
-
-@needs_compiled
-def test_identical_row_shortcircuit(kc, inputs):
-    k, _, _, _, hyp_a, _ = inputs
-    assert np.max(kc.lorentz_dist_rows(hyp_a, hyp_a.copy(), k)) == 0.0
-    d = kc.lorentz_pairwise_dist(hyp_a, hyp_a, k)
-    assert np.max(np.abs(np.diag(d))) == 0.0
+from hgcl import kernels
 
 
 def _csr(edges, n):
@@ -72,36 +16,41 @@ def _csr(edges, n):
     return a.indptr.astype(np.int64), a.indices.astype(np.int64)
 
 
-@needs_compiled
-def test_graph_kernel_parity(kc):
-    rng = np.random.default_rng(11)
+def test_identical_row_shortcircuit():
+    rng = np.random.default_rng(3)
+    k = -1.3
+    hyp = kernels.lorentz_exp0_rows(rng.uniform(-2.0, 2.0, (64, 7)), k)
+    assert np.max(kernels.lorentz_dist_rows(hyp, hyp.copy(), k)) == 0.0
+    d = kernels.lorentz_pairwise_dist(hyp, hyp, k)
+    assert np.max(np.abs(np.diag(d))) == 0.0
+
+
+def test_exact_delta_matches_every_quadruple():
     edges = [(i, i + 1) for i in range(29)] + [(0, 15), (4, 22), (9, 27)]
     indptr, indices = _csr(edges, 30)
-    d_np = knp.bfs_all_pairs(indptr, indices, 30)
-    d_c = kc.bfs_all_pairs(indptr, indices, 30)
-    assert np.array_equal(d_np, d_c)
-    df = d_np.astype(float)
-    assert knp.four_point_delta_exact(df) == kc.four_point_delta_exact(df)
-    quads = np.array([rng.choice(30, 4, replace=False) for _ in range(400)])
-    assert knp.four_point_delta_quads(df, quads) == kc.four_point_delta_quads(df, quads)
+    d = kernels.bfs_all_pairs(indptr, indices, 30).astype(float)
+    quads = np.array(list(itertools.combinations(range(30), 4)))
+    exact = kernels.four_point_delta_exact(d)
+    assert exact == kernels.four_point_delta_quads(d, quads)
+    assert exact == 4.0
 
 
-@needs_compiled
-def test_bfs_rejects_bad_csr(kc):
+def test_bfs_rejects_bad_csr():
     indptr = np.array([0, 1, 2], dtype=np.int64)
     indices = np.array([5, 0], dtype=np.int64)  # node 5 out of range for n=2
     with pytest.raises(ValueError):
-        kc.bfs_all_pairs(indptr, indices, 2)
+        kernels.bfs_all_pairs(indptr, indices, 2)
     with pytest.raises(ValueError):
-        kc.bfs_all_pairs(np.array([0, 1], dtype=np.int64), indices, 2)
+        kernels.bfs_all_pairs(np.array([0, 1], dtype=np.int64), indices, 2)
+    with pytest.raises(ValueError):
+        kernels.bfs_all_pairs(indptr, np.array([1, -1], dtype=np.int64), 2)
 
 
-def test_backend_dispatcher_exposes_all_names():
-    from hgcl import kernels
+def test_kernels_module_exposes_all_names():
     for name in ("mobius_add", "poincare_dist_rows", "poincare_pairwise_dist",
                  "poincare_exp0_rows", "poincare_log0_rows", "lorentz_inner_rows",
                  "lorentz_dist_rows", "lorentz_pairwise_dist", "lorentz_exp0_rows",
                  "lorentz_log0_rows", "bfs_all_pairs", "four_point_delta_exact",
                  "four_point_delta_quads"):
         assert callable(getattr(kernels, name))
-    assert kernels.backend_name() in ("numpy", "compiled")
+    assert kernels.backend_name() == "numpy"
