@@ -14,6 +14,7 @@ import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .kernels import ARTANH_CLIP, MIN_NORM
 
@@ -62,13 +63,19 @@ class Tape:
         return stack[-1] if stack else None
 
     def backward(self, loss: "Tensor") -> None:
-        """Seed d(loss)/d(loss) = 1 and accumulate grads through the record."""
+        """Seed d(loss)/d(loss) = 1 and accumulate grads through the record.
+
+        Each interior node's grad is freed (set to None) once its backward has
+        run, so peak memory holds only the live frontier of gradients; the
+        leaves (parameters) are never on the tape and keep theirs.
+        """
         if loss.value.size != 1:
             raise AutodiffError(f"backward needs a scalar loss, got shape {loss.value.shape}")
         loss.grad = np.ones((1, 1))
         for node in reversed(self.nodes):
-            if node._backward_fn is not None and node.grad is not None:
+            if node.grad is not None:
                 node._backward_fn(node.grad)
+                node.grad = None
 
 
 class Tensor:
@@ -464,9 +471,11 @@ def gather_rows(a, idx) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            full = np.zeros_like(a.value)
-            np.add.at(full, idx, g)
-            a.accumulate(full)
+            # (rows x len(idx)) selection matrix, one 1 per column: a sparse
+            # scatter-add in the same order as np.add.at, without its overhead.
+            scatter = sp.csc_matrix((np.ones(idx.size), idx, np.arange(idx.size + 1)),
+                                    shape=(a.value.shape[0], idx.size))
+            a.accumulate(scatter @ g)
 
     return _record("gather_rows", out_value, (a,), backward)
 

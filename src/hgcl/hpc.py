@@ -70,27 +70,55 @@ class SamplePlan:
 
 def build_sample_plan(graph, m: int, rng: np.random.Generator) -> SamplePlan:
     """Draw m intra-view and m inter-view negatives per anchor, excluding the
-    anchor and its one-hop neighborhood, uniformly without replacement."""
+    anchor and its one-hop neighborhood, uniformly without replacement.
+
+    O(n*m) array passes: every pool is checked up front, ranks are drawn with
+    a vectorised Floyd step, and one ``searchsorted`` maps ranks to node ids.
+    """
     n = graph.n_nodes
     nbrs = graph.neighbor_lists()
-    neg_intra = np.empty((n, m), dtype=np.int64)
-    neg_inter = np.empty((n, m), dtype=np.int64)
-    all_ids = np.arange(n)
-    for i in range(n):
-        excluded = np.zeros(n, dtype=bool)
-        excluded[i] = True
-        excluded[nbrs[i]] = True
-        pool = all_ids[~excluded]
-        if pool.size < m:
-            raise SamplingError(
-                f"anchor {i}: negative pool has {pool.size} nodes < m={m}"
-            )
-        neg_intra[i] = np.sort(pool[rng.choice(pool.size, size=m, replace=False)])
-        neg_inter[i] = np.sort(pool[rng.choice(pool.size, size=m, replace=False)])
-    edge_anchor = np.concatenate([np.full(len(a), i, dtype=np.int64) for i, a in enumerate(nbrs)]) \
-        if n else np.empty(0, dtype=np.int64)
+    deg = np.fromiter(map(len, nbrs), dtype=np.int64, count=n)
+    edge_anchor = np.repeat(np.arange(n, dtype=np.int64), deg)
     edge_nbr = np.concatenate(nbrs) if n else np.empty(0, dtype=np.int64)
-    return SamplePlan(nbrs, neg_intra, neg_inter, edge_anchor, edge_nbr)
+
+    # Excluded set of anchor i = {i} + neighbors, sorted, as a CSR segment.
+    # Key i*(n+1) + e keeps the segments apart in one flat sorted array.
+    stride = n + 1
+    keys = np.sort(np.concatenate([np.arange(n, dtype=np.int64) * (stride + 1),
+                                   edge_anchor * stride + edge_nbr]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # a self-loop or repeated edge counts once
+    seg_row = keys // stride
+    excluded = np.bincount(seg_row, minlength=n)
+    start = np.cumsum(excluded) - excluded
+    pool = n - excluded
+    short = np.flatnonzero(pool < m)
+    if short.size:
+        i = int(short[0])
+        msg = (f"anchor {i}: negative pool has {int(pool[i])} nodes < m={m}"
+               f"; {short.size} of {n} anchors are short")
+        if short.size > 1:
+            others = ", ".join(str(int(j)) for j in short[1:9])
+            msg += f" (others: {others}{', ...' if short.size > 9 else ''})"
+        raise SamplingError(msg)
+    # The k-th excluded id e_k of a segment skips every rank r >= e_k - k, so
+    # rank r maps to r + #{k : e_k - k <= r}.
+    rank_keys = keys - np.arange(keys.size) + start[seg_row]
+    row_keys = np.arange(n, dtype=np.int64)[:, None] * stride
+
+    def draw() -> np.ndarray:
+        """(n, m) sorted ids: m distinct uniform ranks in [0, pool_i) per row
+        (Floyd's algorithm, one array pass per column), mapped to node ids."""
+        ranks = np.empty((n, m), dtype=np.int64)
+        for k in range(m):
+            top = pool - m + k
+            pick = rng.integers(0, top + 1)
+            seen = np.any(ranks[:, :k] == pick[:, None], axis=1)
+            ranks[:, k] = np.where(seen, top, pick)
+        ranks.sort(axis=1)
+        skipped = np.searchsorted(rank_keys, row_keys + ranks, side="right") - start[:, None]
+        return ranks + skipped
+
+    return SamplePlan(nbrs, draw(), draw(), edge_anchor, edge_nbr)
 
 
 # ---------------------------------------------------------------------------
@@ -173,19 +201,19 @@ def hpc_loss(emb: DualEmbedding, plan: SamplePlan, cfg: HpcConfig,
     man_a, man_b = emb.manifold_alpha, emb.manifold_beta
     beta_in_alpha = dg.transfer0(man_b, man_a, emb.beta)
     alpha_in_beta = dg.transfer0(man_a, man_b, emb.alpha)
+    anchors = np.repeat(np.arange(n), plan.num_negatives)
+
+    def negative_term(man, own, candidates, neg_ids):
+        """sum over all (anchor, negative) pairs of log(1 - D), one gather each."""
+        probs = pair_probs(man, ad.gather_rows(own, anchors),
+                           ad.gather_rows(candidates, neg_ids.ravel()), cfg)
+        return ad.reduce_sum(ad.log(ad.sub(1.0, probs)))
 
     total = ad.reduce_sum(ad.log(pair_probs(man_a, emb.alpha, beta_in_alpha, cfg)))
     total = ad.add(total, ad.reduce_sum(ad.log(pair_probs(man_b, emb.beta, alpha_in_beta, cfg))))
     if cfg.lambda_neg > 0.0:
-        neg_sum = None
-        for j in range(plan.num_negatives):
-            idx = plan.neg_inter[:, j]
-            na = ad.reduce_sum(ad.log(ad.sub(1.0, pair_probs(
-                man_a, emb.alpha, ad.gather_rows(beta_in_alpha, idx), cfg))))
-            nb = ad.reduce_sum(ad.log(ad.sub(1.0, pair_probs(
-                man_b, emb.beta, ad.gather_rows(alpha_in_beta, idx), cfg))))
-            term = ad.add(na, nb)
-            neg_sum = term if neg_sum is None else ad.add(neg_sum, term)
+        neg_sum = ad.add(negative_term(man_a, emb.alpha, beta_in_alpha, plan.neg_inter),
+                         negative_term(man_b, emb.beta, alpha_in_beta, plan.neg_inter))
         total = ad.add(total, ad.scalar_mul(neg_sum, cfg.lambda_neg))
 
     if include_tolerance:
@@ -198,15 +226,8 @@ def hpc_loss(emb: DualEmbedding, plan: SamplePlan, cfg: HpcConfig,
                 ad.gather_rows(emb.beta, plan.edge_nbr), cfg)))
             total = ad.add(total, ad.add(ta, tb))
         if cfg.lambda_neg > 0.0:
-            neg_sum = None
-            for j in range(plan.num_negatives):
-                idx = plan.neg_intra[:, j]
-                na = ad.reduce_sum(ad.log(ad.sub(1.0, pair_probs(
-                    man_a, emb.alpha, ad.gather_rows(emb.alpha, idx), cfg))))
-                nb = ad.reduce_sum(ad.log(ad.sub(1.0, pair_probs(
-                    man_b, emb.beta, ad.gather_rows(emb.beta, idx), cfg))))
-                term = ad.add(na, nb)
-                neg_sum = term if neg_sum is None else ad.add(neg_sum, term)
+            neg_sum = ad.add(negative_term(man_a, emb.alpha, emb.alpha, plan.neg_intra),
+                             negative_term(man_b, emb.beta, emb.beta, plan.neg_intra))
             total = ad.add(total, ad.scalar_mul(neg_sum, cfg.lambda_neg))
 
     return ad.scalar_mul(total, -1.0 / (2.0 * n))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 
-import csv
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -366,10 +365,13 @@ def export_heatmap(model: HgclModel, graph: Graph, node_ids, view: str, out_path
     man = emb.manifold_alpha if view == "alpha" else emb.manifold_beta
     pts = emb.points(view)[node_ids]
     dist = man.pairwise_dist(pts)
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [str(i) for i in node_ids] + ["label"])
+    # Same bytes as csv.writer ("\r\n" rows, nothing quoted), one format call per
+    # row, written to a temp file and renamed so a reader never sees a partial CSV.
+    row_fmt = "%d," + "%.12g," * len(node_ids) + "%d\r\n"
+    tmp = Path(str(out_path) + ".tmp")
+    with open(tmp, "w", newline="") as fh:
+        fh.write(",".join(["id"] + [str(i) for i in node_ids] + ["label"]) + "\r\n")
         for row_i, nid in enumerate(node_ids):
-            writer.writerow([str(nid)] + [f"{d:.12g}" for d in dist[row_i]]
-                            + [str(int(graph.labels[nid]))])
+            fh.write(row_fmt % (nid, *dist[row_i], graph.labels[nid]))
+    os.replace(tmp, out_path)
     return dist

@@ -76,6 +76,32 @@ class TestBackwardRules:
             tape.backward(out)
         np.testing.assert_array_equal(p.grad, [[2, 2], [0, 0], [1, 1]])
 
+    @pytest.mark.parametrize("idx", [[3, 0, 3, 3, 1, 0], []])
+    def test_gather_rows_scatter_matches_add_at(self, idx):
+        values = np.arange(12.0).reshape(4, 3)
+        g = np.arange(1.0, 1.0 + 3 * len(idx)).reshape(len(idx), 3)
+        p = ad.parameter(values)
+        with Tape() as tape:
+            out = ad.reduce_sum(ad.mul(ad.gather_rows(p, idx), g))
+            tape.backward(out)
+        expected = np.zeros_like(values)
+        np.add.at(expected, np.asarray(idx, dtype=np.int64), g)
+        np.testing.assert_array_equal(p.grad, expected)
+
+    def test_backward_frees_interior_grads_and_keeps_leaf_grads(self, rng):
+        w = ad.parameter(rng.standard_normal((3, 2)))
+        b = ad.parameter(rng.standard_normal((1, 2)))
+        x = Tensor(rng.standard_normal((5, 3)))
+        with Tape() as tape:
+            h = ad.tanh(ad.add(ad.matmul(x, w), b))
+            out = ad.reduce_sum(ad.square(ad.gather_rows(h, [0, 4, 4])))
+            tape.backward(out)
+        assert len(tape.nodes) == 6
+        assert all(node.grad is None for node in tape.nodes)
+        for p in (w, b):
+            assert p.grad is not None and p.grad.shape == p.value.shape
+            assert np.all(np.isfinite(p.grad)) and np.any(p.grad != 0)
+
     def test_unbroadcast_column_and_row(self, rng):
         col = ad.parameter(rng.standard_normal((4, 1)))
         row = ad.parameter(rng.standard_normal((1, 3)))

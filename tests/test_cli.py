@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hgcl import checks
-from hgcl.cli import main
+from hgcl.cli import RUNTIME_EXIT, main
 
 FAST_TRAIN = ["--epochs", "15", "--patience", "15", "--hidden-dim", "8",
               "--embed-dim", "8"]
@@ -221,3 +221,21 @@ class TestExitCodes:
     def test_runtime_error_is_exit_2(self, tmp_path):
         rc = main(["delta", "--data", str(tmp_path / "missing")])
         assert rc == 2
+
+    def test_star_hub_fails_before_training_with_named_error(self, tmp_path, capsys):
+        from hgcl.data import Graph, save_graph, split
+        n = 30  # hub 0 has no non-neighbour, so no m=5 negatives
+        g = Graph(n, np.array([(0, j) for j in range(1, n)]),
+                  np.random.default_rng(0).standard_normal((n, 4)), np.arange(n) % 2)
+        save_graph(tmp_path / "star", Graph(n, g.edges, g.features, g.labels,
+                                            *split(g, seed=0)))
+        out = tmp_path / "run"
+        rc = main(["train", "--data", str(tmp_path / "star"), "--out", str(out),
+                   "--epochs", "3", "--patience", "3", "--hidden-dim", "4",
+                   "--embed-dim", "4"])
+        assert rc == RUNTIME_EXIT
+        err = capsys.readouterr().err
+        assert "SamplingError" in err
+        assert "anchor 0: negative pool has 0 nodes < m=5; 1 of 30 anchors are short" in err
+        assert list(out.glob("metrics_seed*")) == []
+        assert list(out.glob("model_seed*")) == []

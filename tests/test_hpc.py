@@ -1,6 +1,8 @@
 """Contrastive loss: sampler, discriminator, MI terms, full objective."""
 
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -95,6 +97,15 @@ class TestDiscriminator:
         assert 0.0 < val < 1.0
 
 
+@pytest.fixture(scope="module")
+def pool6_draws():
+    """6,000 draws of m=3 negatives for anchor 4 of the path 0-..-8, whose
+    pool {0, 1, 2, 6, 7, 8} has p=6 nodes."""
+    g = path_graph(9)
+    rng = np.random.default_rng(2024)
+    return [tuple(build_sample_plan(g, 3, rng).neg_intra[4]) for _ in range(6_000)]
+
+
 class TestSamplePlan:
     def test_star_hub_has_empty_pool(self):
         g = star_graph(5)
@@ -132,6 +143,60 @@ class TestSamplePlan:
             counts[int(plan.neg_intra[2][0])] += 1
         sigma = math.sqrt(draws * 0.5 * 0.5)
         assert abs(counts[0] - draws / 2) <= 3 * sigma
+
+    def test_marginal_uniformity_pool6_m3(self, pool6_draws):
+        draws = pool6_draws
+        counts = Counter(j for row in draws for j in row)
+        assert set(counts) == {0, 1, 2, 6, 7, 8}
+        q = 3 / 6  # each pool id is in the draw with probability m/p
+        sigma = math.sqrt(len(draws) * q * (1 - q))
+        for j, c in counts.items():
+            assert abs(c - len(draws) * q) <= 3 * sigma, (j, c)
+
+    def test_subset_uniformity_pool6_m3(self, pool6_draws):
+        draws = pool6_draws
+        counts = Counter(draws)
+        subsets = set(itertools.combinations((0, 1, 2, 6, 7, 8), 3))
+        assert set(counts) == subsets  # rows come out sorted
+        q = 1 / len(subsets)
+        sigma = math.sqrt(len(draws) * q * (1 - q))
+        for subset in subsets:
+            assert abs(counts[subset] - len(draws) * q) <= 3 * sigma, subset
+
+    def test_pool_of_exactly_m_is_taken_whole(self):
+        g = path_graph(7)  # anchor 3: pool {0, 1, 5, 6}; ends: pool of 5
+        for seed in range(10):
+            plan = build_sample_plan(g, 4, np.random.default_rng(seed))
+            assert plan.neg_intra[3].tolist() == [0, 1, 5, 6]
+            assert plan.neg_inter[3].tolist() == [0, 1, 5, 6]
+
+    def test_isolated_nodes_and_components(self):
+        # triangle {0,1,2}, path 3-4-5, isolated 6 and 7, edge 8-9
+        edges = np.array([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (8, 9)])
+        g = Graph(10, edges, np.zeros((10, 1)), np.zeros(10, dtype=int))
+        nbrs = g.neighbor_lists()
+        for seed in range(50):
+            plan = build_sample_plan(g, 5, np.random.default_rng(seed))
+            for neg in (plan.neg_intra, plan.neg_inter):
+                assert neg.shape == (10, 5) and neg.dtype == np.int64
+                for i in range(10):
+                    row = neg[i].tolist()
+                    assert row == sorted(set(row))  # distinct and sorted
+                    assert not set(row) & {i, *nbrs[i].tolist()}
+                    assert 0 <= row[0] and row[-1] < 10
+        assert plan.edge_anchor.tolist() == np.repeat(np.arange(10), [2, 2, 2, 1, 2, 1,
+                                                                      0, 0, 1, 1]).tolist()
+        assert plan.edge_nbr.tolist() == np.concatenate(nbrs).tolist()
+
+    def test_every_short_anchor_is_named(self):
+        # two stars of 4 leaves joined hub to hub: each hub has pool 10 - 1 - 5 = 4
+        edges = [(0, j) for j in range(1, 5)] + [(5, j) for j in range(6, 10)] + [(0, 5)]
+        g = Graph(10, np.array(edges), np.zeros((10, 1)), np.zeros(10, dtype=int))
+        with pytest.raises(SamplingError) as err:
+            build_sample_plan(g, 5, np.random.default_rng(0))
+        assert str(err.value) == ("anchor 0: negative pool has 4 nodes < m=5; "
+                                  "2 of 10 anchors are short (others: 5)")
+        build_sample_plan(g, 4, np.random.default_rng(0))
 
 
 def clique_pair_fixture(d_between=6.0, m=2):

@@ -1,5 +1,7 @@
 """Decoder, combined objective, training loop, metrics, heatmap export."""
 
+import csv
+import io
 import json
 import math
 
@@ -232,6 +234,22 @@ class TestHeatmap:
         assert len(rows) == len(ids) + 1
         first = rows[1].split(",")
         assert first[-1] in {"0", "1"}
+
+    def test_csv_bytes_match_csv_writer_and_no_temp_file(self, tmp_path):
+        g = tree_graph()
+        res = train(g, small_config(epochs=3, patience=3))
+        ids = np.array([4, 0, 7, 3, 12])
+        out = tmp_path / "heat.csv"
+        out.write_text("stale contents that must be replaced\n")
+        dist = export_heatmap(res.model, g, ids, "beta", out)
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)  # reference: one f-string per cell, csv.writer rows
+        writer.writerow(["id"] + [str(i) for i in ids] + ["label"])
+        for row_i, nid in enumerate(ids):
+            writer.writerow([str(nid)] + [f"{d:.12g}" for d in dist[row_i]]
+                            + [str(int(g.labels[nid]))])
+        assert out.read_bytes() == ref.getvalue().encode()
+        assert [p.name for p in tmp_path.iterdir()] == ["heat.csv"]
 
     def test_unknown_node_id_rejected(self, tmp_path):
         g = tree_graph()
