@@ -79,9 +79,9 @@ class Tape:
 
 
 class Tensor:
-    __slots__ = ("value", "requires_grad", "grad", "_parents", "_backward_fn", "_op")
+    __slots__ = ("value", "requires_grad", "grad", "_backward_fn", "_op")
 
-    def __init__(self, value, requires_grad: bool = False, *, _parents=(), _backward=None,
+    def __init__(self, value, requires_grad: bool = False, *, _backward=None,
                  _op: str = "leaf"):
         v = _as_matrix(value)
         if not np.all(np.isfinite(v)):
@@ -89,7 +89,6 @@ class Tensor:
         self.value = v
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = _parents
         self._backward_fn = _backward
         self._op = _op
 
@@ -108,8 +107,10 @@ class Tensor:
         return Tensor(self.value.copy())
 
     def accumulate(self, g: np.ndarray) -> None:
+        """Add ``g`` to the grad. The first ``g`` is kept as given, possibly a
+        view shared with other tensors, so grads are never written in place."""
         if self.grad is None:
-            self.grad = g.copy()
+            self.grad = g
         else:
             self.grad = self.grad + g
 
@@ -159,9 +160,7 @@ def _record(op: str, out_value: np.ndarray, parents: Sequence[Tensor],
     needs = any(p.requires_grad for p in parents)
     if tape is None or not needs:
         return Tensor(out_value, requires_grad=False, _op=op)
-    out = Tensor(out_value, requires_grad=True,
-                 _parents=tuple(p for p in parents if p.requires_grad),
-                 _backward=backward, _op=op)
+    out = Tensor(out_value, requires_grad=True, _backward=backward, _op=op)
     tape.nodes.append(out)
     return out
 
@@ -410,7 +409,7 @@ def reduce_sum(a, axis: int | None = None) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate(np.broadcast_to(g, a.value.shape).copy())
+            a.accumulate(np.broadcast_to(g, a.value.shape))
 
     return _record("reduce_sum", out_value, (a,), backward)
 
@@ -424,7 +423,7 @@ def reduce_mean(a, axis: int | None = None) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate(np.broadcast_to(g / count, a.value.shape).copy())
+            a.accumulate(np.broadcast_to(g / count, a.value.shape))
 
     return _record("reduce_mean", out_value, (a,), backward)
 

@@ -4,7 +4,8 @@ four-point hyperbolicity estimator.
 On-disk format (one directory per dataset):
 
 * ``edges.txt``    - two whitespace-separated integer ids per line, undirected;
-  duplicate lines and self-loops are dropped;
+  self-loops and repeated pairs (in either orientation) are dropped, as for
+  every :class:`Graph`;
 * ``features.csv`` - node id, then the feature values, comma-separated;
 * ``labels.csv``   - node id, integer label;
 * ``splits.json``  - optional ``{"train": [...], "val": [...], "test": [...]}``.
@@ -33,23 +34,38 @@ class DataError(ValueError):
 
 @dataclass
 class Graph:
+    """An undirected graph with node features, labels and optional split masks.
+
+    Edges are canonical from construction on, whatever their source: self-loops
+    are dropped, each pair is oriented ``i < j``, repeats are kept once, and the
+    rows are sorted lexicographically. The symmetric CSR adjacency built from
+    them is cached; the loss's neighbor sets, the normalized adjacency and the
+    BFS all read that one matrix.
+    """
+
     n_nodes: int
-    edges: np.ndarray            # (E, 2) int64, unique, i < j
+    edges: np.ndarray            # (E, 2) int64, unique, i < j, sorted
     features: np.ndarray         # (n, d) float64
     labels: np.ndarray           # (n,) int64
     train_mask: np.ndarray | None = None
     val_mask: np.ndarray | None = None
     test_mask: np.ndarray | None = None
-    _neighbors: list | None = field(default=None, repr=False, compare=False)
+    _csr: sparse.csr_matrix | None = field(default=None, init=False, repr=False, compare=False)
+    _neighbors: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         self.features = np.atleast_2d(np.asarray(self.features, dtype=np.float64))
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.shape[0] != self.n_nodes or self.labels.shape[0] != self.n_nodes:
             raise DataError("features/labels row count does not match n_nodes")
-        if self.edges.size and (self.edges.min() < 0 or self.edges.max() >= self.n_nodes):
+        if edges.size and (edges.min() < 0 or edges.max() >= self.n_nodes):
             raise DataError("edge endpoint out of range")
+        lo, hi = np.minimum(edges[:, 0], edges[:, 1]), np.maximum(edges[:, 0], edges[:, 1])
+        keep = lo != hi
+        keys = np.sort(lo[keep] * self.n_nodes + hi[keep])
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        self.edges = np.stack([keys // self.n_nodes, keys % self.n_nodes], axis=1)
         masks = [m for m in (self.train_mask, self.val_mask, self.test_mask) if m is not None]
         for m in masks:
             if m.shape != (self.n_nodes,):
@@ -72,41 +88,24 @@ class Graph:
     def n_edges(self) -> int:
         return int(self.edges.shape[0])
 
-    def neighbor_lists(self) -> list[np.ndarray]:
-        if self._neighbors is None:
-            nbrs = [[] for _ in range(self.n_nodes)]
-            for i, j in self.edges:
-                nbrs[i].append(j)
-                nbrs[j].append(i)
-            self._neighbors = [np.array(sorted(a), dtype=np.int64) for a in nbrs]
-        return self._neighbors
-
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_nodes, dtype=np.int64)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
     def csr_adjacency(self) -> sparse.csr_matrix:
-        e = self.edges
-        rows = np.concatenate([e[:, 0], e[:, 1]])
-        cols = np.concatenate([e[:, 1], e[:, 0]])
-        data = np.ones(rows.size)
-        return sparse.csr_matrix((data, (rows, cols)), shape=(self.n_nodes, self.n_nodes))
+        """The cached symmetric 0/1 adjacency, sorted indices; do not modify."""
+        if self._csr is None:
+            n = self.n_nodes
+            lo, hi = self.edges[:, 0], self.edges[:, 1]
+            keys = np.sort(np.concatenate([lo * n + hi, hi * n + lo]))
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(self.edges.ravel(), minlength=n))])
+            self._csr = sparse.csr_matrix((np.ones(keys.size), keys % n, indptr), shape=(n, n))
+        return self._csr
 
-
-def _dedupe_edges(pairs, n_hint=None):
-    seen = set()
-    out = []
-    for i, j in pairs:
-        if i == j:
-            continue
-        key = (min(i, j), max(i, j))
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    return np.array(sorted(out), dtype=np.int64).reshape(-1, 2)
+    def neighbor_lists(self) -> list[np.ndarray]:
+        """Sorted one-hop neighbors of each node: int64 slices of the CSR."""
+        if self._neighbors is None:
+            adj = self.csr_adjacency()
+            idx = adj.indices.astype(np.int64)
+            bounds = adj.indptr.tolist()
+            self._neighbors = [idx[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        return self._neighbors
 
 
 def load_graph(directory, split_fractions=(0.6, 0.2, 0.2), split_seed: int = 0) -> Graph:
@@ -170,11 +169,12 @@ def load_graph(directory, split_fractions=(0.6, 0.2, 0.2), split_seed: int = 0) 
 
     features = np.array([feat_rows[i] for i in range(n)], dtype=np.float64)
     labels = np.array([label_rows[i] for i in range(n)], dtype=np.int64)
-    edges = _dedupe_edges(pairs)
-    if edges.size and edges.max() >= n:
-        raise DataError(f"edge endpoint {edges.max()} out of range for n={n}")
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    if pairs.size and pairs.max() >= n:
+        raise DataError(f"edge endpoint {pairs.max()} out of range for n={n}")
 
-    graph = Graph(n, edges, features, labels)
+    graph = Graph(n, pairs, features, labels)
+    edges = graph.edges
     split_file = d / "splits.json"
     if split_file.exists():
         with open(split_file) as fh:
@@ -268,19 +268,19 @@ def synthetic_tree(branching: int, depth: int, d_feat: int = 16, noise: float = 
     n = (branching ** (depth + 1) - 1) // (branching - 1)
     if d_feat < branching:
         raise DataError(f"d_feat={d_feat} cannot one-hot encode {branching} classes")
-    edges = []
+    children = np.arange(1, n, dtype=np.int64)
+    parents = (children - 1) // branching
     labels = np.zeros(n, dtype=np.int64)
-    for child in range(1, n):
-        parent = (child - 1) // branching
-        edges.append((parent, child))
-        if parent == 0:
-            labels[child] = child - 1  # depth-1 nodes seed the classes
-        else:
-            labels[child] = labels[parent]
+    labels[1:branching + 1] = np.arange(branching)  # depth-1 nodes seed the classes
+    first = branching + 1  # first node of depth 2; each level inherits its parents' labels
+    while first < n:
+        end = first * branching + 1
+        labels[first:end] = labels[parents[first - 1:end - 1]]
+        first = end
     rng = np.random.default_rng(seed)
     features = rng.normal(0.0, noise, size=(n, d_feat))
     features[np.arange(n), labels] += 1.0
-    return Graph(n, np.array(edges, dtype=np.int64), features, labels)
+    return Graph(n, np.stack([parents, children], axis=1), features, labels)
 
 
 # ---------------------------------------------------------------------------

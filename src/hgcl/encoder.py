@@ -48,8 +48,7 @@ def lift_features(manifold: Manifold, features: np.ndarray,
     over = norms[:, 0] > max_norm
     if np.any(over):
         x = x * np.where(norms > max_norm, max_norm / norms, 1.0)
-    man = dataclasses.replace(manifold, dim=x.shape[1])
-    return dg.exp0(man, Tensor(x)), int(np.sum(over))
+    return dg.exp0(manifold, Tensor(x)), int(np.sum(over))
 
 
 @dataclass
@@ -70,13 +69,12 @@ class HgnnLayer:
         return cls(weight, bias, manifold, activation)
 
     def forward(self, h: Tensor, a_norm) -> Tensor:
-        man_in = dataclasses.replace(self.manifold, dim=h.value.shape[1])
-        man_out = dataclasses.replace(self.manifold, dim=self.weight.value.shape[1])
-        u = dg.log0(man_in, h)
+        # the maps read only the model and curvature, not dim: any width will do
+        u = dg.log0(self.manifold, h)
         msg = ad.aggregate(a_norm, u)
         z = ad.add(ad.matmul(msg, self.weight), self.bias)
         z = ACTIVATIONS[self.activation](z)
-        return dg.exp0(man_out, z)
+        return dg.exp0(self.manifold, z)
 
     def parameters(self) -> list[Tensor]:
         return [self.weight, self.bias]

@@ -76,19 +76,19 @@ def build_sample_plan(graph, m: int, rng: np.random.Generator) -> SamplePlan:
     a vectorised Floyd step, and one ``searchsorted`` maps ranks to node ids.
     """
     n = graph.n_nodes
-    nbrs = graph.neighbor_lists()
-    deg = np.fromiter(map(len, nbrs), dtype=np.int64, count=n)
+    adj = graph.csr_adjacency()
+    deg = np.diff(adj.indptr).astype(np.int64)
     edge_anchor = np.repeat(np.arange(n, dtype=np.int64), deg)
-    edge_nbr = np.concatenate(nbrs) if n else np.empty(0, dtype=np.int64)
+    edge_nbr = adj.indices.astype(np.int64)
 
     # Excluded set of anchor i = {i} + neighbors, sorted, as a CSR segment.
-    # Key i*(n+1) + e keeps the segments apart in one flat sorted array.
+    # Key i*(n+1) + e keeps the segments apart in one flat sorted array; the
+    # graph's edges are canonical (no self-loops or repeats), so keys are unique.
     stride = n + 1
     keys = np.sort(np.concatenate([np.arange(n, dtype=np.int64) * (stride + 1),
                                    edge_anchor * stride + edge_nbr]))
-    keys = keys[np.diff(keys, prepend=-1) != 0]  # a self-loop or repeated edge counts once
     seg_row = keys // stride
-    excluded = np.bincount(seg_row, minlength=n)
+    excluded = deg + 1  # the anchor and its neighbors
     start = np.cumsum(excluded) - excluded
     pool = n - excluded
     short = np.flatnonzero(pool < m)
@@ -118,7 +118,7 @@ def build_sample_plan(graph, m: int, rng: np.random.Generator) -> SamplePlan:
         skipped = np.searchsorted(rank_keys, row_keys + ranks, side="right") - start[:, None]
         return ranks + skipped
 
-    return SamplePlan(nbrs, draw(), draw(), edge_anchor, edge_nbr)
+    return SamplePlan(graph.neighbor_lists(), draw(), draw(), edge_anchor, edge_nbr)
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,18 @@ class TestBackwardRules:
             assert p.grad is not None and p.grad.shape == p.value.shape
             assert np.all(np.isfinite(p.grad)) and np.any(p.grad != 0)
 
+    def test_shared_first_grad_is_never_written_in_place(self):
+        a = ad.parameter(np.zeros((2, 3)))
+        b = ad.parameter(np.zeros((2, 3)))
+        with Tape() as tape:
+            # scalar_mul hands add a fresh writeable grad, which add passes
+            # unchanged to both leaves
+            tape.backward(ad.reduce_sum(ad.scalar_mul(ad.add(a, b), 1.0)))
+        with Tape() as tape:
+            tape.backward(ad.reduce_sum(ad.scalar_mul(a, 1.0)))  # feeds only a
+        np.testing.assert_array_equal(a.grad, np.full((2, 3), 2.0))
+        np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+
     def test_unbroadcast_column_and_row(self, rng):
         col = ad.parameter(rng.standard_normal((4, 1)))
         row = ad.parameter(rng.standard_normal((1, 3)))

@@ -2,13 +2,18 @@
 
 import itertools
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hgcl import data as data_mod
 from hgcl.data import DataError, Graph, gromov_delta, load_graph, normalize_adjacency, \
     save_graph, split, synthetic_tree
+from hgcl.hpc import SamplingError, build_sample_plan
 
 
 class TestLoadGraph:
@@ -83,6 +88,104 @@ class TestGraphInvariants:
             Graph(2, np.empty((0, 2)), np.zeros((2, 1)), np.array([0, 1]),
                   np.array([True, False]), np.array([False, False]),
                   np.array([False, True]))
+
+
+def round_trip(g):
+    with tempfile.TemporaryDirectory() as tmp:
+        save_graph(Path(tmp) / "g", g)
+        return load_graph(Path(tmp) / "g")
+
+
+def set_reference(n, pairs):
+    """Canonical edges, dense adjacency and neighbor lists from Python sets."""
+    undirected = sorted({(min(i, j), max(i, j)) for i, j in pairs if i != j})
+    dense = np.zeros((n, n))
+    nbrs = [set() for _ in range(n)]
+    for i, j in undirected:
+        dense[i, j] = dense[j, i] = 1.0
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    return undirected, dense, [sorted(s) for s in nbrs]
+
+
+@st.composite
+def edge_lists(draw):
+    """Up to 12 nodes and 40 raw pairs: reversed pairs, repeats and self-loops
+    occur freely, and so do isolated nodes and several components."""
+    n = draw(st.integers(1, 12))
+    node = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(node, node), max_size=40))
+
+
+class TestCanonicalAdjacency:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(edge_lists())
+    @example((6, [(0, 1), (1, 0), (3, 3)]))
+    @example((7, [(5, 4), (4, 5), (4, 5), (2, 2), (0, 1), (1, 2), (6, 6)]))
+    def test_matches_set_reference_and_round_trip(self, case):
+        n, pairs = case
+        edges, dense, nbrs = set_reference(n, pairs)
+        g = Graph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2), np.zeros((n, 1)),
+                  np.zeros(n, dtype=int))
+        g2 = round_trip(g)
+        inv = 1.0 / np.sqrt(dense.sum(axis=1) + 1.0)
+        norm_ref = inv[:, None] * (dense + np.eye(n)) * inv[None, :]
+        for graph in (g, g2):
+            assert graph.edges.dtype == np.int64
+            assert graph.edges.tolist() == [list(e) for e in edges]
+            adj = graph.csr_adjacency()
+            assert adj.has_sorted_indices
+            np.testing.assert_array_equal(adj.toarray(), dense)
+            assert [a.tolist() for a in graph.neighbor_lists()] == nbrs
+            assert all(a.dtype == np.int64 for a in graph.neighbor_lists())
+            np.testing.assert_allclose(normalize_adjacency(graph).toarray(), norm_ref,
+                                       rtol=1e-15, atol=0)
+        a, a2 = g.csr_adjacency(), g2.csr_adjacency()
+        np.testing.assert_array_equal(a.indptr, a2.indptr)
+        np.testing.assert_array_equal(a.indices, a2.indices)
+        np.testing.assert_array_equal(normalize_adjacency(g).toarray(),
+                                      normalize_adjacency(g2).toarray())
+
+        anchor = [i for i in range(n) for _ in nbrs[i]]
+        nbr = [j for i in range(n) for j in nbrs[i]]
+        if any(len(nbrs[i]) == n - 1 for i in range(n)):  # an empty negative pool
+            with pytest.raises(SamplingError):
+                build_sample_plan(g, 1, np.random.default_rng(0))
+            return
+        for graph in (g, g2):
+            plan = build_sample_plan(graph, 1, np.random.default_rng(0))
+            assert plan.edge_anchor.tolist() == anchor
+            assert plan.edge_nbr.tolist() == nbr
+            assert plan.edge_anchor.dtype == plan.edge_nbr.dtype == np.int64
+
+    def test_code_built_graph_equals_its_round_trip(self):
+        # a reversed repeat and a self-loop: counted twice and weighted before
+        g = Graph(6, np.array([(0, 1), (1, 0), (3, 3)]), np.zeros((6, 1)),
+                  np.zeros(6, dtype=int))
+        g2 = round_trip(g)
+        for graph in (g, g2):
+            a = graph.csr_adjacency()
+            assert graph.edges.tolist() == [[0, 1]]
+            assert a[0, 1] == a[1, 0] == 1.0
+            assert a[3, 3] == 0.0
+            plan = build_sample_plan(graph, 2, np.random.default_rng(0))
+            assert plan.edge_anchor.tolist() == [0, 1]
+            assert plan.edge_nbr.tolist() == [1, 0]
+        np.testing.assert_array_equal(normalize_adjacency(g).toarray(),
+                                      normalize_adjacency(g2).toarray())
+
+    def test_readers_leave_the_cached_csr_unchanged(self):
+        edges = np.array([(1, 0), (1, 2), (2, 3), (3, 4), (0, 4), (6, 5), (2, 2)])
+        g = Graph(7, edges, np.zeros((7, 1)), np.zeros(7, dtype=int))
+        a = g.csr_adjacency()
+        before = (a.data.copy(), a.indices.copy(), a.indptr.copy())
+        normalize_adjacency(g)
+        with pytest.warns(UserWarning, match="largest"):
+            assert gromov_delta(g, exact=True) == gromov_delta(round_trip(g), exact=True)
+        build_sample_plan(g, 1, np.random.default_rng(0))
+        assert g.csr_adjacency() is a
+        for x, y in zip(before, (a.data, a.indices, a.indptr)):
+            np.testing.assert_array_equal(x, y)
 
 
 class TestSplit:
@@ -161,6 +264,16 @@ class TestSyntheticTree:
         from scipy.sparse.csgraph import connected_components
         n_comp, _ = connected_components(g.csr_adjacency(), directed=False)
         assert n_comp == 1
+
+    @pytest.mark.parametrize("b,h", [(2, 2), (3, 4), (5, 3)])
+    def test_parents_and_labels_match_the_child_loop(self, b, h):
+        g = synthetic_tree(b, h, d_feat=8)
+        labels = np.zeros(g.n_nodes, dtype=np.int64)
+        for child in range(1, g.n_nodes):
+            parent = (child - 1) // b
+            labels[child] = child - 1 if parent == 0 else labels[parent]
+        assert g.edges.tolist() == [[(c - 1) // b, c] for c in range(1, g.n_nodes)]
+        np.testing.assert_array_equal(g.labels, labels)
 
     def test_bit_reproducible(self):
         a = synthetic_tree(3, 4, d_feat=6, noise=0.7, seed=5)
