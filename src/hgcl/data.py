@@ -7,7 +7,7 @@ On-disk format (one directory per dataset):
   self-loops and repeated pairs (in either orientation) are dropped, as for
   every :class:`Graph`;
 * ``features.csv`` - node id, then the feature values, comma-separated;
-* ``labels.csv``   - node id, integer label;
+* ``labels.csv``   - node id, integer label >= 0, one line per id;
 * ``splits.json``  - optional ``{"train": [...], "val": [...], "test": [...]}``.
 
 Node ids must be contiguous 0..n-1.
@@ -59,6 +59,9 @@ class Graph:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.shape[0] != self.n_nodes or self.labels.shape[0] != self.n_nodes:
             raise DataError("features/labels row count does not match n_nodes")
+        if self.labels.size and self.labels.min() < 0:
+            node = int(np.argmin(self.labels))
+            raise DataError(f"labels must be >= 0; node {node} has label {self.labels[node]}")
         if edges.size and (edges.min() < 0 or edges.max() >= self.n_nodes):
             raise DataError("edge endpoint out of range")
         lo, hi = np.minimum(edges[:, 0], edges[:, 1]), np.maximum(edges[:, 0], edges[:, 1])
@@ -155,6 +158,8 @@ def load_graph(directory, split_fractions=(0.6, 0.2, 0.2), split_seed: int = 0) 
                 nid, lab = int(parts[0]), int(parts[1])
             except (ValueError, IndexError):
                 raise DataError(f"labels.csv line {ln}: malformed row {line!r}")
+            if nid in label_rows:
+                raise DataError(f"labels.csv line {ln}: duplicate id {nid}")
             label_rows[nid] = lab
 
     n = len(feat_rows)

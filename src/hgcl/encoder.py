@@ -3,14 +3,22 @@
 Each layer aggregates in the tangent space at the origin: log map the node
 points, average neighbors through the normalized adjacency, apply an affine
 map and activation, and push the result back with the exp map. Euclidean
-input features are lifted once through the origin exp map, so every
-intermediate embedding satisfies its model constraint by construction.
+input features are lifted through the origin exp map, so every intermediate
+embedding satisfies its model constraint by construction.
+
+Nothing trainable comes before the first layer's neighbor average, so
+``aggregate(a_norm, log0(lift(features)))`` is a constant of the graph.
+``pipeline.train`` computes it once per call for each encoder (see
+:meth:`Encoder.memoized`) and every forward of that call, training step or
+validation pass, starts from it. Forward-only callers outside ``train``
+recompute it on each encode and keep no copy.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +78,10 @@ class HgnnLayer:
 
     def forward(self, h: Tensor, a_norm) -> Tensor:
         # the maps read only the model and curvature, not dim: any width will do
-        u = dg.log0(self.manifold, h)
-        msg = ad.aggregate(a_norm, u)
+        return self.transform(ad.aggregate(a_norm, dg.log0(self.manifold, h)))
+
+    def transform(self, msg: Tensor) -> Tensor:
+        """Affine map, activation and exp map of an aggregated tangent message."""
         z = ad.add(ad.matmul(msg, self.weight), self.bias)
         z = ACTIVATIONS[self.activation](z)
         return dg.exp0(self.manifold, z)
@@ -97,13 +107,38 @@ class Encoder:
             self.layers.append(HgnnLayer.init(self.manifold, prev, d, act, rng))
             prev = d
         self.clamped_rows = 0
+        # (features, a_norm, message, clamped) while inside memoized(), else None
+        self._memo: tuple | None = None
+
+    def first_message(self, features: np.ndarray, a_norm) -> tuple[Tensor, int]:
+        """The first layer's untracked input ``aggregate(a_norm, log0(lift(features)))``
+        and the count of clamped feature rows; no parameter enters it."""
+        h, clamped = lift_features(self.manifold, features, self.max_feature_norm)
+        try:
+            return ad.aggregate(a_norm, dg.log0(self.manifold, h)), clamped
+        except ad.NonFiniteError as exc:
+            raise EncoderError(f"layer 0: {exc}") from exc
+
+    @contextmanager
+    def memoized(self, features: np.ndarray, a_norm):
+        """Within the block, encodes of these very ``features`` and ``a_norm``
+        objects (matched by identity) reuse one :meth:`first_message`; the
+        memo is dropped on exit, by error or not."""
+        self._memo = (features, a_norm, *self.first_message(features, a_norm))
+        try:
+            yield
+        finally:
+            self._memo = None
 
     def encode(self, features: np.ndarray, a_norm) -> Tensor:
-        h, clamped = lift_features(self.manifold, features, self.max_feature_norm)
-        self.clamped_rows = clamped
+        memo = self._memo
+        if memo is not None and memo[0] is features and memo[1] is a_norm:
+            msg, self.clamped_rows = memo[2], memo[3]
+        else:
+            msg, self.clamped_rows = self.first_message(features, a_norm)
         for i, layer in enumerate(self.layers):
             try:
-                h = layer.forward(h, a_norm)
+                h = layer.transform(msg) if i == 0 else layer.forward(h, a_norm)
             except ad.NonFiniteError as exc:
                 raise EncoderError(f"layer {i}: {exc}") from exc
             if DEBUG_VALIDATE:

@@ -275,7 +275,8 @@ def evaluate(model: HgclModel, graph: Graph, mask: np.ndarray,
 
 def train(graph: Graph, config: TrainConfig) -> TrainResult:
     """Full training pass: encode views, refresh the sample plan, combine the
-    losses, Adam step, early stop on the validation metric."""
+    losses, Adam step, early stop on the validation metric. Each encoder lifts
+    and averages the features once for the whole call (``Encoder.memoized``)."""
     if graph.train_mask is None:
         raise PipelineError("graph has no train/val/test masks; call split() first")
     model = HgclModel(config, graph.features.shape[1], graph.n_classes)
@@ -294,50 +295,52 @@ def train(graph: Graph, config: TrainConfig) -> TrainResult:
     stale = 0
     plan_builds = 0
 
-    for epoch in range(config.epochs):
-        plan: SamplePlan | None = None
-        if use_hpc:
-            plan = build_sample_plan(graph, hpc_cfg.num_negatives, neg_rng)
-            plan_builds += 1
-        opt.zero_grad()
-        try:
-            with ad.Tape() as tape:
-                emb, logits = model.forward(graph, a_norm)
-                hpc_term = hpc_loss(emb, plan, hpc_cfg, include_tolerance) if use_hpc else None
-                task = cross_entropy(logits, graph.labels, graph.train_mask)
-                if hpc_term is not None:
-                    loss = ad.add(task, ad.scalar_mul(hpc_term, config.lambda_contrast))
-                else:
-                    loss = task
-                tape.backward(loss)
-        except ad.NonFiniteError as exc:
-            raise PipelineError(f"non-finite loss at epoch {epoch}: {exc}") from exc
-        opt.step()
+    with model.encoder_alpha.memoized(graph.features, a_norm), \
+            model.encoder_beta.memoized(graph.features, a_norm):
+        for epoch in range(config.epochs):
+            plan: SamplePlan | None = None
+            if use_hpc:
+                plan = build_sample_plan(graph, hpc_cfg.num_negatives, neg_rng)
+                plan_builds += 1
+            opt.zero_grad()
+            try:
+                with ad.Tape() as tape:
+                    emb, logits = model.forward(graph, a_norm)
+                    hpc_term = hpc_loss(emb, plan, hpc_cfg, include_tolerance) if use_hpc else None
+                    task = cross_entropy(logits, graph.labels, graph.train_mask)
+                    if hpc_term is not None:
+                        loss = ad.add(task, ad.scalar_mul(hpc_term, config.lambda_contrast))
+                    else:
+                        loss = task
+                    tape.backward(loss)
+            except ad.NonFiniteError as exc:
+                raise PipelineError(f"non-finite loss at epoch {epoch}: {exc}") from exc
+            opt.step()
 
-        val = evaluate(model, graph, graph.val_mask, a_norm).get(config.eval_metric)
-        history.append(EpochRecord(
-            epoch=epoch,
-            task_loss=task.item(),
-            hpc_loss=hpc_term.item() if hpc_term is not None else 0.0,
-            total_loss=loss.item(),
-            val_metric=val,
-        ))
-        if val > best_val:
-            best_val = val
-            best_epoch = epoch
-            best_state = model.state_arrays()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
+            val = evaluate(model, graph, graph.val_mask, a_norm).get(config.eval_metric)
+            history.append(EpochRecord(
+                epoch=epoch,
+                task_loss=task.item(),
+                hpc_loss=hpc_term.item() if hpc_term is not None else 0.0,
+                total_loss=loss.item(),
+                val_metric=val,
+            ))
+            if val > best_val:
+                best_val = val
+                best_epoch = epoch
+                best_state = model.state_arrays()
+                stale = 0
+            else:
+                stale += 1
+                if stale >= config.patience:
+                    break
 
-    if best_state is not None and config.checkpoint == "best":
-        model.load_state_arrays(best_state)
-    val_metrics = evaluate(model, graph, graph.val_mask, a_norm)
-    test_metrics = evaluate(model, graph, graph.test_mask, a_norm)
-    return TrainResult(model, history, best_epoch, best_val, val_metrics,
-                       test_metrics, plan_builds, len(history))
+        if best_state is not None and config.checkpoint == "best":
+            model.load_state_arrays(best_state)
+        val_metrics = evaluate(model, graph, graph.val_mask, a_norm)
+        test_metrics = evaluate(model, graph, graph.test_mask, a_norm)
+        return TrainResult(model, history, best_epoch, best_val, val_metrics,
+                           test_metrics, plan_builds, len(history))
 
 
 # ---------------------------------------------------------------------------

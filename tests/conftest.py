@@ -10,6 +10,21 @@ def rng():
 
 
 @pytest.fixture
+def lift_calls(monkeypatch):
+    """The feature arrays passed to ``hgcl.encoder.lift_features``, one per call."""
+    import hgcl.encoder as enc_mod
+    calls = []
+    real = enc_mod.lift_features
+
+    def counting(manifold, features, *args, **kwargs):
+        calls.append(features)
+        return real(manifold, features, *args, **kwargs)
+
+    monkeypatch.setattr(enc_mod, "lift_features", counting)
+    return calls
+
+
+@pytest.fixture
 def triangle_dir(tmp_path):
     d = tmp_path / "triangle"
     d.mkdir()

@@ -51,6 +51,24 @@ class TestLoadGraph:
         with pytest.raises(DataError, match="contiguous"):
             load_graph(d)
 
+    def test_duplicate_label_id_rejected(self, tmp_path):
+        d = tmp_path / "duplab"
+        d.mkdir()
+        (d / "edges.txt").write_text("0 1\n")
+        (d / "features.csv").write_text("0,1.0\n1,2.0\n")
+        (d / "labels.csv").write_text("0,0\n1,1\n1,0\n")
+        with pytest.raises(DataError, match="labels.csv line 3: duplicate id 1"):
+            load_graph(d)
+
+    def test_negative_label_rejected_at_load(self, tmp_path):
+        d = tmp_path / "neglab"
+        d.mkdir()
+        (d / "edges.txt").write_text("0 1\n1 2\n")
+        (d / "features.csv").write_text("0,1.0\n1,2.0\n2,3.0\n")
+        (d / "labels.csv").write_text("0,0\n1,-1\n2,0\n")
+        with pytest.raises(DataError, match="node 1 has label -1"):
+            load_graph(d)
+
     def test_save_load_round_trip_bit_exact(self, tmp_path, rng):
         g = synthetic_tree(2, 3, d_feat=4, noise=0.5, seed=9)
         tr, va, te = split(g, seed=1)
@@ -76,6 +94,11 @@ class TestGraphInvariants:
     def test_edge_out_of_range(self):
         with pytest.raises(DataError):
             Graph(2, np.array([[0, 5]]), np.zeros((2, 1)), np.zeros(2, dtype=int))
+
+    def test_negative_label_rejected(self):
+        labels = np.where(np.arange(20) % 2 == 0, 0, -1)
+        with pytest.raises(DataError, match="labels must be >= 0; node 1 has label -1"):
+            Graph(20, np.empty((0, 2)), np.zeros((20, 1)), labels)
 
     def test_overlapping_masks_rejected(self):
         m = np.array([True, False])

@@ -172,3 +172,83 @@ class TestEncodeViews:
             for alpha, beta in pool.map(job, range(8)):
                 assert np.array_equal(alpha, ref.alpha.value)
                 assert np.array_equal(beta, ref.beta.value)
+
+
+class TestFirstStageMemo:
+    """``Encoder.memoized``: one lift and neighbor average per scope, bitwise
+    equal to recomputing them."""
+
+    def encoder(self, seed=0, max_feature_norm=8.0):
+        return Encoder(mf.lorentz(3, -0.5), 5, [4, 3], "tanh",
+                       np.random.default_rng(seed), max_feature_norm)
+
+    def test_weight_change_inside_scope_matches_uncached_encode(self, ten_node_graph,
+                                                                lift_calls):
+        g = ten_node_graph
+        a_norm = normalize_adjacency(g)
+        enc, ref = self.encoder(1), self.encoder(1)
+        with enc.memoized(g.features, a_norm):
+            first = enc.encode(g.features, a_norm).value
+            for p, q in zip(enc.parameters(), ref.parameters()):
+                p.value = p.value * 1.5 + 0.25
+                q.value = p.value.copy()
+            cached = enc.encode(g.features, a_norm).value
+        assert len(lift_calls) == 1
+        uncached = ref.encode(g.features, a_norm).value
+        assert len(lift_calls) == 2
+        assert not np.array_equal(first, cached)
+        assert np.array_equal(cached, uncached)
+
+    @pytest.mark.parametrize("swap", ["features", "a_norm"])
+    def test_other_objects_miss_the_memo(self, ten_node_graph, lift_calls, swap):
+        g = ten_node_graph
+        a_norm = normalize_adjacency(g)
+        enc = self.encoder(2)
+        with enc.memoized(g.features, a_norm):
+            same = enc.encode(g.features, a_norm).value
+            assert len(lift_calls) == 1
+            if swap == "features":
+                copy = enc.encode(g.features.copy(), a_norm).value
+                other = enc.encode(g.features * 2.0, a_norm).value
+            else:
+                copy = enc.encode(g.features, a_norm.copy()).value
+                other = enc.encode(g.features, a_norm * 0.5).value
+            assert len(lift_calls) == 3
+        if swap == "features":
+            uncached = enc.encode(g.features * 2.0, a_norm).value
+        else:
+            uncached = enc.encode(g.features, a_norm * 0.5).value
+        assert np.array_equal(copy, same)
+        assert np.array_equal(other, uncached)
+        assert not np.array_equal(other, same)
+
+    def test_memo_is_dropped_on_exit_and_on_error(self, ten_node_graph, lift_calls):
+        g = ten_node_graph
+        a_norm = normalize_adjacency(g)
+        enc = self.encoder(3)
+        with enc.memoized(g.features, a_norm):
+            assert enc._memo is not None
+        assert enc._memo is None
+        with pytest.raises(RuntimeError, match="boom"):
+            with enc.memoized(g.features, a_norm):
+                raise RuntimeError("boom")
+        assert enc._memo is None
+        n = len(lift_calls)
+        enc.encode(g.features, a_norm)
+        assert len(lift_calls) == n + 1
+
+    def test_clamped_rows_reported_on_cached_encodes(self, ten_node_graph):
+        g = ten_node_graph
+        a_norm = normalize_adjacency(g)
+        feats = g.features.copy()
+        feats[4] *= 100.0
+        enc = self.encoder(4, max_feature_norm=5.0)
+        uncached = enc.encode(feats, a_norm).value
+        assert enc.clamped_rows == 1
+        enc.clamped_rows = -1
+        with enc.memoized(feats, a_norm):
+            for _ in range(2):
+                cached = enc.encode(feats, a_norm).value
+                assert enc.clamped_rows == 1
+                enc.clamped_rows = -1
+        assert np.array_equal(cached, uncached)

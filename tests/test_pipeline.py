@@ -199,6 +199,16 @@ class TestTrain:
         assert res.epochs_run <= 200
         assert res.best_epoch <= res.epochs_run - 1
 
+    @pytest.mark.parametrize("epochs", [1, 4])
+    def test_features_are_lifted_once_per_view(self, lift_calls, epochs):
+        g = tree_graph()
+        res = train(g, small_config(epochs=epochs, patience=epochs))
+        assert res.epochs_run == epochs
+        assert len(lift_calls) == 2
+        assert all(f is g.features for f in lift_calls)
+        assert res.model.encoder_alpha._memo is None
+        assert res.model.encoder_beta._memo is None
+
     def test_evaluate_empty_mask_rejected(self):
         g = tree_graph()
         res = train(g, small_config())
