@@ -103,9 +103,6 @@ class Tensor:
             raise AutodiffError(f"item() on shape {self.value.shape}")
         return float(self.value[0, 0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.value.copy())
-
     def accumulate(self, g: np.ndarray) -> None:
         """Add ``g`` to the grad. The first ``g`` is kept as given, possibly a
         view shared with other tensors, so grads are never written in place."""

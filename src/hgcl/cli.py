@@ -10,6 +10,7 @@ under --out.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -40,32 +41,15 @@ class Parser(argparse.ArgumentParser):
         sys.exit(USAGE_EXIT)
 
 
-# Flag name -> (TrainConfig field, parser). Shared by the config file and CLI.
-CONFIG_KEYS = {
-    "hidden_dim": int,
-    "embed_dim": int,
-    "num_layers": int,
-    "kind_alpha": str,
-    "curvature_alpha": float,
-    "kind_beta": str,
-    "curvature_beta": float,
-    "activation": str,
-    "lr": float,
-    "epochs": int,
-    "patience": int,
-    "lambda_contrast": float,
-    "grad_clip": float,
-    "max_feature_norm": float,
-    "ablation": str,
-    "eval_metric": str,
-    "checkpoint": str,
-}
-HPC_KEYS = {
-    "lambda_neg": float,
-    "num_negatives": int,
-    "bias": float,
-    "temperature": float,
-}
+def _field_parsers(cls, skip: set[str]) -> dict:
+    """Field name -> the type of its default, for each field of ``cls`` not in ``skip``."""
+    return {f.name: type(f.default) for f in dataclasses.fields(cls) if f.name not in skip}
+
+
+# Config-file key and flag name -> parser, in field order. --seeds sets the seed
+# and --ablation no_dist the similarity, so neither is a key of its own.
+CONFIG_KEYS = _field_parsers(pl.TrainConfig, {"seed", "hpc"})
+HPC_KEYS = _field_parsers(HpcConfig, {"similarity"})
 
 
 def _parse_synthetic(spec: str):
@@ -146,16 +130,15 @@ def cmd_train(args) -> int:
     t_start = time.time()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    graph, source = _load_dataset(args)
     seeds = [int(s) for s in str(args.seeds).split(",") if s != ""]
     if not seeds:
         raise CliError("--seeds must name at least one seed")
+    base = _build_config(args, seeds[0])
+    graph, source = _load_dataset(args)
 
-    metric_name = None
     per_seed = []
     for seed in seeds:
-        config = _build_config(args, seed)
-        metric_name = config.eval_metric
+        config = dataclasses.replace(base, seed=seed)
         result = pl.train(graph, config)
         stream = "\n".join(rec.to_json() for rec in result.history) + "\n"
         _atomic_write(out / f"metrics_seed{seed}.jsonl", stream)
@@ -176,9 +159,9 @@ def cmd_train(args) -> int:
         result.model.save(out / f"model_seed{seed}.npz")
         per_seed.append(summary)
 
-    scores = [s["test"][metric_name] for s in per_seed]
+    scores = [s["test"][base.eval_metric] for s in per_seed]
     aggregate = {
-        "metric": metric_name,
+        "metric": base.eval_metric,
         "n_seeds": len(seeds),
         "seeds": seeds,
         "mean": float(np.mean(scores)),
@@ -188,11 +171,10 @@ def cmd_train(args) -> int:
     }
     _atomic_write(out / "aggregate.json", json.dumps(aggregate, sort_keys=True, indent=2) + "\n")
 
-    config_echo = _build_config(args, seeds[0]).to_dict()
     manifest = {
         "command": "train",
         "source": source,
-        "config": config_echo,
+        "config": base.to_dict(),
         "seeds": seeds,
         "outputs": sorted(p.name for p in out.iterdir() if p.name != "manifest.json"),
         "duration_sec": round(time.time() - t_start, 3),

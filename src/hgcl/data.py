@@ -59,6 +59,10 @@ class Graph:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.shape[0] != self.n_nodes or self.labels.shape[0] != self.n_nodes:
             raise DataError("features/labels row count does not match n_nodes")
+        finite = np.isfinite(self.features).all(axis=1)
+        if not finite.all():
+            node = int(np.argmin(finite))
+            raise DataError(f"features must be finite; node {node} has a nan or inf value")
         if self.labels.size and self.labels.min() < 0:
             node = int(np.argmin(self.labels))
             raise DataError(f"labels must be >= 0; node {node} has label {self.labels[node]}")

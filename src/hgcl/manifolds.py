@@ -208,10 +208,6 @@ class Manifold:
             return u
         return np.concatenate([np.zeros((u.shape[0], 1)), u], axis=1)
 
-    def ambient_to_tangent0(self, v):
-        v = np.atleast_2d(_coerce(v))
-        return v if self.kind is Model.POINCARE else v[:, 1:]
-
     # -- general-base maps ---------------------------------------------------
 
     def conformal_factor(self, x):

@@ -1,16 +1,20 @@
-"""Adam on Euclidean-parameterized weights, with optional global norm clipping.
+"""Adam on Euclidean-parameterized weights, with global norm clipping.
 
 All trainable weights live in flat space (manifold points only arise through
-origin exp maps), so one optimizer serves the whole model.
+origin exp maps), so one optimizer serves the whole model. The learning rate
+and the clip norm come from ``TrainConfig``; the moment decays and epsilon
+are the standard constants below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .autodiff import Tensor
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 def clip_gradients(grads: list[np.ndarray], max_norm: float | None):
@@ -22,48 +26,16 @@ def clip_gradients(grads: list[np.ndarray], max_norm: float | None):
     return [g * scale for g in grads], total
 
 
-@dataclass
-class AdamState:
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
-    t: int = 0
-
-    @classmethod
-    def init(cls, params: list[Tensor]) -> "AdamState":
-        return cls(m=[np.zeros_like(p.value) for p in params],
-                   v=[np.zeros_like(p.value) for p in params])
-
-
-def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState,
-              lr: float = 0.01, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8, clip_norm: float | None = None) -> AdamState:
-    """One in-place Adam update; returns the mutated state."""
-    grads, _ = clip_gradients(grads, clip_norm)
-    state.t += 1
-    t = state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        p.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    return state
-
-
 class Adam:
-    """Stateful wrapper binding parameters to adam_step."""
+    """In-place Adam over a fixed parameter list; owns the moments and step count."""
 
-    def __init__(self, params: list[Tensor], lr: float = 0.01, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, clip_norm: float | None = 5.0):
+    def __init__(self, params: list[Tensor], lr: float, clip_norm: float | None):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.clip_norm = clip_norm
-        self.state = AdamState.init(params)
+        self.m = [np.zeros_like(p.value) for p in params]
+        self.v = [np.zeros_like(p.value) for p in params]
+        self.t = 0
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -71,5 +43,14 @@ class Adam:
 
     def step(self) -> None:
         grads = [p.grad if p.grad is not None else np.zeros_like(p.value) for p in self.params]
-        adam_step(self.params, grads, self.state, self.lr, self.beta1, self.beta2,
-                  self.eps, self.clip_norm)
+        grads, _ = clip_gradients(grads, self.clip_norm)
+        self.t += 1
+        t, lr = self.t, self.lr
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            m_hat = m / (1.0 - BETA1 ** t)
+            v_hat = v / (1.0 - BETA2 ** t)
+            p.value -= lr * m_hat / (np.sqrt(v_hat) + EPS)

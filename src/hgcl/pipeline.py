@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,7 @@ from . import autodiff as ad
 from . import diffgeo as dg
 from .autodiff import Tensor
 from .data import Graph, normalize_adjacency
-from .encoder import DualEmbedding, Encoder, encode_views
+from .encoder import DualEmbedding, Encoder, EncoderError, encode_views
 from .hpc import HpcConfig, SamplePlan, build_sample_plan, hpc_loss
 from .manifolds import Manifold, Model
 from .optim import Adam
@@ -49,8 +49,12 @@ class TrainConfig:
     checkpoint: str = "best"  # restore best-validation weights, or "last"
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise PipelineError(f"epochs must be >= 1, got {self.epochs}")
+        for name in ("hidden_dim", "embed_dim", "num_layers", "epochs"):
+            if getattr(self, name) < 1:
+                raise PipelineError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("lr", "grad_clip", "max_feature_norm"):
+            if not getattr(self, name) > 0:
+                raise PipelineError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.lambda_contrast < 0:
             raise PipelineError(f"lambda_contrast must be >= 0, got {self.lambda_contrast}")
         if self.patience > self.epochs:
@@ -74,9 +78,7 @@ class TrainConfig:
         return self.hpc
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__ if k != "hpc"}
-        d["hpc"] = {k: getattr(self.hpc, k) for k in self.hpc.__dataclass_fields__}
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -303,6 +305,7 @@ def train(graph: Graph, config: TrainConfig) -> TrainResult:
                 plan = build_sample_plan(graph, hpc_cfg.num_negatives, neg_rng)
                 plan_builds += 1
             opt.zero_grad()
+            stage = "training step"
             try:
                 with ad.Tape() as tape:
                     emb, logits = model.forward(graph, a_norm)
@@ -313,11 +316,11 @@ def train(graph: Graph, config: TrainConfig) -> TrainResult:
                     else:
                         loss = task
                     tape.backward(loss)
-            except ad.NonFiniteError as exc:
-                raise PipelineError(f"non-finite loss at epoch {epoch}: {exc}") from exc
-            opt.step()
-
-            val = evaluate(model, graph, graph.val_mask, a_norm).get(config.eval_metric)
+                opt.step()
+                stage = "validation"
+                val = evaluate(model, graph, graph.val_mask, a_norm).get(config.eval_metric)
+            except (ad.NonFiniteError, EncoderError) as exc:
+                raise PipelineError(f"epoch {epoch}, {stage}: {exc}") from exc
             history.append(EpochRecord(
                 epoch=epoch,
                 task_loss=task.item(),

@@ -1,5 +1,6 @@
 """CLI contract: flags, files, determinism, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,9 @@ import numpy as np
 import pytest
 
 from hgcl import checks
-from hgcl.cli import RUNTIME_EXIT, main
+from hgcl.cli import CONFIG_KEYS, HPC_KEYS, RUNTIME_EXIT, build_parser, main
+from hgcl.hpc import HpcConfig
+from hgcl.pipeline import TrainConfig
 
 FAST_TRAIN = ["--epochs", "15", "--patience", "15", "--hidden-dim", "8",
               "--embed-dim", "8"]
@@ -125,6 +128,28 @@ class TestTrainCommand:
         assert list(workdir.iterdir()) == []
 
 
+class TestFlagTable:
+    @staticmethod
+    def _fields():
+        train = [f for f in dataclasses.fields(TrainConfig) if f.name not in ("seed", "hpc")]
+        hpc = [f for f in dataclasses.fields(HpcConfig) if f.name != "similarity"]
+        return train + hpc
+
+    def test_every_config_field_is_a_train_flag_of_its_type(self):
+        fields = self._fields()
+        argv = ["train", "--out", "o"]
+        for f in fields:
+            argv += [f"--{f.name.replace('_', '-')}", str(f.default)]
+        args = build_parser().parse_args(argv)
+        for f in fields:
+            value = getattr(args, f.name)
+            assert type(value) is type(f.default), f.name
+            assert value == f.default, f.name
+
+    def test_flags_keep_field_order(self):
+        assert list({**CONFIG_KEYS, **HPC_KEYS}) == [f.name for f in self._fields()]
+
+
 class TestOtherCommands:
     def test_delta_tree_is_zero(self, capsys):
         rc = main(["delta", "--synthetic", "3,3"])
@@ -217,6 +242,14 @@ class TestExitCodes:
     def test_missing_dataset_is_usage_error(self, tmp_path):
         rc = main(["train", "--out", str(tmp_path / "o")])
         assert rc == 1
+
+    def test_out_of_range_option_is_exit_2_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["train", "--synthetic", "2,3,8,0.2", "--out", str(out),
+                   "--num-layers", "0"] + FAST_TRAIN)
+        assert rc == RUNTIME_EXIT
+        assert "num_layers must be >= 1" in capsys.readouterr().err
+        assert not list(out.glob("metrics_seed*"))
 
     def test_runtime_error_is_exit_2(self, tmp_path):
         rc = main(["delta", "--data", str(tmp_path / "missing")])

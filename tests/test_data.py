@@ -69,6 +69,16 @@ class TestLoadGraph:
         with pytest.raises(DataError, match="node 1 has label -1"):
             load_graph(d)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected_at_load(self, tmp_path, bad):
+        d = tmp_path / "nonfinite"
+        d.mkdir()
+        (d / "edges.txt").write_text("0 1\n1 2\n")
+        (d / "features.csv").write_text(f"0,1.0,0.0\n1,0.5,0.5\n2,0.0,{bad}\n")
+        (d / "labels.csv").write_text("0,0\n1,1\n2,0\n")
+        with pytest.raises(DataError, match="node 2 has a nan or inf"):
+            load_graph(d)
+
     def test_save_load_round_trip_bit_exact(self, tmp_path, rng):
         g = synthetic_tree(2, 3, d_feat=4, noise=0.5, seed=9)
         tr, va, te = split(g, seed=1)
@@ -99,6 +109,13 @@ class TestGraphInvariants:
         labels = np.where(np.arange(20) % 2 == 0, 0, -1)
         with pytest.raises(DataError, match="labels must be >= 0; node 1 has label -1"):
             Graph(20, np.empty((0, 2)), np.zeros((20, 1)), labels)
+
+    def test_non_finite_features_name_the_first_bad_node(self):
+        feats = np.zeros((6, 3))
+        feats[4, 1] = np.inf
+        feats[2, 0] = np.nan
+        with pytest.raises(DataError, match="node 2 has a nan or inf"):
+            Graph(6, np.empty((0, 2)), feats, np.zeros(6, dtype=int))
 
     def test_overlapping_masks_rejected(self):
         m = np.array([True, False])

@@ -15,7 +15,7 @@ from hgcl import manifolds as mf
 from hgcl import pipeline as pl
 from hgcl.autodiff import Tensor
 from hgcl.data import normalize_adjacency, synthetic_tree
-from hgcl.encoder import DualEmbedding
+from hgcl.encoder import DualEmbedding, EncoderError
 from hgcl.hpc import HpcConfig
 from hgcl.pipeline import (HgclModel, Metrics, PipelineError, TrainConfig, cross_entropy,
                            decode, evaluate, export_heatmap, total_loss, train)
@@ -42,6 +42,15 @@ class TestConfig:
             TrainConfig(epochs=10, patience=50)
         with pytest.raises(PipelineError):
             TrainConfig(ablation="nope")
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_layers", 0), ("num_layers", -2), ("hidden_dim", 0), ("embed_dim", 0),
+        ("lr", 0.0), ("lr", -0.01), ("grad_clip", 0.0), ("grad_clip", -1.0),
+        ("max_feature_norm", 0.0), ("lr", math.nan),
+    ])
+    def test_out_of_range_option_rejected(self, field, value):
+        with pytest.raises(PipelineError, match=f"{field} must be"):
+            TrainConfig(**{field: value})
 
     def test_round_trips_through_dict(self):
         cfg = small_config(ablation="no_dist", hpc=HpcConfig(lambda_neg=0.25))
@@ -208,6 +217,29 @@ class TestTrain:
         assert all(f is g.features for f in lift_calls)
         assert res.model.encoder_alpha._memo is None
         assert res.model.encoder_beta._memo is None
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_encoder_failure_names_epoch_and_stage(self):
+        g = masked(synthetic_tree(3, 4, noise=1.0), seed=0)
+        cfg = TrainConfig(epochs=30, patience=30, lr=100.0, grad_clip=1e9)
+        with pytest.raises(PipelineError, match=r"^epoch 0, validation: layer 1: non-finite "
+                                                r"values produced by 'sinh'") as info:
+            train(g, cfg)
+        assert isinstance(info.value.__cause__, EncoderError)
+
+    def test_training_step_failure_names_epoch_and_stage(self, monkeypatch):
+        real, calls = pl.hpc_loss, []
+
+        def failing_on_third(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise ad.NonFiniteError("non-finite values produced by 'log'")
+            return real(*args)
+
+        monkeypatch.setattr(pl, "hpc_loss", failing_on_third)
+        with pytest.raises(PipelineError, match=r"^epoch 2, training step: non-finite") as info:
+            train(tree_graph(), small_config())
+        assert isinstance(info.value.__cause__, ad.NonFiniteError)
 
     def test_evaluate_empty_mask_rejected(self):
         g = tree_graph()
