@@ -151,8 +151,11 @@ def parameter(value) -> Tensor:
     return Tensor(value, requires_grad=True)
 
 
-def _record(op: str, out_value: np.ndarray, parents: Sequence[Tensor],
-            backward: Callable[[np.ndarray], None]) -> Tensor:
+def record(op: str, out_value: np.ndarray, parents: Sequence[Tensor],
+           backward: Callable[[np.ndarray], None]) -> Tensor:
+    """Wrap ``out_value`` as the output of primitive ``op``; put it on the tape
+    when one is active and some parent requires grad. ``backward(g)`` must
+    accumulate into each parent that requires grad."""
     tape = Tape.current()
     needs = any(p.requires_grad for p in parents)
     if tape is None or not needs:
@@ -197,7 +200,7 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             b.accumulate(_unbroadcast(g, b.value.shape))
 
-    return _record("add", out_value, (a, b), backward)
+    return record("add", out_value, (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
@@ -211,7 +214,7 @@ def sub(a, b) -> Tensor:
         if b.requires_grad:
             b.accumulate(_unbroadcast(-g, b.value.shape))
 
-    return _record("sub", out_value, (a, b), backward)
+    return record("sub", out_value, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
@@ -225,7 +228,7 @@ def mul(a, b) -> Tensor:
         if b.requires_grad:
             b.accumulate(_unbroadcast(g * a.value, b.value.shape))
 
-    return _record("mul", out_value, (a, b), backward)
+    return record("mul", out_value, (a, b), backward)
 
 
 def div(a, b) -> Tensor:
@@ -239,7 +242,7 @@ def div(a, b) -> Tensor:
         if b.requires_grad:
             b.accumulate(_unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
 
-    return _record("div", out_value, (a, b), backward)
+    return record("div", out_value, (a, b), backward)
 
 
 def neg(a) -> Tensor:
@@ -249,7 +252,7 @@ def neg(a) -> Tensor:
         if a.requires_grad:
             a.accumulate(-g)
 
-    return _record("neg", -a.value, (a,), backward)
+    return record("neg", -a.value, (a,), backward)
 
 
 def scalar_mul(a, c: float) -> Tensor:
@@ -260,7 +263,7 @@ def scalar_mul(a, c: float) -> Tensor:
         if a.requires_grad:
             a.accumulate(g * c)
 
-    return _record("scalar_mul", a.value * c, (a,), backward)
+    return record("scalar_mul", a.value * c, (a,), backward)
 
 
 def matmul(a, b) -> Tensor:
@@ -275,7 +278,7 @@ def matmul(a, b) -> Tensor:
         if b.requires_grad:
             b.accumulate(a.value.T @ g)
 
-    return _record("matmul", out_value, (a, b), backward)
+    return record("matmul", out_value, (a, b), backward)
 
 
 def aggregate(mat, a) -> Tensor:
@@ -287,7 +290,7 @@ def aggregate(mat, a) -> Tensor:
         if a.requires_grad:
             a.accumulate(np.asarray(mat.T @ g))
 
-    return _record("aggregate", out_value, (a,), backward)
+    return record("aggregate", out_value, (a,), backward)
 
 
 # -- elementwise primitives ------------------------------------------------------
@@ -300,23 +303,25 @@ def _unary(op: str, a, fn, dfn_from) -> Tensor:
         if a.requires_grad:
             a.accumulate(g * dfn_from(a.value, out_value))
 
-    return _record(op, out_value, (a,), backward)
+    return record(op, out_value, (a,), backward)
 
 
 def tanh(a) -> Tensor:
     return _unary("tanh", a, np.tanh, lambda v, o: 1.0 - o * o)
 
 
-def sigmoid(a) -> Tensor:
-    def fwd(v):
-        out = np.empty_like(v)
-        pos = v >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-        ev = np.exp(v[~pos])
-        out[~pos] = ev / (1.0 + ev)
-        return out
+def stable_sigmoid(v: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-v) without overflow: e^v / (1 + e^v) on the negative side."""
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
 
-    return _unary("sigmoid", a, fwd, lambda v, o: o * (1.0 - o))
+
+def sigmoid(a) -> Tensor:
+    return _unary("sigmoid", a, stable_sigmoid, lambda v, o: o * (1.0 - o))
 
 
 def relu(a) -> Tensor:
@@ -394,7 +399,7 @@ def row_norm(a, min_norm: float = MIN_NORM) -> Tensor:
             live = (raw > min_norm).astype(np.float64)
             a.accumulate(g * live * a.value / out_value)
 
-    return _record("row_norm", out_value, (a,), backward)
+    return record("row_norm", out_value, (a,), backward)
 
 
 def reduce_sum(a, axis: int | None = None) -> Tensor:
@@ -408,7 +413,7 @@ def reduce_sum(a, axis: int | None = None) -> Tensor:
         if a.requires_grad:
             a.accumulate(np.broadcast_to(g, a.value.shape))
 
-    return _record("reduce_sum", out_value, (a,), backward)
+    return record("reduce_sum", out_value, (a,), backward)
 
 
 def reduce_mean(a, axis: int | None = None) -> Tensor:
@@ -422,7 +427,7 @@ def reduce_mean(a, axis: int | None = None) -> Tensor:
         if a.requires_grad:
             a.accumulate(np.broadcast_to(g / count, a.value.shape))
 
-    return _record("reduce_mean", out_value, (a,), backward)
+    return record("reduce_mean", out_value, (a,), backward)
 
 
 def row_dot(a, b) -> Tensor:
@@ -442,7 +447,7 @@ def concat_cols(parts: Iterable) -> Tensor:
                 t.accumulate(g[:, start:start + w])
             start += w
 
-    return _record("concat_cols", out_value, tuple(ts), backward)
+    return record("concat_cols", out_value, tuple(ts), backward)
 
 
 def slice_cols(a, start: int, stop: int) -> Tensor:
@@ -455,7 +460,7 @@ def slice_cols(a, start: int, stop: int) -> Tensor:
             full[:, start:stop] = g
             a.accumulate(full)
 
-    return _record("slice_cols", out_value, (a,), backward)
+    return record("slice_cols", out_value, (a,), backward)
 
 
 def gather_rows(a, idx) -> Tensor:
@@ -473,7 +478,7 @@ def gather_rows(a, idx) -> Tensor:
                                     shape=(a.value.shape[0], idx.size))
             a.accumulate(scatter @ g)
 
-    return _record("gather_rows", out_value, (a,), backward)
+    return record("gather_rows", out_value, (a,), backward)
 
 
 # -- finite-difference gradient checking ------------------------------------------

@@ -19,7 +19,7 @@ from . import kernels
 from . import manifolds as mf
 from . import pipeline as pl
 from .encoder import Encoder, encode_views
-from .hpc import HpcConfig, build_sample_plan, hpc_loss
+from .hpc import HpcConfig, build_sample_plan, hpc_loss, pair_log_probs
 
 CURVATURES = (-0.5, -1.0, -2.0)
 DIMS = (2, 8, 16)
@@ -303,6 +303,43 @@ def _hpc_cases(seed: int) -> list[GradCheckCase]:
             return hpc_loss(emb, plan, cfg)
         return ad.grad_check(f, enc_a.parameters() + enc_b.parameters())
     cases.append(GradCheckCase("hpc:loss-through-encoder", "hpc", 1e-3, run_through_encoder))
+
+    # The fused pair primitive on its own: unsorted and repeated anchors, a
+    # repeated pair, a positive and a negative pool, and the intra-view case
+    # where both sides are one tensor.
+    ia = np.array([3, 0, 0, 5, 2, 2, 1, 4])
+    ib = np.array([1, 4, 4, 0, 3, 5, 2, 0])
+
+    def pair_case(man, similarity, same=False, clamped=False):
+        def run():
+            rng = np.random.default_rng(seed + 4)
+            own = ad.parameter(dg.ambient_to_internal(man, man.random_points(rng, 6, 1.5)))
+            cand = own if same else ad.parameter(
+                dg.ambient_to_internal(man, man.random_points(rng, 6, 1.5)))
+            # Distances here run 0.37-2.46. Clamped: bias -10 puts sigma on the
+            # lower clamp for pairs past d = 1.28; bias 12 on the upper clamp for
+            # pairs below d = 0.72, scored as positives only, as log(1 - sigma)
+            # next to the upper clamp is too ill-conditioned for central differences.
+            low = HpcConfig(bias=-10.0 if clamped else 2.0, temperature=0.7,
+                            similarity=similarity)
+            high = HpcConfig(bias=12.0, temperature=0.7)
+            def f():
+                out = ad.add(pair_log_probs(man, own, ia, cand, ib, low, False),
+                             ad.scalar_mul(pair_log_probs(man, own, ib, cand, ia, low, True), 0.5))
+                if clamped:
+                    out = ad.add(out, pair_log_probs(man, own, ia, cand, ib, high, False))
+                return out
+            return ad.grad_check(f, [own] if same else [own, cand])
+        return run
+
+    for man in (mf.poincare(3, -1.0), mf.lorentz(3, -0.5)):
+        for similarity in ("distance", "neg_dot"):
+            for same in (False, True):
+                tag = f"{man.kind.value}:{similarity}{':own-is-cand' if same else ''}"
+                cases.append(GradCheckCase(f"hpc:pair_log_probs[{tag}]", "hpc", 1e-6,
+                                           pair_case(man, similarity, same)))
+        cases.append(GradCheckCase(f"hpc:pair_log_probs[{man.kind.value}:clamp-active]",
+                                   "hpc", 1e-6, pair_case(man, "distance", clamped=True)))
     return cases
 
 

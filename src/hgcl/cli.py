@@ -98,6 +98,15 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _config_value(key: str, raw, conv):
+    """A ``--config`` JSON value as the field's type. An int may stand for a
+    float; nothing else is converted, so no value is truncated or coerced."""
+    if isinstance(raw, bool) or not (isinstance(raw, conv)
+                                     or (conv is float and isinstance(raw, int))):
+        raise CliError(f"config key {key!r} wants {conv.__name__}, got {json.dumps(raw)}")
+    return conv(raw)
+
+
 def _build_config(args, seed: int) -> pl.TrainConfig:
     values = {}
     hpc_values = {}
@@ -106,9 +115,9 @@ def _build_config(args, seed: int) -> pl.TrainConfig:
             file_cfg = json.load(fh)
         for key, raw in file_cfg.items():
             if key in CONFIG_KEYS:
-                values[key] = CONFIG_KEYS[key](raw)
+                values[key] = _config_value(key, raw, CONFIG_KEYS[key])
             elif key in HPC_KEYS:
-                hpc_values[key] = HPC_KEYS[key](raw)
+                hpc_values[key] = _config_value(key, raw, HPC_KEYS[key])
             else:
                 raise CliError(f"unknown config key {key!r}")
     for key, conv in CONFIG_KEYS.items():

@@ -6,20 +6,30 @@ uniform draws per anchor from the nodes that are neither the anchor nor its
 neighbors, drawn independently for the intra-view and inter-view pools.
 Pair similarity runs through a distance-aware discriminator
 sigma((b - d)/tau), clamped away from {0, 1} before any log.
+
+Training scores every pool with one fused tape primitive,
+``pair_log_probs``: it runs the float ops of the composed ``pair_probs``
+route on gathered rows, with the per-node terms computed once on n rows, and
+its backward is closed form (a sparse n x n product per view, no n·m x d
+tensors on the tape). ``pair_probs`` stays as the composed reference that
+the per-anchor ``mi_*`` sums and the parity tests run.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import autodiff as ad
 from . import diffgeo as dg
 from .autodiff import Tensor
 from .encoder import DualEmbedding
-from .manifolds import Manifold, Point
+from .kernels import MIN_NORM
+from .manifolds import Manifold, Model, Point
 
 PROB_CLAMP = 1e-7
 
@@ -39,12 +49,14 @@ class HpcConfig:
     similarity: str = "distance"  # "neg_dot" swaps in the tangent inner product
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
         if self.num_negatives < 1:
             raise ValueError(f"num_negatives must be >= 1, got {self.num_negatives}")
-        if self.lambda_neg < 0:
-            raise ValueError(f"lambda_neg must be >= 0, got {self.lambda_neg}")
+        if not 0 <= self.lambda_neg < math.inf:
+            raise ValueError(f"lambda_neg must be finite and >= 0, got {self.lambda_neg}")
+        if not math.isfinite(self.bias):
+            raise ValueError(f"bias must be finite, got {self.bias}")
         if self.similarity not in ("distance", "neg_dot"):
             raise ValueError(f"unknown similarity {self.similarity!r}")
 
@@ -135,6 +147,125 @@ def pair_probs(man: Manifold, a: Tensor, b: Tensor, cfg: HpcConfig) -> Tensor:
     return ad.clip(ad.sigmoid(z), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
+def _acosh_slope(arg: np.ndarray) -> np.ndarray:
+    """d acosh(max(arg, 1)) / d arg, zero where the clamp is active."""
+    return np.where(arg > 1.0, 1.0 / np.sqrt(np.maximum(arg * arg - 1.0, MIN_NORM)), 0.0)
+
+
+def _pair_scores(man: Manifold, similarity: str, x: np.ndarray, ia: np.ndarray,
+                 y: np.ndarray, ib: np.ndarray):
+    """Score s_p of each pair (x[ia_p], y[ib_p]), shape (N,), and ``slopes(gs)``.
+
+    The float ops are those of ``dg.dist_rows`` / ``dg.tangent_dot_rows`` in
+    the same order; per-node terms are computed on the rows of x and y and
+    gathered. ``slopes`` maps dL/ds to pair weights w and node weights u, u'
+    such that dL/dx = u·x + W·y and dL/dy = u'·y + Wᵀ·x, where W holds w_p
+    at (ia_p, ib_p).
+    """
+    k, inv_sk = man.k, 1.0 / man.sqrt_abs_k
+    nx, ny = x.shape[0], y.shape[0]
+    rows = functools.partial(np.take, axis=0)  # v[idx], faster on scattered rows
+    if similarity == "neg_dot":  # x, y are already log0 rows
+        score = np.sum(rows(x, ia) * rows(y, ib), axis=1) * -1.0
+        return score, lambda gs: (-gs, np.zeros(nx), np.zeros(ny))
+
+    if man.kind is Model.POINCARE:
+        def conformal(v):
+            return np.sum(v * v, axis=1) * k + 1.0  # clipped at MIN_NORM below
+
+        rx = conformal(x)
+        ry = rx if y is x else conformal(y)
+        qa = np.clip(rows(rx, ia), MIN_NORM, np.inf)
+        qb = np.clip(rows(ry, ib), MIN_NORM, np.inf)
+        diff = rows(x, ia) - rows(y, ib)
+        diff *= diff
+        d2 = np.sum(diff, axis=1)
+        den = qa * qb
+        arg = 1.0 - (d2 / den) * (2.0 * k)
+
+        def slopes(gs):
+            g_ratio = -(gs * inv_sk * _acosh_slope(arg) * (2.0 * k))
+            g_d2 = 2.0 * g_ratio / den
+            g_den = -g_ratio * d2 / (den * den)
+            u_own = (np.bincount(ia, g_d2, nx)
+                     + 2.0 * k * (rx >= MIN_NORM) * np.bincount(ia, g_den * qb, nx))
+            u_cand = (np.bincount(ib, g_d2, ny)
+                      + 2.0 * k * (ry >= MIN_NORM) * np.bincount(ib, g_den * qa, ny))
+            return -g_d2, u_own, u_cand
+    else:
+        def lorentz_time(v):
+            return np.sqrt(np.sum(v * v, axis=1) - 1.0 / k)
+
+        tx = lorentz_time(x)
+        ty = tx if y is x else lorentz_time(y)
+        ta, tb = rows(tx, ia), rows(ty, ib)
+        arg = (np.sum(rows(x, ia) * rows(y, ib), axis=1) - ta * tb) * k
+
+        def slopes(gs):
+            g_inner = gs * inv_sk * _acosh_slope(arg) * k
+            u_own = np.bincount(ia, -g_inner * tb, nx) / np.maximum(tx, MIN_NORM)
+            u_cand = np.bincount(ib, -g_inner * ta, ny) / np.maximum(ty, MIN_NORM)
+            return g_inner, u_own, u_cand
+
+    return np.arccosh(np.maximum(arg, 1.0)) * inv_sk, slopes
+
+
+def _pair_matrix(w: np.ndarray, ia: np.ndarray, ib: np.ndarray, shape) -> sp.csr_matrix:
+    """Sparse matrix with w_p at (ia_p, ib_p), repeats summed by its products.
+    The pools' anchors come in CSR order already, so they need no sort."""
+    if ia.size > 1 and np.any(ia[1:] < ia[:-1]):
+        order = np.argsort(ia, kind="stable")
+        w, ia, ib = w[order], ia[order], ib[order]
+    indptr = np.searchsorted(ia, np.arange(shape[0] + 1))
+    return sp.csr_matrix((w, ib, indptr), shape=shape)
+
+
+def pair_log_probs(man: Manifold, own: Tensor, ia, cand: Tensor, ib, cfg: HpcConfig,
+                   negative: bool) -> Tensor:
+    """Sum over pairs p of log D(own[ia_p], cand[ib_p]), or of log(1 - D) if
+    ``negative``, as one tape node.
+
+    The value is bitwise that of ``pair_probs`` on gathered rows followed by
+    ``log`` and ``reduce_sum``. The backward is closed form (Nickel & Kiela
+    2017, eq. 4, for the ball; 2018 for the hyperboloid) and keeps each
+    masked zero slope of the composed route: the probability clamp, acosh at
+    arg <= 1 and the conformal factor's floor. For ``neg_dot`` both views go
+    through ``dg.log0`` on the tape first. ``own is cand`` (the intra-view
+    pools) accumulates both sides into the one tensor.
+    """
+    if cfg.similarity == "neg_dot":
+        own_log = dg.log0(man, own)
+        cand = own_log if cand is own else dg.log0(man, cand)
+        own = own_log
+    same = own is cand
+    x, y = own.value, cand.value
+    ia = np.asarray(ia, dtype=np.int64).ravel()
+    ib = np.asarray(ib, dtype=np.int64).ravel()
+    score, slopes = _pair_scores(man, cfg.similarity, x, ia, y, ib)
+    if not np.all(np.isfinite(score)):  # the clamp below would hide an inf
+        raise ad.NonFiniteError("non-finite values produced by 'pair_log_probs'")
+    sig = ad.stable_sigmoid((cfg.bias - score) * (1.0 / cfg.temperature))
+    prob = np.clip(sig, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    value = np.sum(np.log(1.0 - prob if negative else prob)).reshape(1, 1)
+
+    def backward(g):
+        g = g.item()
+        d_prob = -g / (1.0 - prob) if negative else g / prob
+        live = (sig >= PROB_CLAMP) & (sig <= 1.0 - PROB_CLAMP)
+        gs = -(d_prob * live * (sig * (1.0 - sig)) * (1.0 / cfg.temperature))
+        w, u_own, u_cand = slopes(gs)
+        pairs = _pair_matrix(w, ia, ib, (x.shape[0], y.shape[0]))
+        if same:
+            own.accumulate((u_own + u_cand)[:, None] * x + pairs @ y + pairs.T @ x)
+            return
+        if own.requires_grad:
+            own.accumulate(u_own[:, None] * x + pairs @ y)
+        if cand.requires_grad:
+            cand.accumulate(u_cand[:, None] * y + pairs.T @ x)
+
+    return ad.record("pair_log_probs", value, (own,) if same else (own, cand), backward)
+
+
 def discriminator(x: Point, y: Point, cfg: HpcConfig = HpcConfig()) -> float:
     """Probability that the pair (x, y) is a positive; decreasing in distance."""
     if x.manifold != y.manifold:
@@ -196,38 +327,34 @@ def mi_tolerance(i: int, emb: DualEmbedding, plan: SamplePlan, cfg: HpcConfig,
 def hpc_loss(emb: DualEmbedding, plan: SamplePlan, cfg: HpcConfig,
              include_tolerance: bool = True) -> Tensor:
     """-(1/2n) sum_i [consistency(alpha) + consistency(beta)
-    + tolerance(alpha) + tolerance(beta)], differentiable in both views."""
+    + tolerance(alpha) + tolerance(beta)], differentiable in both views.
+
+    Each pool of each view is one ``pair_log_probs`` node; only the two
+    ``transfer0`` chains between the views are composed on the tape."""
     n = plan.n_nodes
     man_a, man_b = emb.manifold_alpha, emb.manifold_beta
     beta_in_alpha = dg.transfer0(man_b, man_a, emb.beta)
     alpha_in_beta = dg.transfer0(man_a, man_b, emb.alpha)
-    anchors = np.repeat(np.arange(n), plan.num_negatives)
+    nodes = np.arange(n)
+    anchors = np.repeat(nodes, plan.num_negatives)
 
-    def negative_term(man, own, candidates, neg_ids):
-        """sum over all (anchor, negative) pairs of log(1 - D), one gather each."""
-        probs = pair_probs(man, ad.gather_rows(own, anchors),
-                           ad.gather_rows(candidates, neg_ids.ravel()), cfg)
-        return ad.reduce_sum(ad.log(ad.sub(1.0, probs)))
+    def both_views(ia, ib, negative, intra):
+        """Pool sum of the alpha view plus that of the beta view."""
+        return ad.add(
+            pair_log_probs(man_a, emb.alpha, ia, emb.alpha if intra else beta_in_alpha,
+                           ib, cfg, negative),
+            pair_log_probs(man_b, emb.beta, ia, emb.beta if intra else alpha_in_beta,
+                           ib, cfg, negative))
 
-    total = ad.reduce_sum(ad.log(pair_probs(man_a, emb.alpha, beta_in_alpha, cfg)))
-    total = ad.add(total, ad.reduce_sum(ad.log(pair_probs(man_b, emb.beta, alpha_in_beta, cfg))))
+    total = both_views(nodes, nodes, False, intra=False)
     if cfg.lambda_neg > 0.0:
-        neg_sum = ad.add(negative_term(man_a, emb.alpha, beta_in_alpha, plan.neg_inter),
-                         negative_term(man_b, emb.beta, alpha_in_beta, plan.neg_inter))
+        neg_sum = both_views(anchors, plan.neg_inter, True, intra=False)
         total = ad.add(total, ad.scalar_mul(neg_sum, cfg.lambda_neg))
 
     if include_tolerance:
-        if plan.edge_anchor.size:
-            ta = ad.reduce_sum(ad.log(pair_probs(
-                man_a, ad.gather_rows(emb.alpha, plan.edge_anchor),
-                ad.gather_rows(emb.alpha, plan.edge_nbr), cfg)))
-            tb = ad.reduce_sum(ad.log(pair_probs(
-                man_b, ad.gather_rows(emb.beta, plan.edge_anchor),
-                ad.gather_rows(emb.beta, plan.edge_nbr), cfg)))
-            total = ad.add(total, ad.add(ta, tb))
+        total = ad.add(total, both_views(plan.edge_anchor, plan.edge_nbr, False, intra=True))
         if cfg.lambda_neg > 0.0:
-            neg_sum = ad.add(negative_term(man_a, emb.alpha, emb.alpha, plan.neg_intra),
-                             negative_term(man_b, emb.beta, emb.beta, plan.neg_intra))
+            neg_sum = both_views(anchors, plan.neg_intra, True, intra=True)
             total = ad.add(total, ad.scalar_mul(neg_sum, cfg.lambda_neg))
 
     return ad.scalar_mul(total, -1.0 / (2.0 * n))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -49,14 +50,15 @@ class TrainConfig:
     checkpoint: str = "best"  # restore best-validation weights, or "last"
 
     def __post_init__(self):
-        for name in ("hidden_dim", "embed_dim", "num_layers", "epochs"):
+        for name in ("hidden_dim", "embed_dim", "num_layers", "epochs", "patience"):
             if getattr(self, name) < 1:
                 raise PipelineError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("lr", "grad_clip", "max_feature_norm"):
             if not getattr(self, name) > 0:
                 raise PipelineError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.lambda_contrast < 0:
-            raise PipelineError(f"lambda_contrast must be >= 0, got {self.lambda_contrast}")
+        if not 0 <= self.lambda_contrast < math.inf:
+            raise PipelineError(f"lambda_contrast must be finite and >= 0, "
+                                f"got {self.lambda_contrast}")
         if self.patience > self.epochs:
             raise PipelineError("patience cannot exceed epochs")
         if self.ablation not in ABLATIONS:

@@ -251,6 +251,50 @@ class TestExitCodes:
         assert "num_layers must be >= 1" in capsys.readouterr().err
         assert not list(out.glob("metrics_seed*"))
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--patience", "0", "patience must be >= 1"),
+        ("--lambda-contrast", "nan", "lambda_contrast must be finite"),
+        ("--bias", "nan", "bias must be finite"),
+        ("--temperature", "inf", "temperature must be finite"),
+        ("--lambda-neg", "nan", "lambda_neg must be finite"),
+    ])
+    def test_value_that_breaks_training_is_exit_2_before_any_output(self, tmp_path, capsys,
+                                                                      flag, value, message):
+        out = tmp_path / "run"
+        rc = main(["train", "--synthetic", "2,3,8,0.2", "--out", str(out)] + FAST_TRAIN
+                  + [flag, value])
+        assert rc == RUNTIME_EXIT
+        assert message in capsys.readouterr().err
+        assert not list(out.glob("metrics_seed*"))
+
+    @pytest.mark.parametrize("key, value", [
+        ("epochs", 12.9), ("epochs", 15.0), ("hidden_dim", True), ("lr", False),
+        ("activation", 3), ("num_negatives", 2.5),
+    ])
+    def test_config_value_of_the_wrong_type_is_usage_error(self, tmp_path, capsys, key, value):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({key: value}))
+        out = tmp_path / "run"
+        rc = main(["train", "--synthetic", "2,3,8,0.2", "--out", str(out),
+                   "--config", str(cfg_file)] + FAST_TRAIN)
+        assert rc == 1
+        assert f"config key {key!r} wants" in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
+    def test_config_int_for_float_accepted_and_echoed_exactly(self, tmp_path):
+        requested = {"lr": 1, "lambda_contrast": 2, "bias": 3, "epochs": 4, "patience": 4,
+                     "hidden_dim": 8, "embed_dim": 8}
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(requested))
+        out = tmp_path / "run"
+        rc = main(["train", "--synthetic", "2,3,8,0.2", "--out", str(out),
+                   "--config", str(cfg_file)])
+        assert rc == 0
+        echoed = json.loads((out / "manifest.json").read_text())["config"]
+        for key, value in requested.items():
+            got = echoed["hpc"][key] if key in HPC_KEYS else echoed[key]
+            assert got == value and type(got) is CONFIG_KEYS.get(key, HPC_KEYS.get(key))
+
     def test_runtime_error_is_exit_2(self, tmp_path):
         rc = main(["delta", "--data", str(tmp_path / "missing")])
         assert rc == 2

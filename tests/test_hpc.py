@@ -14,7 +14,8 @@ from hgcl.autodiff import Tape, Tensor
 from hgcl.data import Graph
 from hgcl.encoder import DualEmbedding
 from hgcl.hpc import (HpcConfig, SamplePlan, SamplingError, build_sample_plan,
-                      discriminator, hpc_loss, mi_consistency, mi_tolerance, pair_probs)
+                      discriminator, hpc_loss, mi_consistency, mi_tolerance, pair_log_probs,
+                      pair_probs)
 
 
 def sigmoid(v):
@@ -58,6 +59,15 @@ class TestConfig:
             HpcConfig(lambda_neg=-0.1)
         with pytest.raises(ValueError):
             HpcConfig(similarity="cosine")
+
+    @pytest.mark.parametrize("field, value", [
+        ("bias", math.nan), ("bias", math.inf), ("bias", -math.inf),
+        ("temperature", math.nan), ("temperature", math.inf),
+        ("lambda_neg", math.nan), ("lambda_neg", math.inf),
+    ])
+    def test_non_finite_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            HpcConfig(**{field: value})
 
 
 class TestDiscriminator:
@@ -394,3 +404,127 @@ class TestHpcLoss:
                         for i in range(10) for v in ("alpha", "beta"))
         assert no_pos == pytest.approx(-cons_only / 20.0, abs=1e-12)
         assert full != no_pos
+
+
+def composed_log_probs(man, own, ia, cand, ib, cfg, negative):
+    """The reference route: gather both sides, score with ``pair_probs``, log, sum."""
+    probs = pair_probs(man, ad.gather_rows(own, ia), ad.gather_rows(cand, ib), cfg)
+    return ad.reduce_sum(ad.log(ad.sub(1.0, probs) if negative else probs))
+
+
+def value_and_grads(route, man, x, y, ia, ib, cfg, negative, same):
+    own = ad.parameter(x.copy())
+    cand = own if same else ad.parameter(y.copy())
+    with Tape() as tape:
+        out = route(man, own, ia, cand, ib, cfg, negative)
+        tape.backward(out)
+    return out.value, [own.grad] if same else [own.grad, cand.grad]
+
+
+MODELS = [mf.poincare(4, -1.0), mf.lorentz(4, -0.5)]
+# Unsorted anchors, a repeated pair, every row used on both sides.
+PAIR_IA = np.array([3, 0, 0, 5, 2, 2, 7, 1, 6, 4])
+PAIR_IB = np.array([1, 4, 4, 0, 3, 6, 2, 7, 5, 0])
+
+
+class TestPairLogProbs:
+    @pytest.mark.parametrize("negative", [False, True], ids=["pos", "neg"])
+    @pytest.mark.parametrize("same", [False, True], ids=["two-tensors", "own-is-cand"])
+    @pytest.mark.parametrize("similarity", ["distance", "neg_dot"])
+    @pytest.mark.parametrize("man", MODELS, ids=lambda m: m.kind.value)
+    def test_matches_composed_route(self, man, similarity, same, negative):
+        rng = np.random.default_rng(7)
+        x = dg.ambient_to_internal(man, man.random_points(rng, 8, 2.0))
+        y = dg.ambient_to_internal(man, man.random_points(rng, 8, 2.0))
+        cfg = HpcConfig(bias=1.5, temperature=0.8, similarity=similarity)
+        args = (man, x, y, PAIR_IA, PAIR_IB, cfg, negative, same)
+        fused, fused_grads = value_and_grads(pair_log_probs, *args)
+        ref, ref_grads = value_and_grads(composed_log_probs, *args)
+        assert np.array_equal(fused, ref)
+        for got, want in zip(fused_grads, ref_grads):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("negative", [False, True], ids=["pos", "neg"])
+    @pytest.mark.parametrize("man", MODELS, ids=lambda m: m.kind.value)
+    def test_zero_distance_pairs(self, man, negative):
+        # Identical rows on both sides and repeated rows within one tensor: the
+        # consistency positives of identical views sit exactly here.
+        rng = np.random.default_rng(3)
+        x = dg.ambient_to_internal(man, man.random_points(rng, 8, 2.0))
+        y = dg.ambient_to_internal(man, man.random_points(rng, 8, 2.0))
+        y[:4] = x[:4]
+        x[7] = x[0]
+        ia, ib = np.array([0, 1, 2, 3, 7, 0, 5]), np.array([0, 1, 2, 3, 0, 6, 5])
+        cfg = HpcConfig(bias=2.0, temperature=1.0)
+        for same in (False, True):
+            args = (man, x, y, ia, ib, cfg, negative, same)
+            fused, fused_grads = value_and_grads(pair_log_probs, *args)
+            ref, ref_grads = value_and_grads(composed_log_probs, *args)
+            assert np.array_equal(fused, ref)
+            # On the hyperboloid the acosh argument rounds to 1 +- 1 ulp at d = 0,
+            # and above 1 its clamped slope 1/sqrt(MIN_NORM) ~ 3e7 turns rounding
+            # noise into the gradient of both routes, so only the ball's compare.
+            if man.kind is mf.Model.POINCARE:
+                for got, want in zip(fused_grads, ref_grads):
+                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+                only_zero = pair_log_probs(man, Tensor(x), ia[:4], Tensor(y), ib[:4], cfg,
+                                           negative)
+                d0 = math.log(1.0 - sigmoid(2.0)) if negative else math.log(sigmoid(2.0))
+                assert only_zero.item() == pytest.approx(4 * d0, abs=1e-15)
+
+    @pytest.mark.parametrize("negative", [False, True], ids=["pos", "neg"])
+    def test_rows_on_the_ball_boundary_keep_the_conformal_floor(self, negative):
+        # tanh(r) rounds to 1 for r > ~19, so exp0 can put rows on the boundary,
+        # where 1 + k|x|^2 <= 0 is floored at MIN_NORM with zero slope. A high
+        # temperature keeps those pairs off the probability clamp.
+        man = MODELS[0]
+        rng = np.random.default_rng(11)
+        x = dg.ambient_to_internal(man, man.random_points(rng, 8, 2.0))
+        x[2] = x[2] / np.linalg.norm(x[2])
+        x[5] = 1.000001 * x[5] / np.linalg.norm(x[5])
+        cfg = HpcConfig(bias=2.0, temperature=20.0)
+        for same in (False, True):
+            args = (man, x, x[::-1].copy(), PAIR_IA, PAIR_IB, cfg, negative, same)
+            fused, fused_grads = value_and_grads(pair_log_probs, *args)
+            ref, ref_grads = value_and_grads(composed_log_probs, *args)
+            assert np.array_equal(fused, ref)
+            for got, want in zip(fused_grads, ref_grads):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("similarity", ["distance", "neg_dot"])
+    @pytest.mark.parametrize("man", MODELS, ids=lambda m: m.kind.value)
+    def test_empty_pools_sum_to_zero(self, man, similarity):
+        x = dg.ambient_to_internal(man, man.random_points(np.random.default_rng(0), 5, 1.0))
+        empty = np.empty(0, dtype=np.int64)
+        cfg = HpcConfig(similarity=similarity)
+        for negative in (False, True):
+            args = (man, x, x, empty, empty, cfg, negative, False)
+            fused, fused_grads = value_and_grads(pair_log_probs, *args)
+            ref, ref_grads = value_and_grads(composed_log_probs, *args)
+            assert fused.shape == (1, 1) and fused[0, 0] == 0.0 and np.array_equal(fused, ref)
+            for got, want in zip(fused_grads, ref_grads):
+                assert not np.any(got) and not np.any(want)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_infinite_distance_behind_the_clamp_is_rejected(self):
+        # |x|^2 overflows, so d = inf; sigma clamps it to a finite loss, and
+        # only the per-pair check sees it.
+        man = MODELS[0]
+        far = Tensor(np.array([[1e200, 0.0, 0.0, 0.0]]))
+        origin = Tensor(np.zeros((1, 4)))
+        for negative in (False, True):
+            with pytest.raises(ad.NonFiniteError, match="'pair_log_probs'"):
+                pair_log_probs(man, far, [0], origin, [0], HpcConfig(), negative)
+
+    def test_hpc_loss_records_one_node_per_pool(self, ten_node_graph):
+        rng = np.random.default_rng(5)
+        man_a, man_b = MODELS
+        ha = ad.parameter(dg.ambient_to_internal(man_a, man_a.random_points(rng, 10, 1.5)))
+        hb = ad.parameter(dg.ambient_to_internal(man_b, man_b.random_points(rng, 10, 1.5)))
+        plan = build_sample_plan(ten_node_graph, 2, np.random.default_rng(0))
+        with Tape() as tape:
+            hpc_loss(DualEmbedding(ha, hb, man_a, man_b), plan, HpcConfig(num_negatives=2))
+        ops = Counter(node._op for node in tape.nodes)
+        assert ops["pair_log_probs"] == 8  # 4 pools x 2 views
+        assert ops["gather_rows"] == 0
+        assert len(tape.nodes) <= 50

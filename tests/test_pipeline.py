@@ -52,6 +52,14 @@ class TestConfig:
         with pytest.raises(PipelineError, match=f"{field} must be"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("patience", 0), ("patience", -3),
+        ("lambda_contrast", math.nan), ("lambda_contrast", math.inf),
+    ])
+    def test_value_that_breaks_training_rejected(self, field, value):
+        with pytest.raises(PipelineError, match=f"{field} must be"):
+            TrainConfig(**{field: value})
+
     def test_round_trips_through_dict(self):
         cfg = small_config(ablation="no_dist", hpc=HpcConfig(lambda_neg=0.25))
         again = TrainConfig.from_dict(cfg.to_dict())
@@ -239,6 +247,27 @@ class TestTrain:
         monkeypatch.setattr(pl, "hpc_loss", failing_on_third)
         with pytest.raises(PipelineError, match=r"^epoch 2, training step: non-finite") as info:
             train(tree_graph(), small_config())
+        assert isinstance(info.value.__cause__, ad.NonFiniteError)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_pair_distance_names_epoch_and_stage(self, monkeypatch):
+        # Both views on one ball, so transfer0 is the identity and the first op
+        # to see the blown-up rows is the fused pair primitive, whose clamped
+        # sigma would otherwise turn d = inf into a finite loss.
+        real, calls = pl.hpc_loss, []
+
+        def blown_up_on_third(emb, *rest):
+            calls.append(None)
+            if len(calls) == 3:
+                emb = DualEmbedding(ad.scalar_mul(emb.alpha, 1e200), emb.beta,
+                                    emb.manifold_alpha, emb.manifold_beta)
+            return real(emb, *rest)
+
+        monkeypatch.setattr(pl, "hpc_loss", blown_up_on_third)
+        cfg = small_config(kind_beta="poincare", curvature_beta=-1.0)
+        with pytest.raises(PipelineError, match=r"^epoch 2, training step: non-finite values "
+                                                r"produced by 'pair_log_probs'") as info:
+            train(tree_graph(), cfg)
         assert isinstance(info.value.__cause__, ad.NonFiniteError)
 
     def test_evaluate_empty_mask_rejected(self):
