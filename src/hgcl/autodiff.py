@@ -358,14 +358,15 @@ def sinh(a) -> Tensor:
     return _unary("sinh", a, np.sinh, lambda v, o: np.cosh(v))
 
 
+def acosh_slope(v: np.ndarray) -> np.ndarray:
+    """d acosh(max(v, 1)) / dv, zero where the clamp is active."""
+    return np.where(v > 1.0, 1.0 / np.sqrt(np.maximum(v * v - 1.0, MIN_NORM)), 0.0)
+
+
 def acosh_clamped(a) -> Tensor:
     """acosh(max(x, 1)); zero slope inside the clamped region."""
-
-    def dfn(v, o):
-        inside = v > 1.0
-        return np.where(inside, 1.0 / np.sqrt(np.maximum(v * v - 1.0, MIN_NORM)), 0.0)
-
-    return _unary("acosh", a, lambda v: np.arccosh(np.maximum(v, 1.0)), dfn)
+    return _unary("acosh", a, lambda v: np.arccosh(np.maximum(v, 1.0)),
+                  lambda v, o: acosh_slope(v))
 
 
 def artanh_clamped(a) -> Tensor:

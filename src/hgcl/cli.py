@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 import time
 import warnings
@@ -93,9 +92,8 @@ def _hash_dir(directory) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    with data_mod.atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _config_value(key: str, raw, conv):

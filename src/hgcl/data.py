@@ -1,5 +1,6 @@
-"""Graph container, text-format loaders, splits, synthetic trees, and the
-four-point hyperbolicity estimator.
+"""Graph container, text-format loaders, splits, synthetic trees, the
+four-point hyperbolicity estimator, and ``atomic_open``, the one writer every
+artifact (datasets, metric streams, checkpoints, heatmaps) goes through.
 
 On-disk format (one directory per dataset):
 
@@ -16,7 +17,9 @@ Node ids must be contiguous 0..n-1.
 from __future__ import annotations
 
 import json
+import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -204,17 +207,33 @@ def load_graph(directory, split_fractions=(0.6, 0.2, 0.2), split_seed: int = 0) 
     return graph
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w", **open_kwargs):
+    """Open ``<name>.tmp`` for writing and rename it onto ``path`` on success,
+    so a reader sees the old file or the whole new one. On error the temp
+    file is removed and ``path`` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_graph(directory, graph: Graph) -> None:
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    with open(d / "edges.txt", "w") as fh:
+    with atomic_open(d / "edges.txt") as fh:
         for i, j in graph.edges:
             fh.write(f"{i} {j}\n")
-    with open(d / "features.csv", "w") as fh:
+    with atomic_open(d / "features.csv") as fh:
         for i in range(graph.n_nodes):
             vals = ",".join(repr(float(v)) for v in graph.features[i])
             fh.write(f"{i},{vals}\n")
-    with open(d / "labels.csv", "w") as fh:
+    with atomic_open(d / "labels.csv") as fh:
         for i in range(graph.n_nodes):
             fh.write(f"{i},{int(graph.labels[i])}\n")
     if graph.train_mask is not None:
@@ -223,7 +242,7 @@ def save_graph(directory, graph: Graph) -> None:
             "val": np.flatnonzero(graph.val_mask).tolist(),
             "test": np.flatnonzero(graph.test_mask).tolist(),
         }
-        with open(d / "splits.json", "w") as fh:
+        with atomic_open(d / "splits.json") as fh:
             json.dump(spl, fh)
 
 

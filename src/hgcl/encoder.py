@@ -17,7 +17,6 @@ recompute it on each encode and keep no copy.
 from __future__ import annotations
 
 import dataclasses
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -33,9 +32,6 @@ ACTIVATIONS = {
     "relu": ad.relu,
     "none": lambda t: t,
 }
-
-# validate every layer output against its model constraint (slow path)
-DEBUG_VALIDATE = bool(os.environ.get("HGCL_DEBUG_VALIDATE"))
 
 
 class EncoderError(RuntimeError):
@@ -141,9 +137,6 @@ class Encoder:
                 h = layer.transform(msg) if i == 0 else layer.forward(h, a_norm)
             except ad.NonFiniteError as exc:
                 raise EncoderError(f"layer {i}: {exc}") from exc
-            if DEBUG_VALIDATE:
-                man = dataclasses.replace(self.manifold, dim=h.value.shape[1])
-                man.check_points(dg.internal_to_ambient(man, h.value))
         return h
 
     def parameters(self) -> list[Tensor]:

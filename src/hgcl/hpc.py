@@ -147,11 +147,6 @@ def pair_probs(man: Manifold, a: Tensor, b: Tensor, cfg: HpcConfig) -> Tensor:
     return ad.clip(ad.sigmoid(z), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
-def _acosh_slope(arg: np.ndarray) -> np.ndarray:
-    """d acosh(max(arg, 1)) / d arg, zero where the clamp is active."""
-    return np.where(arg > 1.0, 1.0 / np.sqrt(np.maximum(arg * arg - 1.0, MIN_NORM)), 0.0)
-
-
 def _pair_scores(man: Manifold, similarity: str, x: np.ndarray, ia: np.ndarray,
                  y: np.ndarray, ib: np.ndarray):
     """Score s_p of each pair (x[ia_p], y[ib_p]), shape (N,), and ``slopes(gs)``.
@@ -184,7 +179,7 @@ def _pair_scores(man: Manifold, similarity: str, x: np.ndarray, ia: np.ndarray,
         arg = 1.0 - (d2 / den) * (2.0 * k)
 
         def slopes(gs):
-            g_ratio = -(gs * inv_sk * _acosh_slope(arg) * (2.0 * k))
+            g_ratio = -(gs * inv_sk * ad.acosh_slope(arg) * (2.0 * k))
             g_d2 = 2.0 * g_ratio / den
             g_den = -g_ratio * d2 / (den * den)
             u_own = (np.bincount(ia, g_d2, nx)
@@ -202,7 +197,7 @@ def _pair_scores(man: Manifold, similarity: str, x: np.ndarray, ia: np.ndarray,
         arg = (np.sum(rows(x, ia) * rows(y, ib), axis=1) - ta * tb) * k
 
         def slopes(gs):
-            g_inner = gs * inv_sk * _acosh_slope(arg) * k
+            g_inner = gs * inv_sk * ad.acosh_slope(arg) * k
             u_own = np.bincount(ia, -g_inner * tb, nx) / np.maximum(tx, MIN_NORM)
             u_cand = np.bincount(ib, -g_inner * ta, ny) / np.maximum(ty, MIN_NORM)
             return g_inner, u_own, u_cand
@@ -237,6 +232,13 @@ def pair_log_probs(man: Manifold, own: Tensor, ia, cand: Tensor, ib, cfg: HpcCon
         own_log = dg.log0(man, own)
         cand = own_log if cand is own else dg.log0(man, cand)
         own = own_log
+    return _pool_log_probs(man, own, ia, cand, ib, cfg, negative)
+
+
+def _pool_log_probs(man: Manifold, own: Tensor, ia, cand: Tensor, ib, cfg: HpcConfig,
+                    negative: bool) -> Tensor:
+    """The node of :func:`pair_log_probs` on rows already in scoring form:
+    points for ``distance``, ``log0`` tangent rows for ``neg_dot``."""
     same = own is cand
     x, y = own.value, cand.value
     ia = np.asarray(ia, dtype=np.int64).ravel()
@@ -330,21 +332,26 @@ def hpc_loss(emb: DualEmbedding, plan: SamplePlan, cfg: HpcConfig,
     + tolerance(alpha) + tolerance(beta)], differentiable in both views.
 
     Each pool of each view is one ``pair_log_probs`` node; only the two
-    ``transfer0`` chains between the views are composed on the tape."""
+    ``transfer0`` chains between the views (and, for ``neg_dot``, one
+    ``log0`` chain per view tensor) are composed on the tape."""
     n = plan.n_nodes
     man_a, man_b = emb.manifold_alpha, emb.manifold_beta
-    beta_in_alpha = dg.transfer0(man_b, man_a, emb.beta)
-    alpha_in_beta = dg.transfer0(man_a, man_b, emb.alpha)
+    alpha, beta = emb.alpha, emb.beta
+    beta_in_alpha = dg.transfer0(man_b, man_a, beta)
+    alpha_in_beta = dg.transfer0(man_a, man_b, alpha)
+    if cfg.similarity == "neg_dot":  # each view goes through log0 once, not once per pool
+        alpha, beta_in_alpha = dg.log0(man_a, alpha), dg.log0(man_a, beta_in_alpha)
+        beta, alpha_in_beta = dg.log0(man_b, beta), dg.log0(man_b, alpha_in_beta)
     nodes = np.arange(n)
     anchors = np.repeat(nodes, plan.num_negatives)
 
     def both_views(ia, ib, negative, intra):
         """Pool sum of the alpha view plus that of the beta view."""
         return ad.add(
-            pair_log_probs(man_a, emb.alpha, ia, emb.alpha if intra else beta_in_alpha,
-                           ib, cfg, negative),
-            pair_log_probs(man_b, emb.beta, ia, emb.beta if intra else alpha_in_beta,
-                           ib, cfg, negative))
+            _pool_log_probs(man_a, alpha, ia, alpha if intra else beta_in_alpha,
+                            ib, cfg, negative),
+            _pool_log_probs(man_b, beta, ia, beta if intra else alpha_in_beta,
+                            ib, cfg, negative))
 
     total = both_views(nodes, nodes, False, intra=False)
     if cfg.lambda_neg > 0.0:

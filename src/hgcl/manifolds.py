@@ -11,7 +11,10 @@ Conventions used throughout:
 * everything is float64 - these formulas shed precision fast near the
   ball boundary in 32-bit.
 
-The rowwise/pairwise closed forms live in the numpy module ``hgcl.kernels``.
+This is the numpy reference route: every closed form (distances, origin and
+general-base maps, Mobius addition, gyration, the ball/hyperboloid isometry)
+is written here once. ``hgcl.diffgeo`` holds the same formulas on the
+autodiff tape, and the two check each other.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .kernels import ARTANH_CLIP, MIN_NORM
 
 BALL_GUARD = 1e-5  # relative margin kept between renormalized points and the boundary
@@ -40,6 +42,12 @@ def _coerce(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+def _rows(x) -> np.ndarray:
+    """Contiguous float64 rows; a 1-D vector becomes one row."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    return x[None, :] if x.ndim == 1 else x
+
+
 def lorentz_inner(x, y):
     """Minkowski product -x0*y0 + sum_i x_i*y_i for 1-D or row-batch input."""
     x, y = _coerce(x), _coerce(y)
@@ -49,7 +57,13 @@ def lorentz_inner(x, y):
         raise GeometryError("Lorentz vectors need ambient dimension >= 2")
     if x.ndim == 1:
         return float(np.dot(x[1:], y[1:]) - x[0] * y[0])
-    return kernels.lorentz_inner_rows(x, y)
+    return lorentz_inner_rows(x, y)
+
+
+def lorentz_inner_rows(x, y):
+    """Rowwise Minkowski product, unvalidated."""
+    x, y = _rows(x), _rows(y)
+    return np.sum(x[:, 1:] * y[:, 1:], axis=1) - x[:, 0] * y[:, 0]
 
 
 @dataclass(frozen=True)
@@ -125,7 +139,7 @@ class Manifold:
                     f"{self.ball_radius:g}"
                 )
         else:
-            res = self.k * kernels.lorentz_inner_rows(x, x) - 1.0
+            res = self.k * lorentz_inner_rows(x, x) - 1.0
             scale = 1.0 + np.abs(self.k) * np.sum(x * x, axis=1)
             bad = np.abs(res) > atol * scale
             if np.any(bad):
@@ -139,7 +153,7 @@ class Manifold:
     def check_tangent(self, x, v, atol: float = 1e-6) -> None:
         if self.kind is Model.LORENTZ:
             x2, v2 = np.atleast_2d(_coerce(x)), np.atleast_2d(_coerce(v))
-            res = kernels.lorentz_inner_rows(v2, x2)
+            res = lorentz_inner_rows(v2, x2)
             scale = 1.0 + np.sqrt(np.sum(v2 * v2, axis=1) * np.sum(x2 * x2, axis=1))
             if np.any(np.abs(res) > atol * scale):
                 raise GeometryError(
@@ -158,24 +172,48 @@ class Manifold:
         x[:, :1] = np.sqrt(np.sum(spatial * spatial, axis=1, keepdims=True) - 1.0 / self.k)
         return x
 
-    # -- kernel-backed rowwise operations -----------------------------------
+    # -- origin maps and distances -------------------------------------------
 
     def dist(self, x, y):
-        """Geodesic distance per row."""
-        x, y = _coerce(x), _coerce(y)
-        squeeze = x.ndim == 1
+        """Geodesic distance per row; a float for 1-D points."""
+        squeeze = np.ndim(x) == 1
+        x, y = _rows(x), _rows(y)
+        k = self.k
         if self.kind is Model.POINCARE:
-            d = kernels.poincare_dist_rows(x, y, self.k)
+            d2 = np.sum((x - y) ** 2, axis=1)
+            a = np.maximum(1.0 + k * np.sum(x * x, axis=1), MIN_NORM)
+            b = np.maximum(1.0 + k * np.sum(y * y, axis=1), MIN_NORM)
+            arg = 1.0 - 2.0 * k * d2 / (a * b)
         else:
-            d = kernels.lorentz_dist_rows(x, y, self.k)
+            arg = k * lorentz_inner_rows(x, y)
+        d = np.arccosh(np.maximum(arg, 1.0)) / np.sqrt(-k)
+        if self.kind is Model.LORENTZ:
+            # <x,x>_L cancels catastrophically far from the origin; identical
+            # rows must still give an exact zero.
+            same = np.all(x == y, axis=1)
+            if np.any(same):
+                d = np.where(same, 0.0, d)
         return float(d[0]) if squeeze else d
 
     def pairwise_dist(self, x, y=None):
+        """(rows of x, rows of y) distance matrix; zero diagonal for x alone."""
         x = _coerce(x)
         y = x if y is None else _coerce(y)
+        xs, ys = _rows(x), _rows(y)
+        k = self.k
         if self.kind is Model.POINCARE:
-            return kernels.poincare_pairwise_dist(x, y, self.k)
-        return kernels.lorentz_pairwise_dist(x, y, self.k)
+            x2 = np.sum(xs * xs, axis=1)
+            y2 = np.sum(ys * ys, axis=1)
+            d2 = np.maximum(x2[:, None] + y2[None, :] - 2.0 * (xs @ ys.T), 0.0)
+            a = np.maximum(1.0 + k * x2, MIN_NORM)
+            b = np.maximum(1.0 + k * y2, MIN_NORM)
+            arg = 1.0 - 2.0 * k * d2 / (a[:, None] * b[None, :])
+        else:
+            arg = k * (xs[:, 1:] @ ys[:, 1:].T - np.outer(xs[:, 0], ys[:, 0]))
+        d = np.arccosh(np.maximum(arg, 1.0)) / np.sqrt(-k)
+        if x is y:
+            np.fill_diagonal(d, 0.0)
+        return d
 
     def exp0(self, v):
         """Exp map at the origin from intrinsic tangent coordinates.
@@ -183,22 +221,29 @@ class Manifold:
         Poincare takes/returns length-``dim`` rows; Lorentz takes the spatial
         block and returns ambient rows.
         """
-        v = _coerce(v)
-        squeeze = v.ndim == 1
+        squeeze = np.ndim(v) == 1
+        v = _rows(v)
+        sk = np.sqrt(-self.k)
+        r = np.maximum(np.sqrt(np.sum(v * v, axis=1, keepdims=True)), MIN_NORM)
         if self.kind is Model.POINCARE:
-            out = kernels.poincare_exp0_rows(v, self.k)
+            out = np.tanh(sk * r) / (sk * r) * v
         else:
-            out = kernels.lorentz_exp0_rows(v, self.k)
+            time = np.cosh(sk * r) / sk
+            out = np.concatenate([time, np.sinh(sk * r) / (sk * r) * v], axis=1)
         return out[0] if squeeze else out
 
     def log0(self, x):
-        """Log map at the origin, returned in intrinsic tangent coordinates."""
-        x = _coerce(x)
-        squeeze = x.ndim == 1
+        """Log map at the origin, returned in intrinsic tangent coordinates
+        (the spatial block for Lorentz)."""
+        squeeze = np.ndim(x) == 1
+        x = _rows(x)
+        sk = np.sqrt(-self.k)
         if self.kind is Model.POINCARE:
-            out = kernels.poincare_log0_rows(x, self.k)
+            r = np.maximum(np.sqrt(np.sum(x * x, axis=1, keepdims=True)), MIN_NORM)
+            out = np.arctanh(np.clip(sk * r, -ARTANH_CLIP, ARTANH_CLIP)) / (sk * r) * x
         else:
-            out = kernels.lorentz_log0_rows(x, self.k)
+            theta = np.arccosh(np.maximum(sk * x[:, :1], 1.0))
+            out = theta / np.maximum(np.sinh(theta), MIN_NORM) * x[:, 1:]
         return out[0] if squeeze else out
 
     def tangent0_to_ambient(self, u):
@@ -225,7 +270,7 @@ class Manifold:
         if self.kind is Model.POINCARE:
             out = self.conformal_factor(x)[:, 0] * np.sqrt(np.sum(v * v, axis=1))
         else:
-            out = np.sqrt(np.maximum(kernels.lorentz_inner_rows(v, v), 0.0))
+            out = np.sqrt(np.maximum(lorentz_inner_rows(v, v), 0.0))
         return out
 
     def expmap(self, x, v):
@@ -243,8 +288,8 @@ class Manifold:
             lam = self.conformal_factor(x)
             r = np.maximum(np.sqrt(np.sum(v * v, axis=1, keepdims=True)), MIN_NORM)
             w = np.tanh(sk * lam * r / 2.0) * v / (sk * r)
-            return kernels.mobius_add(x, w, self.k)
-        nv = np.sqrt(np.maximum(kernels.lorentz_inner_rows(v, v), 0.0))[:, None]
+            return mobius_add_rows(x, w, self.k)
+        nv = np.sqrt(np.maximum(lorentz_inner_rows(v, v), 0.0))[:, None]
         theta = np.maximum(sk * nv, MIN_NORM)
         out = np.cosh(theta) * x + np.sinh(theta) / theta * v
         return self.project(out)
@@ -255,13 +300,13 @@ class Manifold:
         y = np.atleast_2d(_coerce(y))
         sk = self.sqrt_abs_k
         if self.kind is Model.POINCARE:
-            u = kernels.mobius_add(-x, y, self.k)
+            u = mobius_add_rows(-x, y, self.k)
             r = np.sqrt(np.sum(u * u, axis=1, keepdims=True))
             lam = self.conformal_factor(x)
             coef = 2.0 / (sk * lam) * np.arctanh(np.clip(sk * r, 0.0, ARTANH_CLIP))
             out = np.where(r > 1e-12, coef * u / np.maximum(r, MIN_NORM), 0.0)
             return out
-        inner = kernels.lorentz_inner_rows(x, y)[:, None]
+        inner = lorentz_inner_rows(x, y)[:, None]
         c = np.maximum(self.k * inner, 1.0)
         theta = np.arccosh(c)
         coef = theta / np.maximum(np.sinh(theta), MIN_NORM)
@@ -283,8 +328,8 @@ class Manifold:
             lam_x = self.conformal_factor(x)
             lam_y = self.conformal_factor(y)
             return gyration_rows(y, -x, v, self.k) * lam_x / lam_y
-        num = self.k * kernels.lorentz_inner_rows(y, v)[:, None]
-        den = 1.0 + self.k * kernels.lorentz_inner_rows(x, y)[:, None]
+        num = self.k * lorentz_inner_rows(y, v)[:, None]
+        den = 1.0 + self.k * lorentz_inner_rows(x, y)[:, None]
         return v - num / np.maximum(den, MIN_NORM) * (x + y)
 
     def project_tangent(self, x, v):
@@ -293,7 +338,7 @@ class Manifold:
             return np.atleast_2d(_coerce(v))
         x = np.atleast_2d(_coerce(x))
         v = np.atleast_2d(_coerce(v))
-        return v - self.k * kernels.lorentz_inner_rows(x, v)[:, None] * x
+        return v - self.k * lorentz_inner_rows(x, v)[:, None] * x
 
     # -- sampling ------------------------------------------------------------
 
@@ -324,10 +369,21 @@ def lorentz(dim: int, curvature: float = -1.0, **kw) -> Manifold:
 # Gyrovector helpers (Poincare)
 # ---------------------------------------------------------------------------
 
+def mobius_add_rows(x, y, k):
+    """Rowwise x (+) y for signed curvature k < 0."""
+    x, y = _rows(x), _rows(y)
+    x2 = np.sum(x * x, axis=1, keepdims=True)
+    y2 = np.sum(y * y, axis=1, keepdims=True)
+    xy = np.sum(x * y, axis=1, keepdims=True)
+    num = (1.0 - 2.0 * k * xy - k * y2) * x + (1.0 + k * x2) * y
+    den = 1.0 - 2.0 * k * xy + k * k * x2 * y2
+    return num / np.maximum(den, MIN_NORM)
+
+
 def gyration_rows(u, v, w, k):
     """gyr[u, v] w via the rational closed form; linear and norm-preserving in w.
 
-    Equals mobius_add(-(u + v), u + (v + w)) when w lies in the ball, but this
+    Equals mobius_add_rows(-(u + v), u + (v + w)) when w lies in the ball, but this
     form is exact for tangent vectors of any magnitude.
     """
     u, v, w = np.atleast_2d(_coerce(u)), np.atleast_2d(_coerce(v)), np.atleast_2d(_coerce(w))
@@ -399,7 +455,7 @@ def mobius_add(x: Point, y: Point) -> Point:
     man = _same_manifold(x, y)
     if man.kind is not Model.POINCARE:
         raise GeometryError("Mobius addition is defined on the Poincare ball only")
-    out = kernels.mobius_add(x.coords, y.coords, man.k)[0]
+    out = mobius_add_rows(x.coords, y.coords, man.k)[0]
     if np.sqrt(np.sum(out * out)) >= man.ball_radius * (1.0 - 1e-12):
         raise GeometryError("Mobius sum reached the ball boundary (numerical overflow)")
     return Point(out, man)

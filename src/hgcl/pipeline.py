@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -14,7 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from . import diffgeo as dg
 from .autodiff import Tensor
-from .data import Graph, normalize_adjacency
+from .data import Graph, atomic_open, normalize_adjacency
 from .encoder import DualEmbedding, Encoder, EncoderError, encode_views
 from .hpc import HpcConfig, SamplePlan, build_sample_plan, hpc_loss
 from .manifolds import Manifold, Model
@@ -174,11 +173,9 @@ class HgclModel:
         path = Path(path)
         if path.suffix != ".npz":
             path = path.with_name(path.name + ".npz")
-        tmp = path.with_name(path.name + ".tmp")
         arrays = {f"param_{i}": a for i, a in enumerate(self.state_arrays())}
-        with open(tmp, "wb") as fh:
+        with atomic_open(path, "wb") as fh:
             np.savez(fh, config=json.dumps(self.to_meta()), **arrays)
-        os.replace(tmp, path)
 
     def to_meta(self) -> dict:
         return {"config": self.config.to_dict(), "d_feat": self.d_feat,
@@ -374,12 +371,10 @@ def export_heatmap(model: HgclModel, graph: Graph, node_ids, view: str, out_path
     pts = emb.points(view)[node_ids]
     dist = man.pairwise_dist(pts)
     # Same bytes as csv.writer ("\r\n" rows, nothing quoted), one format call per
-    # row, written to a temp file and renamed so a reader never sees a partial CSV.
+    # row, written atomically so a reader never sees a partial CSV.
     row_fmt = "%d," + "%.12g," * len(node_ids) + "%d\r\n"
-    tmp = Path(str(out_path) + ".tmp")
-    with open(tmp, "w", newline="") as fh:
+    with atomic_open(out_path, "w", newline="") as fh:
         fh.write(",".join(["id"] + [str(i) for i in node_ids] + ["label"]) + "\r\n")
         for row_i, nid in enumerate(node_ids):
             fh.write(row_fmt % (nid, *dist[row_i], graph.labels[nid]))
-    os.replace(tmp, out_path)
     return dist

@@ -100,6 +100,32 @@ class TestLoadGraph:
         assert list(np.flatnonzero(g.val_mask)) == [2]
 
 
+class TestAtomicOpen:
+    def test_failed_write_keeps_the_previous_file_and_no_temp(self, tmp_path):
+        target = tmp_path / "out.csv"
+        with data_mod.atomic_open(target, "w", newline="") as fh:
+            fh.write("a,b\r\n")
+        with pytest.raises(RuntimeError, match="disk gone"):
+            with data_mod.atomic_open(target) as fh:
+                fh.write("partial")
+                raise RuntimeError("disk gone")
+        assert target.read_bytes() == b"a,b\r\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+    def test_save_graph_round_trips_without_temp_files(self, tmp_path):
+        g = synthetic_tree(2, 3, d_feat=4, noise=0.5, seed=9)
+        tr, va, te = split(g, seed=1)
+        g = Graph(g.n_nodes, g.edges, g.features, g.labels, tr, va, te)
+        save_graph(tmp_path, synthetic_tree(2, 2))  # overwritten below
+        save_graph(tmp_path, g)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "edges.txt", "features.csv", "labels.csv", "splits.json"]
+        g2 = load_graph(tmp_path)
+        assert np.array_equal(g.edges, g2.edges)
+        assert np.array_equal(g.features, g2.features)
+        assert np.array_equal(g.test_mask, g2.test_mask)
+
+
 class TestGraphInvariants:
     def test_edge_out_of_range(self):
         with pytest.raises(DataError):

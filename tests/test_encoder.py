@@ -151,13 +151,6 @@ class TestEncodeViews:
         with pytest.raises(EncoderError):
             Encoder(mf.poincare(3, -1.0), 5, [3], "gelu", np.random.default_rng(0))
 
-    def test_debug_validation_sweeps_each_layer(self, ten_node_graph, monkeypatch):
-        import hgcl.encoder as enc_mod
-        monkeypatch.setattr(enc_mod, "DEBUG_VALIDATE", True)
-        a_norm = normalize_adjacency(ten_node_graph)
-        emb = encode_views(ten_node_graph.features, a_norm, *self.make_encoders(2))
-        emb.manifold_alpha.check_points(emb.points("alpha"))
-
     def test_forward_only_evaluation_is_thread_safe(self, ten_node_graph):
         from concurrent.futures import ThreadPoolExecutor
         a_norm = normalize_adjacency(ten_node_graph)

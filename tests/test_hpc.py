@@ -11,7 +11,7 @@ from hgcl import autodiff as ad
 from hgcl import diffgeo as dg
 from hgcl import manifolds as mf
 from hgcl.autodiff import Tape, Tensor
-from hgcl.data import Graph
+from hgcl.data import Graph, synthetic_tree
 from hgcl.encoder import DualEmbedding
 from hgcl.hpc import (HpcConfig, SamplePlan, SamplingError, build_sample_plan,
                       discriminator, hpc_loss, mi_consistency, mi_tolerance, pair_log_probs,
@@ -528,3 +528,22 @@ class TestPairLogProbs:
         assert ops["pair_log_probs"] == 8  # 4 pools x 2 views
         assert ops["gather_rows"] == 0
         assert len(tape.nodes) <= 50
+
+    def test_neg_dot_maps_each_view_through_log0_once(self):
+        # Four view tensors (alpha, beta and their transfers), each mapped once;
+        # the two transfers hold one log0 each as well.
+        graph = synthetic_tree(3, 5)
+        rng = np.random.default_rng(5)
+        man_a, man_b = MODELS
+        ha = ad.parameter(dg.ambient_to_internal(
+            man_a, man_a.random_points(rng, graph.n_nodes, 1.5)))
+        hb = ad.parameter(dg.ambient_to_internal(
+            man_b, man_b.random_points(rng, graph.n_nodes, 1.5)))
+        plan = build_sample_plan(graph, 5, np.random.default_rng(0))
+        with Tape() as tape:
+            hpc_loss(DualEmbedding(ha, hb, man_a, man_b), plan,
+                     HpcConfig(num_negatives=5, similarity="neg_dot"))
+        ops = Counter(node._op for node in tape.nodes)
+        assert ops["artanh"] + ops["acosh"] == 6
+        assert ops["pair_log_probs"] == 8
+        assert len(tape.nodes) <= 75

@@ -1,5 +1,6 @@
 """The numpy kernel module: exported names, input validation, exact cases."""
 
+import inspect
 import itertools
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scipy import sparse
 
 from hgcl import kernels
+from hgcl import manifolds as mf
 
 
 def _csr(edges, n):
@@ -18,10 +20,10 @@ def _csr(edges, n):
 
 def test_identical_row_shortcircuit():
     rng = np.random.default_rng(3)
-    k = -1.3
-    hyp = kernels.lorentz_exp0_rows(rng.uniform(-2.0, 2.0, (64, 7)), k)
-    assert np.max(kernels.lorentz_dist_rows(hyp, hyp.copy(), k)) == 0.0
-    d = kernels.lorentz_pairwise_dist(hyp, hyp, k)
+    man = mf.lorentz(7, -1.3)
+    hyp = man.exp0(rng.uniform(-2.0, 2.0, (64, 7)))
+    assert np.max(man.dist(hyp, hyp.copy())) == 0.0
+    d = man.pairwise_dist(hyp)
     assert np.max(np.abs(np.diag(d))) == 0.0
 
 
@@ -33,6 +35,18 @@ def test_exact_delta_matches_every_quadruple():
     exact = kernels.four_point_delta_exact(d)
     assert exact == kernels.four_point_delta_quads(d, quads)
     assert exact == 4.0
+
+
+def test_exact_delta_matches_a_pure_python_scan():
+    rng = np.random.default_rng(8)
+    for n in (3, 4, 7, 12):
+        d = rng.integers(1, 20, size=(n, n))
+        d = np.triu(d, 1) + np.triu(d, 1).T  # symmetric, zero diagonal
+        best = 0
+        for i, j, k, l in itertools.combinations(range(n), 4):
+            sums = sorted([d[i, j] + d[k, l], d[i, k] + d[j, l], d[i, l] + d[j, k]])
+            best = max(best, int(sums[2] - sums[1]))
+        assert kernels.four_point_delta_exact(d) == best / 2
 
 
 def test_bfs_rejects_bad_csr():
@@ -47,10 +61,10 @@ def test_bfs_rejects_bad_csr():
 
 
 def test_kernels_module_exposes_all_names():
-    for name in ("mobius_add", "poincare_dist_rows", "poincare_pairwise_dist",
-                 "poincare_exp0_rows", "poincare_log0_rows", "lorentz_inner_rows",
-                 "lorentz_dist_rows", "lorentz_pairwise_dist", "lorentz_exp0_rows",
-                 "lorentz_log0_rows", "bfs_all_pairs", "four_point_delta_exact",
-                 "four_point_delta_quads"):
-        assert callable(getattr(kernels, name))
+    own = {name for name, v in vars(kernels).items()
+           if not name.startswith("_") and not inspect.ismodule(v)
+           and getattr(v, "__module__", kernels.__name__) == kernels.__name__}
+    assert own == {"MIN_NORM", "ARTANH_CLIP", "backend_name", "bfs_all_pairs",
+                   "four_point_delta_exact", "four_point_delta_quads"}
     assert kernels.backend_name() == "numpy"
+    assert callable(mf.mobius_add_rows) and callable(mf.lorentz_inner_rows)

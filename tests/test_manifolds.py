@@ -122,7 +122,7 @@ class TestMobius:
         x = m.random_points(rng, 100, 2.5)
         y = m.random_points(rng, 100, 2.5)
         d_table = m.dist(x, y)
-        diff = mf.kernels.mobius_add(-x, y, k)
+        diff = mf.mobius_add_rows(-x, y, k)
         alt = 2.0 / m.sqrt_abs_k * np.arctanh(m.sqrt_abs_k * np.linalg.norm(diff, axis=1))
         assert np.max(np.abs(d_table - alt)) <= 1e-8
 
@@ -163,9 +163,9 @@ class TestGyration:
             x = m.random_points(rng, 1, 2.0)
             y = m.random_points(rng, 1, 2.0)
             v = rng.standard_normal((1, 3)) * 1e-3
-            xy = mf.kernels.mobius_add(x, y, m.k)
-            comp = mf.kernels.mobius_add(
-                -xy, mf.kernels.mobius_add(x, mf.kernels.mobius_add(y, v, m.k), m.k), m.k)
+            xy = mf.mobius_add_rows(x, y, m.k)
+            comp = mf.mobius_add_rows(
+                -xy, mf.mobius_add_rows(x, mf.mobius_add_rows(y, v, m.k), m.k), m.k)
             np.testing.assert_allclose(mf.gyration_rows(x, y, v, m.k), comp, atol=1e-12)
 
 
