@@ -11,7 +11,7 @@ On-disk format (one directory per dataset):
 * ``labels.csv``   - node id, integer label >= 0, one line per id;
 * ``splits.json``  - optional ``{"train": [...], "val": [...], "test": [...]}``.
 
-Node ids must be contiguous 0..n-1.
+Node ids must be contiguous 0..n-1; rows may come in any order.
 """
 
 from __future__ import annotations
@@ -120,11 +120,83 @@ class Graph:
 
 def load_graph(directory, split_fractions=(0.6, 0.2, 0.2), split_seed: int = 0) -> Graph:
     """Load the text-format dataset; generate a stratified split when
-    splits.json is absent."""
+    splits.json is absent.
+
+    The three tables go through numpy's C parser (``np.loadtxt``), rows in
+    any id order. Files it does not take whole go to the per-line parser,
+    which accepts the same files and names the file and line of a fault.
+    """
     d = Path(directory)
     if not d.is_dir():
         raise DataError(f"no such dataset directory: {d}")
+    try:
+        pairs, features, labels = _read_tables(d)
+    except (ValueError, OSError):
+        pairs, features, labels = _read_lines(d)
+    n = features.shape[0]
+    if pairs.size and pairs.max() >= n:
+        raise DataError(f"edge endpoint {pairs.max()} out of range for n={n}")
 
+    graph = Graph(n, pairs, features, labels)
+    edges = graph.edges
+    split_file = d / "splits.json"
+    if split_file.exists():
+        with open(split_file) as fh:
+            spl = json.load(fh)
+        masks = {}
+        for name in ("train", "val", "test"):
+            m = np.zeros(n, dtype=bool)
+            idx = np.asarray(spl.get(name, []), dtype=np.int64)
+            if idx.size and (idx.min() < 0 or idx.max() >= n):
+                raise DataError(f"splits.json: {name} id out of range")
+            m[idx] = True
+            masks[name] = m
+        graph = Graph(n, edges, features, labels,
+                      masks["train"], masks["val"], masks["test"])
+    else:
+        tr, va, te = split(graph, split_fractions, split_seed)
+        graph = Graph(n, edges, features, labels, tr, va, te)
+    return graph
+
+
+def _loadtxt(path, dtype, delimiter, ndmin=2):
+    with warnings.catch_warnings():  # an empty table is judged by the caller
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(path, dtype=dtype, delimiter=delimiter, comments=None, ndmin=ndmin)
+
+
+def _id_order(ids: np.ndarray, n: int) -> np.ndarray:
+    """The row order that sorts ``ids``; ValueError unless they are 0..n-1,
+    each once, with n >= 1."""
+    order = np.argsort(ids, kind="stable")
+    if n == 0 or not np.array_equal(ids[order], np.arange(n)):
+        raise ValueError("ids are not 0..n-1 once each")
+    return order
+
+
+def _read_tables(d: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges, features and labels of ``d`` through ``np.loadtxt``, rows in id
+    order. Raises ValueError (or OSError) wherever the per-line parser must
+    judge the files."""
+    pairs = _loadtxt(d / "edges.txt", np.int64, None)
+    if pairs.shape[0] == 0:
+        pairs = pairs.reshape(0, 2)
+    with open(d / "features.csv") as fh:
+        width = fh.readline().count(",")
+    rows = _loadtxt(d / "features.csv",
+                    np.dtype([("id", np.int64), ("x", np.float64, (width,))]), ",", ndmin=1)
+    label_rows = _loadtxt(d / "labels.csv", np.int64, ",")
+    if pairs.shape[1] != 2 or label_rows.shape[1] != 2:
+        raise ValueError("edges.txt and labels.csv take two columns")
+    n = rows.shape[0]
+    features = rows["x"][_id_order(rows["id"], n)]
+    labels = label_rows[_id_order(label_rows[:, 0], n), 1]
+    return pairs, features, labels
+
+
+def _read_lines(d: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-line parser: the reference for what the format accepts, and
+    the one that names the file and line of a fault."""
     pairs = []
     with open(d / "edges.txt") as fh:
         for ln, line in enumerate(fh, start=1):
@@ -181,30 +253,7 @@ def load_graph(directory, split_fractions=(0.6, 0.2, 0.2), split_seed: int = 0) 
 
     features = np.array([feat_rows[i] for i in range(n)], dtype=np.float64)
     labels = np.array([label_rows[i] for i in range(n)], dtype=np.int64)
-    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    if pairs.size and pairs.max() >= n:
-        raise DataError(f"edge endpoint {pairs.max()} out of range for n={n}")
-
-    graph = Graph(n, pairs, features, labels)
-    edges = graph.edges
-    split_file = d / "splits.json"
-    if split_file.exists():
-        with open(split_file) as fh:
-            spl = json.load(fh)
-        masks = {}
-        for name in ("train", "val", "test"):
-            m = np.zeros(n, dtype=bool)
-            idx = np.asarray(spl.get(name, []), dtype=np.int64)
-            if idx.size and (idx.min() < 0 or idx.max() >= n):
-                raise DataError(f"splits.json: {name} id out of range")
-            m[idx] = True
-            masks[name] = m
-        graph = Graph(n, edges, features, labels,
-                      masks["train"], masks["val"], masks["test"])
-    else:
-        tr, va, te = split(graph, split_fractions, split_seed)
-        graph = Graph(n, edges, features, labels, tr, va, te)
-    return graph
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2), features, labels
 
 
 @contextmanager
@@ -224,18 +273,17 @@ def atomic_open(path, mode: str = "w", **open_kwargs):
 
 
 def save_graph(directory, graph: Graph) -> None:
+    """Write ``graph`` in the on-disk format, each file atomically. A feature
+    value is written as its ``repr``, which parses back to the same double."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     with atomic_open(d / "edges.txt") as fh:
-        for i, j in graph.edges:
-            fh.write(f"{i} {j}\n")
+        fh.writelines(f"{i} {j}\n" for i, j in graph.edges.tolist())
     with atomic_open(d / "features.csv") as fh:
-        for i in range(graph.n_nodes):
-            vals = ",".join(repr(float(v)) for v in graph.features[i])
-            fh.write(f"{i},{vals}\n")
+        cells = _repr_cells(graph.features)
+        fh.writelines(f"{i},{','.join(row)}\n" for i, row in enumerate(cells))
     with atomic_open(d / "labels.csv") as fh:
-        for i in range(graph.n_nodes):
-            fh.write(f"{i},{int(graph.labels[i])}\n")
+        fh.writelines(f"{i},{lab}\n" for i, lab in enumerate(graph.labels.tolist()))
     if graph.train_mask is not None:
         spl = {
             "train": np.flatnonzero(graph.train_mask).tolist(),
@@ -244,6 +292,15 @@ def save_graph(directory, graph: Graph) -> None:
         }
         with atomic_open(d / "splits.json") as fh:
             json.dump(spl, fh)
+
+
+def _repr_cells(x: np.ndarray) -> list[list[str]]:
+    """``repr`` of every value of the float64 matrix ``x``, as nested lists.
+    Each distinct bit pattern is formatted once (so ``-0.0`` keeps its sign),
+    which makes a bag-of-words matrix of 0.0/1.0 cost two ``repr`` calls."""
+    bits, inverse = np.unique(np.ascontiguousarray(x).view(np.int64), return_inverse=True)
+    table = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return table[inverse.reshape(x.shape)].tolist()
 
 
 def split(graph: Graph, fractions=(0.6, 0.2, 0.2), seed: int = 0):
@@ -325,10 +382,10 @@ def _largest_component(graph: Graph) -> np.ndarray:
 
 
 def _distance_matrix(graph: Graph, nodes: np.ndarray) -> np.ndarray:
+    """BFS distances among ``nodes``, int32 as the kernel returns them."""
     sub = graph.csr_adjacency()[nodes][:, nodes].tocsr()
-    d = kernels.bfs_all_pairs(sub.indptr.astype(np.int64), sub.indices.astype(np.int64),
-                              len(nodes))
-    return d.astype(np.float64)
+    return kernels.bfs_all_pairs(sub.indptr, sub.indices, len(nodes))
+
 
 EXACT_LIMIT = 60
 

@@ -280,6 +280,10 @@ def train(graph: Graph, config: TrainConfig) -> TrainResult:
     and averages the features once for the whole call (``Encoder.memoized``)."""
     if graph.train_mask is None:
         raise PipelineError("graph has no train/val/test masks; call split() first")
+    for name, mask in (("train", graph.train_mask), ("val", graph.val_mask),
+                       ("test", graph.test_mask)):
+        if mask is None or not mask.any():  # would fail after training has started
+            raise PipelineError(f"the {name} mask is empty; training needs nodes in all three")
     model = HgclModel(config, graph.features.shape[1], graph.n_classes)
     a_norm = normalize_adjacency(graph)
     opt = Adam(model.parameters(), lr=config.lr, clip_norm=config.grad_clip)

@@ -4,6 +4,7 @@ import itertools
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -100,6 +101,117 @@ class TestLoadGraph:
         assert list(np.flatnonzero(g.val_mask)) == [2]
 
 
+ODD_TOKENS = ["", "x", "1.0", "1_0", "1e0", "0x1p3", "١", " 3 ", "+1", "-0", "1,5", "#1"]
+ODD_KINDS = ["token", "value", "filler", "ids", "ragged", "stray", "endpoint", "empty"]
+
+
+@st.composite
+def dataset_files(draw):
+    """The three files of a dataset with up to 6 nodes, rows in any id order,
+    CRLF or LF ends. A drawn subset of the odd kinds is switched on at a drawn
+    rate: odd tokens (non-integer ids such as ``1.0``, ``1_0``-style numbers,
+    surrounding whitespace), non-finite values, blank, whitespace and ``#``
+    lines, duplicate or missing ids, ragged rows, stray tokens, out-of-range
+    endpoints, no nodes."""
+    kinds = draw(st.sets(st.sampled_from(ODD_KINDS), max_size=2))
+    rate = draw(st.sampled_from([5, 20, 60]))  # percent
+
+    def odd(kind):
+        return kind in kinds and draw(st.integers(0, 99)) < rate
+
+    def token(good):
+        if not odd("token"):
+            return good
+        return draw(st.sampled_from([good + " ", "\t" + good, "\xa0" + good] + ODD_TOKENS))
+
+    def table(rows, sep):
+        lines = [sep.join(r) for r in rows]
+        for _ in range(draw(st.integers(0, 2))):
+            filler = ["  ", "\t", "# note", "#"] if odd("filler") else [""]
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(filler)))
+        end = draw(st.sampled_from(["\n", "\r\n"]))
+        text = end.join(lines)
+        return text + end if lines and draw(st.booleans()) else text
+
+    n = 0 if odd("empty") else draw(st.integers(1, 6))
+    width = draw(st.integers(0, 3))
+
+    def id_list():
+        ids = draw(st.permutations(range(n)))
+        if n and odd("ids"):
+            k = draw(st.integers(0, n - 1))
+            ids = ids + [ids[k]] if draw(st.booleans()) else ids[:k] + ids[k + 1:]
+        return ids
+
+    finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                       st.sampled_from(["0", "1.", ".5", "-0.0", "1e-400", "4.9e-324", "1E5"]))
+    odd_value = st.sampled_from(["1e400", "1_0.5", "nan", "-inf", "Infinity"])
+
+    def value():
+        return draw(odd_value if odd("value") else finite)
+
+    def stray():
+        return [draw(st.sampled_from(["9", "x", ""]))] if odd("stray") else []
+
+    def row_width():
+        return width + (draw(st.sampled_from([1, -1] if width else [1])) if odd("ragged") else 0)
+
+    feats = [[token(str(i))] + [value() for _ in range(row_width())] + stray() for i in id_list()]
+    labels = [[token(str(i)), token(str(draw(st.integers(0, 2))))] + stray() for i in id_list()]
+
+    def node():
+        far = odd("endpoint") or not n
+        return str(draw(st.sampled_from([-1, n]) if far else st.integers(0, n - 1)))
+
+    edges = [[token(node()), token(node())] + stray() for _ in range(draw(st.integers(0, 8)))]
+    return {"edges.txt": table(edges, draw(st.sampled_from([" ", "\t", "  "]))),
+            "features.csv": table(feats, ","), "labels.csv": table(labels, ",")}
+
+
+def outcome(fn):
+    """``fn()``'s graph as comparable bytes, or its exception's type and text."""
+    try:
+        g = fn()
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared, not handled
+        return type(exc), str(exc)
+    arrays = (g.edges, g.features, g.labels, g.train_mask, g.val_mask, g.test_mask)
+    return g.n_nodes, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+class TestLoaderFastPath:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(dataset_files())
+    @example({"edges.txt": "", "features.csv": "1,0.5\n0,-0.0\n", "labels.csv": "1,0\n0,1\n"})
+    @example({"edges.txt": "0 1\n", "features.csv": "0,1\n1,2\n1.0,3\n", "labels.csv": "0,0\n"})
+    @example({"edges.txt": "0 1 2\n", "features.csv": "0\n1\n", "labels.csv": "0,0\n1,1,5\n"})
+    def test_fast_path_agrees_with_the_per_line_parser(self, files):
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            for name, text in files.items():
+                with open(d / name, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+            try:
+                fast = data_mod._read_tables(d)
+            except (ValueError, OSError):
+                fast = None
+            if fast is not None:  # what the C parser takes, the per-line one takes the same
+                for a, b in zip(fast, data_mod._read_lines(d)):
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            loaded = outcome(lambda: load_graph(d))
+            with mock.patch.object(data_mod, "_read_tables", side_effect=ValueError):
+                assert loaded == outcome(lambda: load_graph(d))
+
+    def test_rows_in_any_id_order_take_the_fast_path(self, tmp_path, monkeypatch):
+        (tmp_path / "edges.txt").write_text("")
+        (tmp_path / "features.csv").write_text("2,0.25,-0.0\n0,1e-300,3\n1,-2.5,7\n")
+        (tmp_path / "labels.csv").write_text("1,1\n2,0\n0,0\n")
+        monkeypatch.setattr(data_mod, "_read_lines", None)  # calling it would fail
+        g = load_graph(tmp_path, split_fractions=(1.0, 0.0, 0.0))
+        assert g.features.tolist() == [[1e-300, 3.0], [-2.5, 7.0], [0.25, -0.0]]
+        assert np.signbit(g.features[2, 1])
+        assert g.labels.tolist() == [0, 1, 0] and g.n_edges == 0
+
+
 class TestAtomicOpen:
     def test_failed_write_keeps_the_previous_file_and_no_temp(self, tmp_path):
         target = tmp_path / "out.csv"
@@ -124,6 +236,25 @@ class TestAtomicOpen:
         assert np.array_equal(g.edges, g2.edges)
         assert np.array_equal(g.features, g2.features)
         assert np.array_equal(g.test_mask, g2.test_mask)
+
+
+class TestSaveGraph:
+    def test_bytes_match_the_per_row_writer(self, tmp_path):
+        rng = np.random.default_rng(5)
+        feats = np.where(rng.random((30, 6)) < 0.6, 0.0, rng.normal(size=(30, 6)))
+        feats[0] = [-0.0, 0.0, 1e-300, 5e-324, 1.7976931348623157e308, 0.1]
+        feats[1] = feats[0]  # repeated values, -0.0 apart from 0.0
+        edges = rng.integers(0, 30, size=(50, 2))
+        g = Graph(30, edges, feats[:, ::-1], rng.integers(0, 3, size=30))  # strided features
+        save_graph(tmp_path, g)
+        # the writer before vectorisation, kept as the reference
+        assert (tmp_path / "edges.txt").read_text() == "".join(
+            f"{i} {j}\n" for i, j in g.edges)
+        assert (tmp_path / "features.csv").read_text() == "".join(
+            f"{i},{','.join(repr(float(v)) for v in g.features[i])}\n" for i in range(30))
+        assert (tmp_path / "labels.csv").read_text() == "".join(
+            f"{i},{int(g.labels[i])}\n" for i in range(30))
+        assert load_graph(tmp_path).features.tobytes() == g.features.tobytes()
 
 
 class TestGraphInvariants:

@@ -1,10 +1,13 @@
 """The numpy kernel module: exported names, input validation, exact cases."""
 
+import collections
 import inspect
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from hgcl import kernels
@@ -58,6 +61,91 @@ def test_bfs_rejects_bad_csr():
         kernels.bfs_all_pairs(np.array([0, 1], dtype=np.int64), indices, 2)
     with pytest.raises(ValueError):
         kernels.bfs_all_pairs(indptr, np.array([1, -1], dtype=np.int64), 2)
+
+
+def bfs_reference(n, edges):
+    """All-pairs distances by a plain-Python queue BFS from every node; each
+    (i, j) is an undirected edge."""
+    nbrs = [set() for _ in range(n)]
+    for i, j in edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    out = np.full((n, n), -1, dtype=np.int32)
+    for s in range(n):
+        out[s, s] = 0
+        queue = collections.deque([s])
+        while queue:
+            u = queue.popleft()
+            for v in nbrs[u]:
+                if out[s, v] < 0:
+                    out[s, v] = out[s, u] + 1
+                    queue.append(v)
+    return out
+
+
+def one_way_csr(edges, n):
+    """CSR holding each edge in one direction only, repeats kept."""
+    rows = np.array([e[0] for e in edges], dtype=np.int64)
+    a = sparse.csr_matrix((np.ones(rows.size), (rows, np.array([e[1] for e in edges],
+                                                                dtype=np.int64))),
+                          shape=(n, n))
+    return a.indptr, a.indices
+
+
+@st.composite
+def bfs_graphs(draw):
+    """Up to 150 nodes in shuffled order, cut into up to 7 components that are
+    each a path, a random tree, random pairs or one isolated node; loose
+    pairs, self-loops and repeats added on top."""
+    n = draw(st.integers(1, 150))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=6))) if n > 1 else []
+    edges = []
+    for part in np.split(np.array(order, dtype=np.int64), cuts):
+        part = part.tolist()
+        style = draw(st.sampled_from(["path", "tree", "pairs", "isolated"]))
+        if style == "path":
+            edges += zip(part[:-1], part[1:])
+        elif style == "tree":
+            picks = draw(st.lists(st.integers(0, 10**6), min_size=len(part), max_size=len(part)))
+            edges += [(part[k], part[picks[k] % k]) for k in range(1, len(part))]
+        elif style == "pairs":
+            node = st.sampled_from(part)
+            edges += draw(st.lists(st.tuples(node, node), max_size=3 * len(part)))
+    node = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(node, node), max_size=4))
+    return n, edges
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(bfs_graphs())
+@example((1, []))
+@example((5, []))
+@example((65, [(0, k) for k in range(1, 65)]))
+@example((100, [(k, k + 1) for k in range(99)]))
+def test_bfs_matches_a_queue_reference(case):
+    n, edges = case
+    indptr, indices = one_way_csr(edges, n)
+    d = kernels.bfs_all_pairs(indptr, indices, n)
+    assert d.dtype == np.int32 and d.shape == (n, n)
+    np.testing.assert_array_equal(d, bfs_reference(n, edges))
+
+
+@pytest.mark.parametrize("n, edges, frontier", [
+    (1, [], True),
+    (130, [(0, k) for k in range(1, 100)], True),           # three batches, isolated nodes
+    (49, [(k, k + 1) for k in range(24)], True),            # level bound 48
+    (50, [(k, k + 1) for k in range(25)], False),           # level bound 50
+    (120, [(k, k + 1) for k in range(119)], False),
+])
+def test_route_follows_the_level_bound(monkeypatch, n, edges, frontier):
+    calls = []
+    real = kernels._frontier_all_pairs
+    monkeypatch.setattr(kernels, "_frontier_all_pairs", lambda adj: calls.append(1) or real(adj))
+    indptr, indices = one_way_csr(edges, n)
+    d = kernels.bfs_all_pairs(indptr, indices, n)
+    assert bool(calls) == frontier
+    np.testing.assert_array_equal(d, bfs_reference(n, edges))
 
 
 def test_kernels_module_exposes_all_names():

@@ -4,9 +4,13 @@ import csv
 import io
 import json
 import math
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import masked
 from hgcl import autodiff as ad
@@ -16,7 +20,7 @@ from hgcl import pipeline as pl
 from hgcl.autodiff import Tensor
 from hgcl.data import normalize_adjacency, synthetic_tree
 from hgcl.encoder import DualEmbedding, EncoderError
-from hgcl.hpc import HpcConfig
+from hgcl.hpc import HpcConfig, SamplingError
 from hgcl.pipeline import (HgclModel, Metrics, PipelineError, TrainConfig, cross_entropy,
                            decode, evaluate, export_heatmap, total_loss, train)
 
@@ -275,6 +279,58 @@ class TestTrain:
         res = train(g, small_config())
         with pytest.raises(PipelineError):
             evaluate(res.model, g, np.zeros(g.n_nodes, dtype=bool))
+
+
+@st.composite
+def small_datasets(draw):
+    """Up to 16 nodes cut into up to 5 parts, each a random tree with extra
+    pairs or a run of isolated nodes; 1-3 classes, 1-4 features, any ablation."""
+    n = draw(st.integers(1, 16))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=4))) if n > 1 else []
+    edges = []
+    for part in np.split(np.array(order, dtype=np.int64), cuts):
+        part = part.tolist()
+        if len(part) > 1 and draw(st.booleans()):
+            picks = draw(st.lists(st.integers(0, 10**6), min_size=len(part), max_size=len(part)))
+            edges += [(part[k], part[picks[k] % k]) for k in range(1, len(part))]
+            node = st.sampled_from(part)
+            edges += draw(st.lists(st.tuples(node, node), max_size=len(part)))
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    width = draw(st.integers(1, 4))
+    values = draw(st.lists(st.floats(-2, 2), min_size=n * width, max_size=n * width))
+    return (data_mod.Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2),
+                           np.array(values).reshape(n, width), np.array(labels)),
+            draw(st.sampled_from(pl.ABLATIONS)), draw(st.integers(0, 3)))
+
+
+class TestSmallRandomGraphs:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(small_datasets())
+    def test_trains_or_fails_before_the_first_step(self, case):
+        graph, ablation, seed = case
+        with tempfile.TemporaryDirectory() as tmp:
+            data_mod.save_graph(tmp, graph)
+            try:
+                graph = data_mod.load_graph(tmp, split_seed=seed)
+            except data_mod.DataError:
+                return  # a named error at load time
+        steps, real_step = [], pl.Adam.step
+
+        def counting_step(opt):
+            steps.append(None)
+            return real_step(opt)
+
+        cfg = small_config(hidden_dim=4, embed_dim=4, epochs=3, patience=3, seed=seed,
+                           ablation=ablation)
+        with mock.patch.object(pl.Adam, "step", counting_step):
+            try:
+                result = train(graph, cfg)
+            except (SamplingError, PipelineError) as exc:
+                assert not steps, f"failed after {len(steps)} training steps: {exc}"
+                return
+        assert len(steps) == result.epochs_run == len(result.history) >= 1
+        assert all(math.isfinite(rec.total_loss) for rec in result.history)
 
 
 class TestCheckpoint:
