@@ -42,8 +42,9 @@ class Graph:
     Edges are canonical from construction on, whatever their source: self-loops
     are dropped, each pair is oriented ``i < j``, repeats are kept once, and the
     rows are sorted lexicographically. The symmetric CSR adjacency built from
-    them is cached; the loss's neighbor sets, the normalized adjacency and the
-    BFS all read that one matrix.
+    them is cached and is the only adjacency: the sample plan's (anchor,
+    neighbor) pairs and negative pools, the normalized adjacency and the BFS
+    all read that one matrix.
     """
 
     n_nodes: int
@@ -54,7 +55,6 @@ class Graph:
     val_mask: np.ndarray | None = None
     test_mask: np.ndarray | None = None
     _csr: sparse.csr_matrix | None = field(default=None, init=False, repr=False, compare=False)
-    _neighbors: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
@@ -107,15 +107,6 @@ class Graph:
             indptr = np.concatenate([[0], np.cumsum(np.bincount(self.edges.ravel(), minlength=n))])
             self._csr = sparse.csr_matrix((np.ones(keys.size), keys % n, indptr), shape=(n, n))
         return self._csr
-
-    def neighbor_lists(self) -> list[np.ndarray]:
-        """Sorted one-hop neighbors of each node: int64 slices of the CSR."""
-        if self._neighbors is None:
-            adj = self.csr_adjacency()
-            idx = adj.indices.astype(np.int64)
-            bounds = adj.indptr.tolist()
-            self._neighbors = [idx[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-        return self._neighbors
 
 
 def load_graph(directory, split_fractions=(0.6, 0.2, 0.2), split_seed: int = 0) -> Graph:
@@ -208,6 +199,7 @@ def _read_lines(d: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 i, j = int(parts[0]), int(parts[1])
             except (ValueError, IndexError):
                 raise DataError(f"edges.txt line {ln}: expected two integer ids, got {line!r}")
+            _check_int64("edges.txt", ln, i, j)
             pairs.append((i, j))
 
     feat_rows = {}
@@ -222,6 +214,7 @@ def _read_lines(d: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 vals = [float(v) for v in parts[1:]]
             except ValueError:
                 raise DataError(f"features.csv line {ln}: malformed row {line!r}")
+            _check_int64("features.csv", ln, nid)
             if nid in feat_rows:
                 raise DataError(f"features.csv line {ln}: duplicate id {nid}")
             feat_rows[nid] = vals
@@ -237,6 +230,7 @@ def _read_lines(d: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 nid, lab = int(parts[0]), int(parts[1])
             except (ValueError, IndexError):
                 raise DataError(f"labels.csv line {ln}: malformed row {line!r}")
+            _check_int64("labels.csv", ln, nid, lab)
             if nid in label_rows:
                 raise DataError(f"labels.csv line {ln}: duplicate id {nid}")
             label_rows[nid] = lab
@@ -254,6 +248,13 @@ def _read_lines(d: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     features = np.array([feat_rows[i] for i in range(n)], dtype=np.float64)
     labels = np.array([label_rows[i] for i in range(n)], dtype=np.int64)
     return np.array(pairs, dtype=np.int64).reshape(-1, 2), features, labels
+
+
+def _check_int64(name: str, ln: int, *values: int) -> None:
+    """DataError naming the file and line unless every value fits in int64."""
+    for v in values:
+        if not -2 ** 63 <= v < 2 ** 63:
+            raise DataError(f"{name} line {ln}: integer {v} is outside int64")
 
 
 @contextmanager

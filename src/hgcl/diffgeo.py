@@ -22,8 +22,7 @@ def internal_to_ambient(man: Manifold, coords: np.ndarray) -> np.ndarray:
     coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
     if man.kind is Model.POINCARE:
         return coords
-    time = np.sqrt(np.sum(coords * coords, axis=1, keepdims=True) - 1.0 / man.k)
-    return np.concatenate([time, coords], axis=1)
+    return np.concatenate([man.lorentz_time(coords)[:, None], coords], axis=1)
 
 
 def ambient_to_internal(man: Manifold, x: np.ndarray) -> np.ndarray:

@@ -63,9 +63,9 @@ class HpcConfig:
 
 @dataclass
 class SamplePlan:
-    """Per-anchor positive/negative ids for one epoch of contrastive terms."""
+    """One epoch of contrastive ids: m negatives per anchor for each pool, and
+    the tolerance positives as flat (anchor, neighbor) pairs."""
 
-    neighbors: list[np.ndarray]
     neg_intra: np.ndarray  # (n, m)
     neg_inter: np.ndarray  # (n, m)
     edge_anchor: np.ndarray  # flattened (anchor, neighbor) pairs, both directions
@@ -73,7 +73,7 @@ class SamplePlan:
 
     @property
     def n_nodes(self) -> int:
-        return len(self.neighbors)
+        return self.neg_intra.shape[0]
 
     @property
     def num_negatives(self) -> int:
@@ -130,7 +130,7 @@ def build_sample_plan(graph, m: int, rng: np.random.Generator) -> SamplePlan:
         skipped = np.searchsorted(rank_keys, row_keys + ranks, side="right") - start[:, None]
         return ranks + skipped
 
-    return SamplePlan(graph.neighbor_lists(), draw(), draw(), edge_anchor, edge_nbr)
+    return SamplePlan(draw(), draw(), edge_anchor, edge_nbr)
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +188,8 @@ def _pair_scores(man: Manifold, similarity: str, x: np.ndarray, ia: np.ndarray,
                       + 2.0 * k * (ry >= MIN_NORM) * np.bincount(ib, g_den * qa, ny))
             return -g_d2, u_own, u_cand
     else:
-        def lorentz_time(v):
-            return np.sqrt(np.sum(v * v, axis=1) - 1.0 / k)
-
-        tx = lorentz_time(x)
-        ty = tx if y is x else lorentz_time(y)
+        tx = man.lorentz_time(x)
+        ty = tx if y is x else man.lorentz_time(y)
         ta, tb = rows(tx, ia), rows(ty, ib)
         arg = (np.sum(rows(x, ia) * rows(y, ib), axis=1) - ta * tb) * k
 
@@ -288,38 +285,37 @@ def _views(emb: DualEmbedding, view: str):
     return emb.beta, emb.alpha, emb.manifold_beta, emb.manifold_alpha
 
 
+def _anchor_term(man: Manifold, own: Tensor, i: int, cand: Tensor, pos_ids, neg_ids,
+                 cfg: HpcConfig) -> float:
+    """sum over pos_ids of log D(own[i], cand[j]) + lambda_n * sum over neg_ids of
+    log(1 - D(own[i], cand[j])). Each pool is one composed ``pair_probs`` call
+    on gathered rows; its logs are ``math.log``'s, which ``np.log`` can miss
+    by an ulp."""
+    def log_sum(ids, negative):
+        ids = np.asarray(ids, dtype=np.int64)
+        prob = pair_probs(man, ad.gather_rows(own, np.full(ids.size, i)),
+                          ad.gather_rows(cand, ids), cfg).value[:, 0]
+        return math.fsum(map(math.log, (1.0 - prob if negative else prob).tolist()))
+
+    pos = log_sum(pos_ids, False)
+    return pos if cfg.lambda_neg == 0.0 else pos + cfg.lambda_neg * log_sum(neg_ids, True)
+
+
 def mi_consistency(i: int, emb: DualEmbedding, plan: SamplePlan, cfg: HpcConfig,
                    view: str = "alpha") -> float:
     """log D(anchor, transferred same-id node) + lambda_n * sum log(1 - D(negatives))."""
     own, other, man_own, man_other = _views(emb, view)
     transferred = dg.transfer0(man_other, man_own, other)
-    anchor = ad.gather_rows(own, [i])
-    pos = math.log(pair_probs(man_own, anchor, ad.gather_rows(transferred, [i]), cfg).item())
-    if cfg.lambda_neg == 0.0:
-        return pos
-    negs = [
-        math.log(1.0 - pair_probs(man_own, anchor, ad.gather_rows(transferred, [j]), cfg).item())
-        for j in plan.neg_inter[i]
-    ]
-    return pos + cfg.lambda_neg * math.fsum(negs)
+    return _anchor_term(man_own, own, i, transferred, [i], plan.neg_inter[i], cfg)
 
 
 def mi_tolerance(i: int, emb: DualEmbedding, plan: SamplePlan, cfg: HpcConfig,
                  view: str = "alpha") -> float:
-    """sum over one-hop neighbors of log D + lambda_n * sum log(1 - D(intra negatives))."""
+    """sum over one-hop neighbors of log D + lambda_n * sum log(1 - D(intra negatives)).
+    The neighbors are the plan's pairs anchored at i, in any order."""
     own, _, man_own, _ = _views(emb, view)
-    anchor = ad.gather_rows(own, [i])
-    pos = math.fsum(
-        math.log(pair_probs(man_own, anchor, ad.gather_rows(own, [j]), cfg).item())
-        for j in plan.neighbors[i]
-    )
-    if cfg.lambda_neg == 0.0:
-        return pos
-    negs = [
-        math.log(1.0 - pair_probs(man_own, anchor, ad.gather_rows(own, [j]), cfg).item())
-        for j in plan.neg_intra[i]
-    ]
-    return pos + cfg.lambda_neg * math.fsum(negs)
+    nbrs = plan.edge_nbr[plan.edge_anchor == i]
+    return _anchor_term(man_own, own, i, own, nbrs, plan.neg_intra[i], cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -168,9 +168,13 @@ class Manifold:
             norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
             fac = np.where(norms > max_norm, max_norm / np.maximum(norms, MIN_NORM), 1.0)
             return x * fac
-        spatial = x[:, 1:]
-        x[:, :1] = np.sqrt(np.sum(spatial * spatial, axis=1, keepdims=True) - 1.0 / self.k)
+        x[:, 0] = self.lorentz_time(x[:, 1:])
         return x
+
+    def lorentz_time(self, spatial) -> np.ndarray:
+        """Time coordinate sqrt(|s|^2 - 1/K) of spatial rows s, shape (n,); the
+        tape twin is ``diffgeo.lorentz_time``."""
+        return np.sqrt(np.sum(spatial * spatial, axis=1) - 1.0 / self.k)
 
     # -- origin maps and distances -------------------------------------------
 

@@ -108,15 +108,15 @@ def accuracy_score(pred: np.ndarray, labels: np.ndarray) -> float:
 def macro_f1_score(pred: np.ndarray, labels: np.ndarray, n_classes: int) -> float:
     """Unweighted mean of per-class F1; a class absent from both pred and
     truth contributes 0."""
-    f1s = []
-    for c in range(n_classes):
-        tp = float(np.sum((pred == c) & (labels == c)))
-        fp = float(np.sum((pred == c) & (labels != c)))
-        fn = float(np.sum((pred != c) & (labels == c)))
-        prec = tp / (tp + fp) if tp + fp > 0 else 0.0
-        rec = tp / (tp + fn) if tp + fn > 0 else 0.0
-        f1s.append(2 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0)
-    return float(np.mean(f1s))
+    def per_class(ids):
+        return np.bincount(ids, minlength=n_classes)[:n_classes]
+
+    def ratio(num, den):  # 0 where the denominator is 0
+        return np.divide(num, den, out=np.zeros(n_classes), where=den > 0)
+
+    tp = per_class(labels[pred == labels])
+    prec, rec = ratio(tp, per_class(pred)), ratio(tp, per_class(labels))
+    return float(np.mean(ratio(2 * prec * rec, prec + rec)))
 
 
 # ---------------------------------------------------------------------------

@@ -123,8 +123,7 @@ def ray_embedding(man, radii):
 
 
 def empty_plan(n, neg_intra, neg_inter):
-    return SamplePlan([np.empty(0, dtype=np.int64)] * n,
-                      np.asarray(neg_intra, dtype=np.int64),
+    return SamplePlan(np.asarray(neg_intra, dtype=np.int64),
                       np.asarray(neg_inter, dtype=np.int64),
                       np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 

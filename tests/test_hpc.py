@@ -131,9 +131,9 @@ class TestSamplePlan:
 
     def test_negatives_exclude_anchor_and_neighbors(self, ten_node_graph):
         plan = build_sample_plan(ten_node_graph, 3, np.random.default_rng(1))
-        nbrs = ten_node_graph.neighbor_lists()
+        adj = ten_node_graph.csr_adjacency()
         for i in range(10):
-            banned = {i, *nbrs[i]}
+            banned = {i, *adj.indices[adj.indptr[i]:adj.indptr[i + 1]].tolist()}
             assert not (set(plan.neg_intra[i]) & banned)
             assert not (set(plan.neg_inter[i]) & banned)
 
@@ -184,7 +184,8 @@ class TestSamplePlan:
         # triangle {0,1,2}, path 3-4-5, isolated 6 and 7, edge 8-9
         edges = np.array([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (8, 9)])
         g = Graph(10, edges, np.zeros((10, 1)), np.zeros(10, dtype=int))
-        nbrs = g.neighbor_lists()
+        adj = g.csr_adjacency()
+        nbrs = np.split(adj.indices, adj.indptr[1:-1])
         for seed in range(50):
             plan = build_sample_plan(g, 5, np.random.default_rng(seed))
             for neg in (plan.neg_intra, plan.neg_inter):
@@ -292,6 +293,32 @@ class TestMiTerms:
             vals.append(mi_tolerance(0, emb, plan, cfg))
         assert vals[1] < vals[0]
 
+    @pytest.mark.parametrize("view", ["alpha", "beta"])
+    def test_tolerance_reads_unsorted_hand_built_pairs(self, rng, view):
+        man_a, man_b = mf.poincare(2, -1.0), mf.lorentz(2, -0.5)
+        emb = DualEmbedding(
+            Tensor(dg.ambient_to_internal(man_a, man_a.random_points(rng, 6, 2.0))),
+            Tensor(dg.ambient_to_internal(man_b, man_b.random_points(rng, 6, 2.0))),
+            man_a, man_b)
+        cfg = HpcConfig(lambda_neg=0.3, num_negatives=2)
+        nbrs = {0: [1, 2, 5], 1: [0], 2: [0, 3], 3: [2], 4: [], 5: [0]}
+        negs = np.array([[3, 4], [2, 3], [1, 5], [0, 1], [0, 1], [1, 2]])
+        anchor = np.array([i for i in nbrs for _ in nbrs[i]])
+        nbr = np.array([j for i in nbrs for j in nbrs[i]])
+        order = np.random.default_rng(7).permutation(anchor.size)
+        plan = SamplePlan(negs, negs.copy(), anchor[order], nbr[order])
+        own = emb.alpha if view == "alpha" else emb.beta
+        man = man_a if view == "alpha" else man_b
+
+        def prob(i, j):  # the per-pair reference
+            return pair_probs(man, ad.gather_rows(own, [i]), ad.gather_rows(own, [j]),
+                              cfg).item()
+
+        for i in range(6):
+            pos = math.fsum(math.log(prob(i, j)) for j in nbrs[i])
+            neg = math.fsum(math.log(1.0 - prob(i, j)) for j in negs[i])
+            assert mi_tolerance(i, emb, plan, cfg, view) == pos + cfg.lambda_neg * neg
+
 
 class TestHpcLoss:
     def test_matches_per_anchor_term_sum(self, rng):
@@ -311,6 +338,26 @@ class TestHpcLoss:
             for i in range(7))
         expected = -total / (2 * 7)
         assert hpc_loss(emb, plan, cfg).item() == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("similarity", ["distance", "neg_dot"])
+    @pytest.mark.parametrize("include_tolerance", [True, False])
+    def test_matches_mi_sums_with_hub_isolated_node_and_two_components(
+            self, rng, similarity, include_tolerance):
+        # hub 0 with leaves 1-6, leaf chain 6-7; path 8-9-10-11; node 12 isolated
+        edges = [(0, j) for j in range(1, 7)] + [(6, 7), (8, 9), (9, 10), (10, 11)]
+        g = Graph(13, np.array(edges), np.zeros((13, 1)), np.zeros(13, dtype=int))
+        man_a, man_b = mf.poincare(3, -1.3), mf.lorentz(3, -0.7)
+        cfg = HpcConfig(num_negatives=3, lambda_neg=0.8, similarity=similarity)
+        plan = build_sample_plan(g, 3, np.random.default_rng(4))
+        emb = DualEmbedding(
+            Tensor(dg.ambient_to_internal(man_a, man_a.random_points(rng, 13, 2.5))),
+            Tensor(dg.ambient_to_internal(man_b, man_b.random_points(rng, 13, 2.5))),
+            man_a, man_b)
+        terms = [mi_consistency] + ([mi_tolerance] if include_tolerance else [])
+        total = math.fsum(term(i, emb, plan, cfg, view) for term in terms
+                          for view in ("alpha", "beta") for i in range(13))
+        got = hpc_loss(emb, plan, cfg, include_tolerance=include_tolerance).item()
+        assert got == pytest.approx(-total / (2 * 13), abs=1e-10)
 
     def test_infimum_closed_form_on_clique_pair(self):
         g, man, coords = clique_pair_fixture(d_between=40.0)
@@ -357,7 +404,7 @@ class TestHpcLoss:
         emb = same_view_embedding(coords, man)
         plan = build_sample_plan(ten_node_graph, 3, np.random.default_rng(0))
         base = hpc_loss(emb, plan, cfg).item()
-        shuffled = SamplePlan(plan.neighbors, plan.neg_intra[:, ::-1].copy(),
+        shuffled = SamplePlan(plan.neg_intra[:, ::-1].copy(),
                               plan.neg_inter[:, ::-1].copy(), plan.edge_anchor,
                               plan.edge_nbr)
         assert hpc_loss(emb, shuffled, cfg).item() == pytest.approx(base, abs=1e-12)

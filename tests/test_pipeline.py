@@ -170,6 +170,34 @@ class TestMetrics:
         assert pl.macro_f1_score(pred, labels, 3) == \
             pl.macro_f1_score(pred[perm], labels[perm], 3)
 
+    def test_macro_f1_equals_the_per_class_loop(self, rng):
+        def reference(pred, labels, n_classes):
+            f1s = []
+            for c in range(n_classes):
+                tp = float(np.sum((pred == c) & (labels == c)))
+                fp = float(np.sum((pred == c) & (labels != c)))
+                fn = float(np.sum((pred != c) & (labels == c)))
+                prec = tp / (tp + fp) if tp + fp > 0 else 0.0
+                rec = tp / (tp + fn) if tp + fn > 0 else 0.0
+                f1s.append(2 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0)
+            return float(np.mean(f1s))
+
+        absent = {"pred": 0, "labels": 0, "both": 0}
+        for _ in range(500):
+            n_classes = int(rng.integers(1, 8))
+            size = int(rng.integers(1, 30))
+            # drawing from random subsets leaves classes out of pred, labels or both
+            pred = rng.choice(rng.choice(n_classes, int(rng.integers(1, n_classes + 1))), size)
+            labels = rng.choice(rng.choice(n_classes, int(rng.integers(1, n_classes + 1))), size)
+            in_pred, in_labels = set(pred.tolist()), set(labels.tolist())
+            for c in range(n_classes):
+                absent["pred"] += c not in in_pred and c in in_labels
+                absent["labels"] += c in in_pred and c not in in_labels
+                absent["both"] += c not in in_pred | in_labels
+            assert pl.macro_f1_score(pred, labels, n_classes) == reference(pred, labels,
+                                                                           n_classes)
+        assert min(absent.values()) > 0
+
     def test_metrics_range_validated(self):
         with pytest.raises(PipelineError):
             Metrics(accuracy=1.4, macro_f1=0.0)
