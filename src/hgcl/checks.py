@@ -1,12 +1,15 @@
 """Randomized property suites and the named gradient-check registry.
 
 Both the CLI (`manifold-test`, `gradcheck`) and the acceptance tests run
-these, so tolerances live here in one place.
+these, so tolerances live here in one place. ``composed_exp0`` and
+``composed_log0`` are the origin maps as chains of tape primitives: the
+gradient reference of the fused ``diffgeo.exp0``/``diffgeo.log0`` nodes, as
+``hpc.pair_probs`` is for the fused pair pools.
 """
 
 from __future__ import annotations
 
-
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,6 +22,7 @@ from . import manifolds as mf
 from . import pipeline as pl
 from .encoder import Encoder, encode_views
 from .hpc import HpcConfig, build_sample_plan, hpc_loss, pair_log_probs
+from .kernels import ARTANH_CLIP, MIN_NORM
 
 CURVATURES = (-0.5, -1.0, -2.0)
 DIMS = (2, 8, 16)
@@ -136,6 +140,44 @@ def manifold_property_suites(trials: int = 1000, seed: int = 0) -> list[Property
 
 
 # ---------------------------------------------------------------------------
+# Composed origin maps (gradient reference of the fused ones)
+# ---------------------------------------------------------------------------
+
+def composed_exp0(man: mf.Manifold, v: ad.Tensor) -> ad.Tensor:
+    """``diffgeo.exp0`` as a chain of tape primitives."""
+    r = ad.scalar_mul(ad.row_norm(v), man.sqrt_abs_k)
+    f = ad.tanh(r) if man.kind is mf.Model.POINCARE else ad.sinh(r)
+    return ad.mul(v, ad.div(f, r))
+
+
+def composed_log0(man: mf.Manifold, h: ad.Tensor) -> ad.Tensor:
+    """``diffgeo.log0`` as a chain of tape primitives."""
+    sk = man.sqrt_abs_k
+    if man.kind is mf.Model.POINCARE:
+        r = ad.scalar_mul(ad.row_norm(h), sk)
+        return ad.mul(h, ad.div(ad.artanh_clamped(r), r))
+    theta = ad.acosh_clamped(ad.scalar_mul(dg.lorentz_time(man, h), sk))
+    return ad.mul(h, ad.div(theta, ad.clip(ad.sinh(theta), MIN_NORM, np.inf)))
+
+
+def fused_vs_composed(fused, composed, x: np.ndarray, rng) -> float:
+    """Max |fused - composed| gradient of sum(W * map(x)) for a random W,
+    relative to the composed gradient's max; inf if the forwards differ."""
+    w = ad.Tensor(rng.standard_normal(x.shape))
+    grads = []
+    for fn in (fused, composed):
+        p = ad.parameter(x.copy())
+        with ad.Tape() as tape:
+            out = fn(p)
+            tape.backward(ad.reduce_sum(ad.mul(out, w)))
+        grads.append((out.value, p.grad))
+    (out_f, g_f), (out_c, g_c) = grads
+    if not np.array_equal(out_f, out_c):
+        return math.inf
+    return float(np.max(np.abs(g_f - g_c)) / max(np.max(np.abs(g_c)), MIN_NORM))
+
+
+# ---------------------------------------------------------------------------
 # Gradient-check registry
 # ---------------------------------------------------------------------------
 
@@ -209,6 +251,7 @@ def _primitive_cases(seed: int) -> list[GradCheckCase]:
 
 def _geometry_cases(seed: int) -> list[GradCheckCase]:
     rng = np.random.default_rng(seed + 1)
+    rng_fused = np.random.default_rng(seed + 5)
     cases: list[GradCheckCase] = []
     mans = [mf.poincare(4, -1.0), mf.poincare(4, -0.5),
             mf.lorentz(4, -1.0), mf.lorentz(4, -2.0)]
@@ -227,6 +270,33 @@ def _geometry_cases(seed: int) -> list[GradCheckCase]:
             return ad.grad_check(
                 lambda: ad.reduce_sum(ad.square(dg.log0(man, dg.exp0(man, v)))), [v])
         cases.append(GradCheckCase(f"geometry:exp0/log0[{tag}]", "manifold", 1e-4, run_roundtrip))
+
+        # Fused map vs composed chain, with the clamp-active rows: a zero row
+        # and one below MIN_NORM (the norm floor), for log0 on the ball a row
+        # at and one past ARTANH_CLIP, on the hyperboloid the origin and a row
+        # whose acosh argument rounds to <= 1 (the acosh clamp, sinh floor).
+        def run_fused_exp0(man=man):
+            v = man.random_tangents0(rng_fused, 6, 3.0)
+            v[0], v[1] = 0.0, 1e-16
+            return fused_vs_composed(lambda t: dg.exp0(man, t),
+                                     lambda t: composed_exp0(man, t), v, rng_fused)
+
+        def run_fused_log0(man=man):
+            h = dg.ambient_to_internal(man, man.random_points(rng_fused, 6, 3.0))
+            h[0], h[1] = 0.0, 1e-16
+            if man.kind is mf.Model.POINCARE:
+                unit = h[2] / np.sqrt(np.sum(h[2] * h[2]))
+                h[3] = unit * (ARTANH_CLIP / man.sqrt_abs_k)
+                h[4] = unit * (1.0 / man.sqrt_abs_k)
+            else:
+                h[1] = 1e-9
+            return fused_vs_composed(lambda t: dg.log0(man, t),
+                                     lambda t: composed_log0(man, t), h, rng_fused)
+
+        cases.append(GradCheckCase(f"geometry:fused-exp0[{tag}]", "manifold", 1e-12,
+                                   run_fused_exp0))
+        cases.append(GradCheckCase(f"geometry:fused-log0[{tag}]", "manifold", 1e-12,
+                                   run_fused_log0))
 
     def run_transfer():
         src, dst = mf.poincare(4, -1.0), mf.lorentz(4, -0.5)

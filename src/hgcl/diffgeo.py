@@ -1,4 +1,10 @@
-"""Hyperbolic maps composed from autodiff primitives.
+"""Hyperbolic maps on the tape.
+
+The origin maps ``exp0`` and ``log0`` are one tape node each: the forward
+runs the float ops of the composed primitive chain (``checks.composed_exp0``
+/ ``checks.composed_log0``, the gradient reference) and the backward is
+closed form. ``dist_rows`` and ``lorentz_time`` are composed from autodiff
+primitives; ``hpc.pair_log_probs`` fuses the distance for training.
 
 Training-time embeddings are kept in intrinsic (n, dim) coordinates: ball
 coordinates for Poincare, the spatial block for Lorentz (the time coordinate
@@ -13,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .kernels import MIN_NORM
+from .kernels import ARTANH_CLIP, MIN_NORM
 from .manifolds import Manifold, Model, transfer_scale
 
 
@@ -35,27 +41,97 @@ def lorentz_time(man: Manifold, h: Tensor) -> Tensor:
     return ad.sqrt(ad.reduce_sum(ad.square(h), axis=1) - 1.0 / man.k)
 
 
+def _radial(op: str, v: Tensor, scale: np.ndarray, col: np.ndarray, slope) -> Tensor:
+    """``v · scale`` as one tape node, for a per-row ``scale`` that depends on
+    ``v`` only through the (n, 1) column ``col``.
+
+    ``slope()`` returns s with d scale / dv = s · v; it runs in the backward
+    only, so forward-only passes never pay for it. The backward is
+    dL/dv = g · scale + v · (s · rowdot(g, v)). A row whose ``col`` or output
+    is not finite raises :class:`NonFiniteError` naming ``op``: the composed
+    chain raised at its first non-finite intermediate, and a saturated ball
+    map (tanh(inf) / inf = 0) would otherwise hide an overflowed norm.
+    """
+    x = v.value
+    if not np.all(np.isfinite(col)):
+        raise ad.NonFiniteError(f"non-finite values produced by '{op}'")
+
+    def backward(g):
+        grad = g * scale
+        grad += x * (slope() * np.einsum("ij,ij->i", g, x)[:, None])
+        v.accumulate(grad)
+
+    return ad.record(op, x * scale, (v,), backward)
+
+
+def _row_norm(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """max(||x||, MIN_NORM) per row as an (n, 1) column, and where the floor is
+    inactive: the rows whose norm has a nonzero slope."""
+    raw = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+    return np.maximum(raw, MIN_NORM), raw > MIN_NORM
+
+
+# An overflowing row raises NonFiniteError by name in _radial, not a warning.
+_QUIET = dict(over="ignore", invalid="ignore")
+
+
 def exp0(man: Manifold, v: Tensor) -> Tensor:
-    """Exp map at the origin on intrinsic tangent coordinates."""
+    """Exp map at the origin on intrinsic tangent coordinates, one tape node.
+
+    scale = f(r) / r with r = sqrt|K| · max(||v||, MIN_NORM) and f = tanh
+    (ball) or sinh (hyperboloid); bitwise equal to ``Manifold.exp0``.
+    """
     sk = man.sqrt_abs_k
-    r = ad.scalar_mul(ad.row_norm(v), sk)
-    if man.kind is Model.POINCARE:
-        coef = ad.div(ad.tanh(r), r)
-    else:
-        coef = ad.div(ad.sinh(r), r)
-    return ad.mul(v, coef)
+    ball = man.kind is Model.POINCARE
+    with np.errstate(**_QUIET):
+        norm, live = _row_norm(v.value)
+        r = norm * sk
+        f = np.tanh(r) if ball else np.sinh(r)
+
+        def slope():
+            df = 1.0 - f * f if ball else np.cosh(r)
+            return (df / r - f / (r * r)) * (sk / norm) * live
+
+        return _radial("exp0", v, f / r, r, slope)
 
 
 def log0(man: Manifold, h: Tensor) -> Tensor:
-    """Log map at the origin, back to intrinsic tangent coordinates."""
+    """Log map at the origin, back to intrinsic tangent coordinates, one tape
+    node; bitwise equal to ``Manifold.log0`` of the ambient rows.
+
+    Ball: scale = artanh(clip(r)) / r with r = sqrt|K| · max(||h||, MIN_NORM),
+    zero artanh slope from ``ARTANH_CLIP`` on. Hyperboloid: scale =
+    theta / max(sinh theta, MIN_NORM) with theta = acosh(max(sqrt|K| · t, 1))
+    for the time coordinate t, zero slope where the acosh clamp is active.
+    """
     sk = man.sqrt_abs_k
-    if man.kind is Model.POINCARE:
-        r = ad.scalar_mul(ad.row_norm(h), sk)
-        coef = ad.div(ad.artanh_clamped(r), r)
-        return ad.mul(h, coef)
-    theta = ad.acosh_clamped(ad.scalar_mul(lorentz_time(man, h), sk))
-    coef = ad.div(theta, ad.clip(ad.sinh(theta), MIN_NORM, np.inf))
-    return ad.mul(h, coef)
+    with np.errstate(**_QUIET):
+        if man.kind is Model.POINCARE:
+            norm, live = _row_norm(h.value)
+            r = norm * sk
+            rc = np.clip(r, -ARTANH_CLIP, ARTANH_CLIP)
+            f = np.arctanh(rc)
+
+            def slope():
+                df = np.where(r < ARTANH_CLIP, 1.0 / (1.0 - rc * rc), 0.0)
+                return (df / r - f / (r * r)) * (sk / norm) * live
+
+            return _radial("log0", h, f / r, r, slope)
+
+        t = man.lorentz_time(h.value)[:, None]
+        arg = t * sk
+        theta = np.arccosh(np.maximum(arg, 1.0))
+        sinh_floored = np.maximum(np.sinh(theta), MIN_NORM)
+        scale = theta / sinh_floored
+
+        def slope():
+            # d scale / d theta needs no sinh-floor mask: acosh returns no value
+            # in (0, 2e-8), so the floor is active only at theta = 0, where the
+            # cosh term it would drop is 0.
+            d_theta = (1.0 - scale * np.cosh(theta)) / sinh_floored
+            return d_theta * ad.acosh_slope(arg) * (sk / np.maximum(t, MIN_NORM))
+
+        return _radial("log0", h, scale, t, slope)
 
 
 def dist_rows(man: Manifold, a: Tensor, b: Tensor) -> Tensor:

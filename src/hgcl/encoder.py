@@ -2,9 +2,12 @@
 
 Each layer aggregates in the tangent space at the origin: log map the node
 points, average neighbors through the normalized adjacency, apply an affine
-map and activation, and push the result back with the exp map. Euclidean
+map and activation, and push the result back with the exp map. Both origin
+maps are single tape nodes (``diffgeo.exp0``/``diffgeo.log0``). Euclidean
 input features are lifted through the origin exp map, so every intermediate
-embedding satisfies its model constraint by construction.
+embedding satisfies its model constraint by construction. The encoders' output
+views go through ``log0`` once more per training step, in
+:meth:`DualEmbedding.tangent`, which the decoder and the contrastive term share.
 
 Nothing trainable comes before the first layer's neighbor average, so
 ``aggregate(a_norm, log0(lift(features)))`` is a constant of the graph.
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -145,21 +148,41 @@ class Encoder:
 
 @dataclass
 class DualEmbedding:
-    """Per-node embedding pair, one view per manifold (intrinsic coordinates)."""
+    """Per-node embedding pair, one view per manifold (intrinsic coordinates).
+
+    :meth:`tangent` memoizes each view's origin tangent for the active tape, so
+    one training step takes ``log0`` of each view once for all its readers."""
 
     alpha: Tensor
     beta: Tensor
     manifold_alpha: Manifold
     manifold_beta: Manifold
+    _tangents: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def view(self, view: str) -> tuple[Manifold, Tensor]:
+        if view == "alpha":
+            return self.manifold_alpha, self.alpha
+        if view == "beta":
+            return self.manifold_beta, self.beta
+        raise ValueError(f"view must be 'alpha' or 'beta', got {view!r}")
+
+    def tangent(self, view: str) -> Tensor:
+        """``log0`` of one view. Under a tape it is computed once and shared by
+        every reader on that tape; with no tape active it is recomputed on each
+        call, so forward-only probes that edit a view in place see the edit."""
+        tape = ad.Tape.current()
+        memo = self._tangents.get(view)
+        if memo is not None and tape is not None and memo[0] is tape:
+            return memo[1]
+        man, h = self.view(view)
+        out = dg.log0(man, h)
+        if tape is not None:
+            self._tangents[view] = (tape, out)
+        return out
 
     def points(self, view: str) -> np.ndarray:
         """Materialize one view as validated ambient point rows."""
-        if view == "alpha":
-            man, t = self.manifold_alpha, self.alpha
-        elif view == "beta":
-            man, t = self.manifold_beta, self.beta
-        else:
-            raise ValueError(f"view must be 'alpha' or 'beta', got {view!r}")
+        man, t = self.view(view)
         pts = dg.internal_to_ambient(man, t.value)
         man.check_points(pts)
         return pts

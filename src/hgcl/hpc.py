@@ -12,7 +12,10 @@ Training scores every pool with one fused tape primitive,
 route on gathered rows, with the per-node terms computed once on n rows, and
 its backward is closed form (a sparse n x n product per view, no n·m x d
 tensors on the tape). ``pair_probs`` stays as the composed reference that
-the per-anchor ``mi_*`` sums and the parity tests run.
+the per-anchor ``mi_*`` sums and the parity tests run. The cross-view
+positives move each view through the origin tangent space with the fused
+``dg.exp0``/``dg.log0`` nodes, starting from the tangent that the decoder
+shares (``DualEmbedding.tangent``).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from . import diffgeo as dg
 from .autodiff import Tensor
 from .encoder import DualEmbedding
 from .kernels import MIN_NORM
-from .manifolds import Manifold, Model, Point
+from .manifolds import Manifold, Model, Point, transfer_scale
 
 PROB_CLAMP = 1e-7
 
@@ -327,17 +330,28 @@ def hpc_loss(emb: DualEmbedding, plan: SamplePlan, cfg: HpcConfig,
     """-(1/2n) sum_i [consistency(alpha) + consistency(beta)
     + tolerance(alpha) + tolerance(beta)], differentiable in both views.
 
-    Each pool of each view is one ``pair_log_probs`` node; only the two
-    ``transfer0`` chains between the views (and, for ``neg_dot``, one
-    ``log0`` chain per view tensor) are composed on the tape."""
+    Each pool of each view is one ``pair_log_probs`` node. Each view moves
+    into the other's model as ``exp0(target, transfer_scale · tangent)``, the
+    float ops of ``dg.transfer0``, from the view's shared ``emb.tangent``,
+    which ``decode`` reads as well; ``neg_dot`` scores the own-view rows on
+    that tangent too and adds one ``log0`` per transferred view."""
     n = plan.n_nodes
     man_a, man_b = emb.manifold_alpha, emb.manifold_beta
-    alpha, beta = emb.alpha, emb.beta
-    beta_in_alpha = dg.transfer0(man_b, man_a, beta)
-    alpha_in_beta = dg.transfer0(man_a, man_b, alpha)
-    if cfg.similarity == "neg_dot":  # each view goes through log0 once, not once per pool
-        alpha, beta_in_alpha = dg.log0(man_a, alpha), dg.log0(man_a, beta_in_alpha)
-        beta, alpha_in_beta = dg.log0(man_b, beta), dg.log0(man_b, alpha_in_beta)
+
+    def moved(view: str, target: Manifold) -> Tensor:
+        """The view in ``target``'s model (the view itself on its own model)."""
+        source, h = emb.view(view)
+        if source == target:
+            return h
+        return dg.exp0(target, ad.scalar_mul(emb.tangent(view),
+                                             transfer_scale(source, target)))
+
+    beta_in_alpha, alpha_in_beta = moved("beta", man_a), moved("alpha", man_b)
+    if cfg.similarity == "neg_dot":
+        alpha, beta_in_alpha = emb.tangent("alpha"), dg.log0(man_a, beta_in_alpha)
+        beta, alpha_in_beta = emb.tangent("beta"), dg.log0(man_b, alpha_in_beta)
+    else:
+        alpha, beta = emb.alpha, emb.beta
     nodes = np.arange(n)
     anchors = np.repeat(nodes, plan.num_negatives)
 

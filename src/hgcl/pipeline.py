@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from . import diffgeo as dg
 from .autodiff import Tensor
 from .data import Graph, atomic_open, normalize_adjacency
 from .encoder import DualEmbedding, Encoder, EncoderError, encode_views
@@ -193,9 +192,7 @@ class HgclModel:
 
 def decode(emb: DualEmbedding, weight: Tensor, bias: Tensor) -> Tensor:
     """Concatenated origin-tangent readout of both views -> class logits."""
-    za = dg.log0(emb.manifold_alpha, emb.alpha)
-    zb = dg.log0(emb.manifold_beta, emb.beta)
-    z = ad.concat_cols([za, zb])
+    z = ad.concat_cols([emb.tangent("alpha"), emb.tangent("beta")])
     return ad.add(ad.matmul(z, weight), bias)
 
 

@@ -1,13 +1,16 @@
-"""Differentiable geometry vs the numpy manifold kernel (dual route), plus
-finite-difference checks of the compositions."""
+"""Differentiable geometry vs the numpy manifold kernel (dual route), the
+fused origin maps vs their composed primitive chains, plus finite-difference
+checks of the compositions."""
 
 import numpy as np
 import pytest
 
 from hgcl import autodiff as ad
+from hgcl import checks
 from hgcl import diffgeo as dg
 from hgcl import manifolds as mf
 from hgcl.autodiff import Tensor
+from hgcl.kernels import ARTANH_CLIP
 
 MANIFOLDS = [mf.poincare(6, -1.0), mf.poincare(6, -0.5),
              mf.lorentz(6, -1.0), mf.lorentz(6, -2.0)]
@@ -18,9 +21,59 @@ def test_exp0_log0_match_numpy_route(rng, man):
     u = man.random_tangents0(rng, 60, 3.0)
     pts_t = dg.exp0(man, Tensor(u))
     pts_np = dg.ambient_to_internal(man, man.exp0(u))
-    np.testing.assert_allclose(pts_t.value, pts_np, atol=1e-12)
+    np.testing.assert_array_equal(pts_t.value, pts_np)
     back = dg.log0(man, pts_t)
+    np.testing.assert_array_equal(back.value, man.log0(dg.internal_to_ambient(man, pts_t.value)))
     np.testing.assert_allclose(back.value, u, atol=1e-9)
+
+
+FUSED_MANIFOLDS = [mf.Manifold(kind, k, 5) for kind in (mf.Model.POINCARE, mf.Model.LORENTZ)
+                   for k in (-0.3, -1.0, -2.5)]
+
+
+def fused_vs_composed(name, man, x, rng):
+    """Gradient gap to the composed chain (inf if the forwards differ)."""
+    return checks.fused_vs_composed(lambda t: getattr(dg, name)(man, t),
+                                    lambda t: getattr(checks, f"composed_{name}")(man, t),
+                                    x, rng)
+
+
+@pytest.mark.parametrize("name", ["exp0", "log0"])
+@pytest.mark.parametrize("man", FUSED_MANIFOLDS, ids=lambda m: f"{m.kind.value}{m.k}")
+def test_fused_maps_equal_the_composed_chain(rng, man, name):
+    # Norms from 1e-9 to 3 with a zero row: the forwards agree bit for bit,
+    # the gradients to 1e-12 of their largest entry.
+    for norm in (1e-9, 1e-4, 0.3, 1.0, 3.0):
+        u = man.random_tangents0(rng, 40, 2.0) * norm
+        u[0] = 0.0
+        x = u if name == "exp0" else dg.ambient_to_internal(man, man.exp0(u))
+        assert fused_vs_composed(name, man, x, rng) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["exp0", "log0"])
+@pytest.mark.parametrize("man", MANIFOLDS, ids=lambda m: f"{m.kind.value}{m.k}")
+def test_overflowing_row_names_the_fused_map(man, name):
+    # Warnings stay errors here: the map must raise by name, not warn.
+    x = np.full((3, 6), 0.1)
+    x[1] = 1e200
+    with pytest.raises(ad.NonFiniteError, match=f"^non-finite values produced by '{name}'$"):
+        getattr(dg, name)(man, Tensor(x))
+    with ad.Tape(), pytest.raises(ad.NonFiniteError, match=f"'{name}'"):
+        getattr(dg, name)(man, ad.parameter(x))
+
+
+@pytest.mark.parametrize("name", ["exp0", "log0"])
+@pytest.mark.parametrize("man", MANIFOLDS, ids=lambda m: f"{m.kind.value}{m.k}")
+def test_clamped_rows_get_the_composed_gradient(rng, man, name):
+    # A zero row (norm floor, and the acosh clamp of the hyperboloid log0) and,
+    # for the ball log0, rows at and past ARTANH_CLIP.
+    x = 0.3 * rng.standard_normal((5, 6))
+    x[0] = 0.0
+    if name == "log0" and man.kind is mf.Model.POINCARE:
+        unit = x[1] / np.sqrt(np.sum(x[1] * x[1]))
+        x[2] = unit * (ARTANH_CLIP / man.sqrt_abs_k)
+        x[3] = unit / man.sqrt_abs_k
+    assert fused_vs_composed(name, man, x, rng) <= 1e-12  # NaN fails too
 
 
 @pytest.mark.parametrize("man", MANIFOLDS, ids=lambda m: f"{m.kind.value}{m.k}")

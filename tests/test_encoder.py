@@ -9,7 +9,8 @@ from hgcl import diffgeo as dg
 from hgcl import manifolds as mf
 from hgcl.autodiff import Tensor
 from hgcl.data import normalize_adjacency
-from hgcl.encoder import Encoder, EncoderError, HgnnLayer, encode_views, lift_features
+from hgcl.encoder import (DualEmbedding, Encoder, EncoderError, HgnnLayer, encode_views,
+                          lift_features)
 
 
 class TestLiftFeatures:
@@ -245,3 +246,48 @@ class TestFirstStageMemo:
                 assert enc.clamped_rows == 1
                 enc.clamped_rows = -1
         assert np.array_equal(cached, uncached)
+
+
+class TestSharedTangent:
+    """``DualEmbedding.tangent``: one ``log0`` per view and tape, equal to
+    ``dg.log0`` bit for bit."""
+
+    def embedding(self, rng):
+        man_a, man_b = mf.poincare(3, -1.0), mf.lorentz(3, -0.5)
+        ha = ad.parameter(man_a.random_points(rng, 7, 2.0))
+        hb = ad.parameter(dg.ambient_to_internal(man_b, man_b.random_points(rng, 7, 2.0)))
+        return DualEmbedding(ha, hb, man_a, man_b)
+
+    def test_one_node_per_view_under_a_tape(self, rng):
+        emb = self.embedding(rng)
+        with ad.Tape() as tape:
+            first = {v: emb.tangent(v) for v in ("alpha", "beta")}
+            again = {v: emb.tangent(v) for v in ("alpha", "beta")}
+        assert all(first[v] is again[v] for v in first)
+        assert [node._op for node in tape.nodes] == ["log0", "log0"]
+        np.testing.assert_array_equal(first["alpha"].value,
+                                      dg.log0(emb.manifold_alpha, emb.alpha).value)
+        np.testing.assert_array_equal(first["beta"].value,
+                                      dg.log0(emb.manifold_beta, emb.beta).value)
+
+    def test_each_tape_gets_its_own_node(self, rng):
+        emb = self.embedding(rng)
+        with ad.Tape():
+            old = emb.tangent("alpha")
+        with ad.Tape() as tape:
+            new = emb.tangent("alpha")
+            tape.backward(ad.reduce_sum(new))
+        assert new is not old and tape.nodes[0] is new
+        assert emb.alpha.grad is not None
+
+    def test_no_tape_recomputes_and_sees_edits(self, rng):
+        emb = self.embedding(rng)
+        before = emb.tangent("beta")
+        emb.beta.value[0, 0] += 0.1
+        after = emb.tangent("beta")
+        assert after is not before
+        assert not np.array_equal(after.value, before.value)
+
+    def test_unknown_view_rejected(self, rng):
+        with pytest.raises(ValueError, match="view must be"):
+            self.embedding(rng).tangent("gamma")

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -263,7 +264,7 @@ class TestTrain:
         g = masked(synthetic_tree(3, 4, noise=1.0), seed=0)
         cfg = TrainConfig(epochs=30, patience=30, lr=100.0, grad_clip=1e9)
         with pytest.raises(PipelineError, match=r"^epoch 0, validation: layer 1: non-finite "
-                                                r"values produced by 'sinh'") as info:
+                                                r"values produced by 'exp0'") as info:
             train(g, cfg)
         assert isinstance(info.value.__cause__, EncoderError)
 
@@ -330,6 +331,53 @@ def small_datasets(draw):
     return (data_mod.Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2),
                            np.array(values).reshape(n, width), np.array(labels)),
             draw(st.sampled_from(pl.ABLATIONS)), draw(st.integers(0, 3)))
+
+
+class TestTapeSize:
+    """One training step: the origin maps are one tape node each, and the
+    decoder and the contrastive term share each view's log0."""
+
+    @pytest.mark.parametrize("ablation, n_exp0, n_log0, n_nodes", [
+        ("full", 6, 4, 45),  # 4 encoder exp0 + 2 transfers; 2 encoder + 2 shared log0
+        ("no_hpc", 4, 4, 23),
+    ])
+    def test_one_step(self, monkeypatch, ablation, n_exp0, n_log0, n_nodes):
+        stage, tangents, before_ce = [None], [], []
+        real_tangent, real_ce = DualEmbedding.tangent, pl.cross_entropy
+
+        def within(name, fn):
+            def wrapped(*args, **kwargs):
+                stage.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    stage.pop()
+            return wrapped
+
+        def recording_tangent(self, view):
+            out = real_tangent(self, view)
+            if ad.Tape.current() is not None:
+                tangents.append((stage[-1], view, out))
+            return out
+
+        def counting_ce(*args):
+            before_ce.append(list(ad.Tape.current().nodes))
+            return real_ce(*args)
+
+        monkeypatch.setattr(DualEmbedding, "tangent", recording_tangent)
+        monkeypatch.setattr(pl, "decode", within("decode", pl.decode))
+        monkeypatch.setattr(pl, "hpc_loss", within("hpc_loss", pl.hpc_loss))
+        monkeypatch.setattr(pl, "cross_entropy", counting_ce)
+        train(masked(synthetic_tree(3, 5)), TrainConfig(epochs=1, patience=1, ablation=ablation))
+
+        [nodes] = before_ce
+        ops = Counter(node._op for node in nodes)
+        assert (ops["exp0"], ops["log0"], len(nodes)) == (n_exp0, n_log0, n_nodes)
+        readers = {"decode", "hpc_loss"} if ablation == "full" else {"decode"}
+        for view in ("alpha", "beta"):
+            seen = [(where, t) for where, v, t in tangents if v == view]
+            assert {where for where, _ in seen} == readers
+            assert all(t is seen[0][1] for _, t in seen)
 
 
 class TestSmallRandomGraphs:
