@@ -63,6 +63,8 @@ def _each_manifold(trials: int):
 
 def manifold_property_suites(trials: int = 1000, seed: int = 0) -> list[PropertyResult]:
     """Run every geometric property sweep; `trials` counts per model and suite."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     rng = np.random.default_rng(seed)
     r_sym = PropertyResult("distance symmetry/identity/nonneg", 0, 1e-9, 0.0, 0)
     r_tri = PropertyResult("triangle inequality slack", 0, 1e-8, 0.0, 0)

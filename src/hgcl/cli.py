@@ -240,16 +240,20 @@ def cmd_delta(args) -> int:
 def cmd_heatmap(args) -> int:
     graph, _ = _load_dataset(args)
     model = pl.HgclModel.load(args.model)
+    usage = f"--nodes wants 'default', 'per_class:K' or id list, got {args.nodes!r}"
     if args.nodes == "default":
         node_ids = pl.default_heatmap_nodes(graph)
     elif args.nodes.startswith("per_class:"):
-        node_ids = pl.default_heatmap_nodes(graph, per_class=int(args.nodes.split(":")[1]),
-                                            n_classes=graph.n_classes)
+        try:
+            per_class = int(args.nodes.removeprefix("per_class:"))
+        except ValueError:
+            raise CliError(usage)
+        node_ids = pl.default_heatmap_nodes(graph, per_class=per_class, n_classes=graph.n_classes)
     else:
         try:
             node_ids = np.array([int(v) for v in args.nodes.split(",")], dtype=np.int64)
         except ValueError:
-            raise CliError(f"--nodes wants 'default', 'per_class:K' or id list, got {args.nodes!r}")
+            raise CliError(usage)
     out = Path(args.out)
     if out.parent and not out.parent.exists():
         out.parent.mkdir(parents=True, exist_ok=True)

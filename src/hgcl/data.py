@@ -421,6 +421,8 @@ def gromov_delta_report(graph: Graph, num_quadruples: int | None = None, seed: i
     paths of the largest component, with the mode and component size used.
     Exact enumeration for n <= 60 (or on request), otherwise a sampled lower
     bound."""
+    if num_quadruples is not None and num_quadruples < 1:
+        raise DataError(f"num_quadruples must be >= 1, got {num_quadruples}")
     nodes = _largest_component(graph)
     n = len(nodes)
     if n < 4:

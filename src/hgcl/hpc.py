@@ -4,7 +4,7 @@ Positives for an anchor are the same node in the other view (consistency)
 plus its one-hop neighbors in the same view (tolerance); negatives are m
 uniform draws per anchor from the nodes that are neither the anchor nor its
 neighbors, drawn independently for the intra-view and inter-view pools.
-Pair similarity runs through a distance-aware discriminator
+Pair similarity is the distance-aware probability ``pair_probs``,
 sigma((b - d)/tau), clamped away from {0, 1} before any log.
 
 Training scores every pool with one fused tape primitive,
@@ -32,7 +32,7 @@ from . import diffgeo as dg
 from .autodiff import Tensor
 from .encoder import DualEmbedding
 from .kernels import MIN_NORM
-from .manifolds import Manifold, Model, Point, transfer_scale
+from .manifolds import Manifold, Model, transfer_scale
 
 PROB_CLAMP = 1e-7
 
@@ -266,16 +266,6 @@ def _pool_log_probs(man: Manifold, own: Tensor, ia, cand: Tensor, ib, cfg: HpcCo
             cand.accumulate(u_cand[:, None] * y + pairs.T @ x)
 
     return ad.record("pair_log_probs", value, (own,) if same else (own, cand), backward)
-
-
-def discriminator(x: Point, y: Point, cfg: HpcConfig = HpcConfig()) -> float:
-    """Probability that the pair (x, y) is a positive; decreasing in distance."""
-    if x.manifold != y.manifold:
-        raise ValueError(f"manifold mismatch: {x.manifold} vs {y.manifold}")
-    man = x.manifold
-    ai = dg.ambient_to_internal(man, x.coords[None, :])
-    bi = dg.ambient_to_internal(man, y.coords[None, :])
-    return pair_probs(man, Tensor(ai), Tensor(bi), cfg).item()
 
 
 # ---------------------------------------------------------------------------

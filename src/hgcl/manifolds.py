@@ -20,7 +20,7 @@ autodiff tape, and the two check each other.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,14 +49,12 @@ def _rows(x) -> np.ndarray:
 
 
 def lorentz_inner(x, y):
-    """Minkowski product -x0*y0 + sum_i x_i*y_i for 1-D or row-batch input."""
+    """Rowwise Minkowski product -x0*y0 + sum_i x_i*y_i, validated."""
     x, y = _coerce(x), _coerce(y)
     if x.shape != y.shape:
         raise GeometryError(f"dimension mismatch: {x.shape} vs {y.shape}")
     if x.shape[-1] < 2:
         raise GeometryError("Lorentz vectors need ambient dimension >= 2")
-    if x.ndim == 1:
-        return float(np.dot(x[1:], y[1:]) - x[0] * y[0])
     return lorentz_inner_rows(x, y)
 
 
@@ -150,16 +148,6 @@ class Manifold:
             if np.any(x[:, 0] <= 0):
                 raise GeometryError("Lorentz point(s) not on the upper sheet")
 
-    def check_tangent(self, x, v, atol: float = 1e-6) -> None:
-        if self.kind is Model.LORENTZ:
-            x2, v2 = np.atleast_2d(_coerce(x)), np.atleast_2d(_coerce(v))
-            res = lorentz_inner_rows(v2, x2)
-            scale = 1.0 + np.sqrt(np.sum(v2 * v2, axis=1) * np.sum(x2 * x2, axis=1))
-            if np.any(np.abs(res) > atol * scale):
-                raise GeometryError(
-                    f"tangency violated: max |<v,x>_L| = {np.max(np.abs(res)):.3e}"
-                )
-
     def project(self, x) -> np.ndarray:
         """Snap rows back onto the manifold (boundary guard / sheet repair)."""
         x = np.atleast_2d(_coerce(x)).copy()
@@ -179,8 +167,7 @@ class Manifold:
     # -- origin maps and distances -------------------------------------------
 
     def dist(self, x, y):
-        """Geodesic distance per row; a float for 1-D points."""
-        squeeze = np.ndim(x) == 1
+        """Geodesic distance per row."""
         x, y = _rows(x), _rows(y)
         k = self.k
         if self.kind is Model.POINCARE:
@@ -197,7 +184,7 @@ class Manifold:
             same = np.all(x == y, axis=1)
             if np.any(same):
                 d = np.where(same, 0.0, d)
-        return float(d[0]) if squeeze else d
+        return d
 
     def pairwise_dist(self, x, y=None):
         """(rows of x, rows of y) distance matrix; zero diagonal for x alone."""
@@ -225,30 +212,24 @@ class Manifold:
         Poincare takes/returns length-``dim`` rows; Lorentz takes the spatial
         block and returns ambient rows.
         """
-        squeeze = np.ndim(v) == 1
         v = _rows(v)
         sk = np.sqrt(-self.k)
         r = np.maximum(np.sqrt(np.sum(v * v, axis=1, keepdims=True)), MIN_NORM)
         if self.kind is Model.POINCARE:
-            out = np.tanh(sk * r) / (sk * r) * v
-        else:
-            time = np.cosh(sk * r) / sk
-            out = np.concatenate([time, np.sinh(sk * r) / (sk * r) * v], axis=1)
-        return out[0] if squeeze else out
+            return np.tanh(sk * r) / (sk * r) * v
+        time = np.cosh(sk * r) / sk
+        return np.concatenate([time, np.sinh(sk * r) / (sk * r) * v], axis=1)
 
     def log0(self, x):
         """Log map at the origin, returned in intrinsic tangent coordinates
         (the spatial block for Lorentz)."""
-        squeeze = np.ndim(x) == 1
         x = _rows(x)
         sk = np.sqrt(-self.k)
         if self.kind is Model.POINCARE:
             r = np.maximum(np.sqrt(np.sum(x * x, axis=1, keepdims=True)), MIN_NORM)
-            out = np.arctanh(np.clip(sk * r, -ARTANH_CLIP, ARTANH_CLIP)) / (sk * r) * x
-        else:
-            theta = np.arccosh(np.maximum(sk * x[:, :1], 1.0))
-            out = theta / np.maximum(np.sinh(theta), MIN_NORM) * x[:, 1:]
-        return out[0] if squeeze else out
+            return np.arctanh(np.clip(sk * r, -ARTANH_CLIP, ARTANH_CLIP)) / (sk * r) * x
+        theta = np.arccosh(np.maximum(sk * x[:, :1], 1.0))
+        return theta / np.maximum(np.sinh(theta), MIN_NORM) * x[:, 1:]
 
     def tangent0_to_ambient(self, u):
         """Intrinsic origin-tangent coordinates -> ambient tangent at the origin."""
@@ -404,115 +385,6 @@ def gyration_rows(u, v, w, k):
 
 
 # ---------------------------------------------------------------------------
-# Point / tangent wrappers (validated, single point)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class Point:
-    """A validated point on a manifold."""
-
-    coords: np.ndarray
-    manifold: Manifold
-
-    def __post_init__(self):
-        c = _coerce(self.coords)
-        if c.ndim != 1:
-            raise GeometryError(f"Point wants a 1-D coordinate vector, got shape {c.shape}")
-        self.manifold.check_points(c)
-        object.__setattr__(self, "coords", c)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Point)
-            and self.manifold == other.manifold
-            and np.array_equal(self.coords, other.coords)
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class Tangent:
-    """A validated tangent vector at a base point."""
-
-    coords: np.ndarray
-    base: Point
-    manifold: Manifold = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        man = self.manifold or self.base.manifold
-        object.__setattr__(self, "manifold", man)
-        c = _coerce(self.coords)
-        if c.shape != (man.ambient_dim,):
-            raise GeometryError(
-                f"tangent ambient dimension {c.shape} != ({man.ambient_dim},)"
-            )
-        man.check_tangent(self.base.coords, c)
-        object.__setattr__(self, "coords", c)
-
-
-def _same_manifold(a: Point, b: Point) -> Manifold:
-    if a.manifold != b.manifold:
-        raise GeometryError(f"manifold mismatch: {a.manifold} vs {b.manifold}")
-    return a.manifold
-
-
-def mobius_add(x: Point, y: Point) -> Point:
-    man = _same_manifold(x, y)
-    if man.kind is not Model.POINCARE:
-        raise GeometryError("Mobius addition is defined on the Poincare ball only")
-    out = mobius_add_rows(x.coords, y.coords, man.k)[0]
-    if np.sqrt(np.sum(out * out)) >= man.ball_radius * (1.0 - 1e-12):
-        raise GeometryError("Mobius sum reached the ball boundary (numerical overflow)")
-    return Point(out, man)
-
-
-def gyration(x: Point, y: Point, v) -> np.ndarray:
-    man = _same_manifold(x, y)
-    if man.kind is not Model.POINCARE:
-        raise GeometryError("gyration is defined on the Poincare ball only")
-    return gyration_rows(x.coords, y.coords, v, man.k)[0]
-
-
-def distance(x: Point, y: Point) -> float:
-    man = _same_manifold(x, y)
-    return man.dist(x.coords, y.coords)
-
-
-def conformal_factor(x: Point) -> float:
-    return float(x.manifold.conformal_factor(x.coords)[0, 0])
-
-
-def metric_norm(v: Tangent) -> float:
-    return float(v.manifold.metric_norm(v.base.coords, v.coords)[0])
-
-
-def exp_map(base: Point, v: Tangent) -> Point:
-    if not np.array_equal(v.base.coords, base.coords):
-        raise GeometryError("tangent is not based at the given point")
-    out = base.manifold.expmap(base.coords, v.coords)[0]
-    return Point(out, base.manifold)
-
-
-def log_map(base: Point, y: Point) -> Tangent:
-    man = _same_manifold(base, y)
-    out = man.logmap(base.coords, y.coords)[0]
-    return Tangent(out, base)
-
-
-def parallel_transport(x: Point, y: Point, v: Tangent) -> Tangent:
-    man = _same_manifold(x, y)
-    out = man.transport(x.coords, y.coords, v.coords)[0]
-    return Tangent(out, y)
-
-
-def project_tangent_lorentz(x: Point, v) -> Tangent:
-    man = x.manifold
-    if man.kind is not Model.LORENTZ:
-        raise GeometryError("tangent projection targets the Lorentz model")
-    out = man.project_tangent(x.coords, v)[0]
-    return Tangent(out, x)
-
-
-# ---------------------------------------------------------------------------
 # Cross-model isometry and cross-manifold transfer
 # ---------------------------------------------------------------------------
 
@@ -533,22 +405,6 @@ def to_poincare_rows(y, k):
     y = np.atleast_2d(_coerce(y))
     sk = np.sqrt(-k)
     return y[:, 1:] / (1.0 + sk * y[:, :1])
-
-
-def to_lorentz(x: Point) -> Point:
-    man = x.manifold
-    if man.kind is not Model.POINCARE:
-        raise GeometryError("to_lorentz expects a Poincare point")
-    out = to_lorentz_rows(x.coords, man.k)[0]
-    return Point(out, lorentz(man.dim, man.k, max_tangent_norm=man.max_tangent_norm))
-
-
-def to_poincare(y: Point) -> Point:
-    man = y.manifold
-    if man.kind is not Model.LORENTZ:
-        raise GeometryError("to_poincare expects a Lorentz point")
-    out = to_poincare_rows(y.coords, man.k)[0]
-    return Point(out, poincare(man.dim, man.k, max_tangent_norm=man.max_tangent_norm))
 
 
 def transfer_scale(source: Manifold, target: Manifold) -> float:
@@ -572,8 +428,3 @@ def transfer_rows(h, source: Manifold, target: Manifold):
         return np.atleast_2d(_coerce(h))
     u = source.log0(np.atleast_2d(_coerce(h)))
     return target.exp0(transfer_scale(source, target) * u)
-
-
-def transfer(h: Point, target: Manifold) -> Point:
-    out = transfer_rows(h.coords, h.manifold, target)[0]
-    return Point(out, target)

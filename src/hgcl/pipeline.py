@@ -352,6 +352,8 @@ def train(graph: Graph, config: TrainConfig) -> TrainResult:
 
 def default_heatmap_nodes(graph: Graph, per_class: int = 20, n_classes: int = 2) -> np.ndarray:
     """Lowest-id nodes of the first classes: per_class each."""
+    if per_class < 1:
+        raise PipelineError(f"per_class must be >= 1, got {per_class}")
     picks = []
     for c in sorted(np.unique(graph.labels))[:n_classes]:
         ids = np.flatnonzero(graph.labels == c)[:per_class]

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hgcl import checks
+from hgcl import checks, kernels
 from hgcl.cli import CONFIG_KEYS, HPC_KEYS, RUNTIME_EXIT, build_parser, main
 from hgcl.hpc import HpcConfig
 from hgcl.pipeline import TrainConfig
@@ -229,6 +229,25 @@ class TestOtherCommands:
                    "--nodes", "zap", "--out", str(tmp_path / "h.csv")])
         assert rc == 1
 
+    @pytest.mark.parametrize("spec, code, message", [
+        ("per_class:x", 1, "--nodes wants"),
+        ("per_class:0", RUNTIME_EXIT, "per_class must be >= 1, got 0"),
+        ("per_class:-2", RUNTIME_EXIT, "per_class must be >= 1, got -2"),
+    ], ids=["unparsed", "zero", "negative"])
+    def test_heatmap_bad_per_class_writes_nothing(self, tmp_path, capsys, spec, code, message):
+        out = tmp_path / "run"
+        main(["train", "--synthetic", "2,3,8,0.2", "--out", str(out)] + FAST_TRAIN)
+        capsys.readouterr()
+        csv_path = tmp_path / "h.csv"
+        rc = main(["heatmap", "--synthetic", "2,3,8,0.2",
+                   "--model", str(out / "model_seed0.npz"),
+                   "--nodes", spec, "--out", str(csv_path)])
+        assert rc == code
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not csv_path.exists()
+
 
 class TestExitCodes:
     def test_usage_error_is_exit_1(self):
@@ -266,6 +285,26 @@ class TestExitCodes:
         assert rc == RUNTIME_EXIT
         assert message in capsys.readouterr().err
         assert not list(out.glob("metrics_seed*"))
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_delta_samples_below_one_is_exit_2_before_any_bfs(self, capsys, monkeypatch,
+                                                               samples):
+        def no_bfs(*args):
+            raise AssertionError("BFS ran")
+
+        monkeypatch.setattr(kernels, "bfs_all_pairs", no_bfs)
+        rc = main(["delta", "--synthetic", "2,6", "--samples", samples])
+        assert rc == RUNTIME_EXIT
+        captured = capsys.readouterr()
+        assert f"num_quadruples must be >= 1, got {samples}" in captured.err
+        assert captured.out == ""
+
+    def test_manifold_test_negative_trials_is_exit_2(self, capsys):
+        rc = main(["manifold-test", "--trials", "-5"])
+        assert rc == RUNTIME_EXIT
+        captured = capsys.readouterr()
+        assert "trials must be >= 0, got -5" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("key, value", [
         ("epochs", 12.9), ("epochs", 15.0), ("hidden_dim", True), ("lr", False),

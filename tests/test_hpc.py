@@ -1,4 +1,4 @@
-"""Contrastive loss: sampler, discriminator, MI terms, full objective."""
+"""Contrastive loss: sampler, pair probability, MI terms, full objective."""
 
 import itertools
 import math
@@ -13,9 +13,8 @@ from hgcl import manifolds as mf
 from hgcl.autodiff import Tape, Tensor
 from hgcl.data import Graph, synthetic_tree
 from hgcl.encoder import DualEmbedding
-from hgcl.hpc import (HpcConfig, SamplePlan, SamplingError, build_sample_plan,
-                      discriminator, hpc_loss, mi_consistency, mi_tolerance, pair_log_probs,
-                      pair_probs)
+from hgcl.hpc import (HpcConfig, SamplePlan, SamplingError, build_sample_plan, hpc_loss,
+                      mi_consistency, mi_tolerance, pair_log_probs, pair_probs)
 
 
 def sigmoid(v):
@@ -96,15 +95,6 @@ class TestDiscriminator:
         d = man.dist(man.origin_rows(1000), man.exp0(pts * 0 + pts))  # sanity only
         order = np.argsort(radii)
         assert np.all(np.diff(probs[order]) < 0)
-
-    def test_point_api_checks_manifolds(self, rng):
-        m1, m2 = mf.poincare(3, -1.0), mf.poincare(3, -2.0)
-        p = mf.Point(m1.random_points(rng, 1, 1.0)[0], m1)
-        q = mf.Point(m2.random_points(rng, 1, 1.0)[0], m2)
-        with pytest.raises(ValueError):
-            discriminator(p, q)
-        val = discriminator(p, mf.Point(m1.random_points(rng, 1, 1.0)[0], m1))
-        assert 0.0 < val < 1.0
 
 
 @pytest.fixture(scope="module")

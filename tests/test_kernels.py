@@ -148,11 +148,18 @@ def test_route_follows_the_level_bound(monkeypatch, n, edges, frontier):
     np.testing.assert_array_equal(d, bfs_reference(n, edges))
 
 
-def test_kernels_module_exposes_all_names():
-    own = {name for name, v in vars(kernels).items()
+@pytest.mark.parametrize("module, names", [
+    (kernels, {"MIN_NORM", "ARTANH_CLIP", "backend_name", "bfs_all_pairs",
+               "four_point_delta_exact", "four_point_delta_quads"}),
+    # The numpy geometry is the row API alone: no single-point wrappers.
+    (mf, {"MIN_NORM", "ARTANH_CLIP", "BALL_GUARD", "GeometryError", "Model", "Manifold",
+          "poincare", "lorentz", "lorentz_inner", "lorentz_inner_rows", "mobius_add_rows",
+          "gyration_rows", "to_lorentz_rows", "to_poincare_rows", "transfer_rows",
+          "transfer_scale"}),
+], ids=["kernels", "manifolds"])
+def test_kernels_module_exposes_all_names(module, names):
+    own = {name for name, v in vars(module).items()
            if not name.startswith("_") and not inspect.ismodule(v)
-           and getattr(v, "__module__", kernels.__name__) == kernels.__name__}
-    assert own == {"MIN_NORM", "ARTANH_CLIP", "backend_name", "bfs_all_pairs",
-                   "four_point_delta_exact", "four_point_delta_quads"}
+           and getattr(v, "__module__", module.__name__) == module.__name__}
+    assert own == names
     assert kernels.backend_name() == "numpy"
-    assert callable(mf.mobius_add_rows) and callable(mf.lorentz_inner_rows)

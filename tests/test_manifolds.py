@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hgcl import manifolds as mf
-from hgcl.manifolds import GeometryError, Model, Point, Tangent
+from hgcl.manifolds import GeometryError, Model
 
 
 def ball(dim=4, k=-1.0, **kw):
@@ -33,36 +33,36 @@ class TestTypes:
     def test_poincare_point_outside_ball_rejected(self):
         m = ball(3, -1.0)
         with pytest.raises(GeometryError):
-            Point(np.array([0.8, 0.8, 0.0]), m)  # norm > 1
+            m.check_points(np.array([[0.1, 0.0, 0.0], [0.8, 0.8, 0.0]]))  # norm > 1
 
     def test_poincare_radius_scales_with_curvature(self):
         m = ball(2, -4.0)  # radius 1/2
-        Point(np.array([0.45, 0.0]), m)
+        m.check_points(np.array([[0.45, 0.0]]))
         with pytest.raises(GeometryError):
-            Point(np.array([0.55, 0.0]), m)
+            m.check_points(np.array([[0.55, 0.0]]))
 
     def test_lorentz_point_off_sheet_rejected(self):
         m = hyp(2, -1.0)
-        Point(np.array([1.0, 0.0, 0.0]), m)
-        with pytest.raises(GeometryError):
-            Point(np.array([1.1, 0.0, 0.0]), m)
-        with pytest.raises(GeometryError):
-            Point(np.array([-1.0, 0.0, 0.0]), m)  # lower sheet
+        m.check_points(np.array([[1.0, 0.0, 0.0]]))
+        with pytest.raises(GeometryError, match="off the hyperboloid"):
+            m.check_points(np.array([[1.0, 0.0, 0.0], [1.1, 0.0, 0.0]]))
+        with pytest.raises(GeometryError, match="upper sheet"):
+            m.check_points(np.array([[-1.0, 0.0, 0.0]]))  # lower sheet
 
     def test_lorentz_tangent_requires_orthogonality(self, rng):
         m = hyp(3, -1.0)
-        x = Point(m.random_points(rng, 1, 2.0)[0], m)
-        with pytest.raises(GeometryError):
-            Tangent(np.array([1.0, 0.0, 0.0, 0.0]), x)
-        ok = m.project_tangent(x.coords, rng.standard_normal(4))[0]
-        Tangent(ok, x)  # no raise
+        x = m.random_points(rng, 1, 2.0)
+        assert abs(mf.lorentz_inner(np.array([[1.0, 0.0, 0.0, 0.0]]), x)[0]) > 1.0
+        ok = m.project_tangent(x, rng.standard_normal(4))
+        scale = 1.0 + np.linalg.norm(ok) * np.linalg.norm(x)
+        assert abs(mf.lorentz_inner(ok, x)[0]) <= 1e-6 * scale
 
     def test_conformal_factor_positive_and_matches_definition(self, rng):
         m = ball(5, -0.7)
-        x = Point(m.random_points(rng, 1, 3.0)[0], m)
-        lam = mf.conformal_factor(x)
-        assert lam > 0
-        assert lam == pytest.approx(2.0 / (1.0 + m.k * np.sum(x.coords ** 2)), rel=1e-12)
+        x = m.random_points(rng, 50, 3.0)
+        lam = m.conformal_factor(x)[:, 0]
+        assert np.all(lam > 0)
+        np.testing.assert_allclose(lam, 2.0 / (1.0 + m.k * np.sum(x ** 2, axis=1)), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -71,12 +71,14 @@ class TestTypes:
 
 class TestLorentzInner:
     def test_basis_example(self):
-        assert mf.lorentz_inner(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == -1.0
+        e0 = np.array([[1.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(mf.lorentz_inner(e0, e0), [-1.0, 1.0])
 
     @pytest.mark.parametrize("k", [-0.5, -1.0, -2.0])
     def test_origin_self_product_is_inverse_curvature(self, k):
         m = hyp(3, k)
-        assert mf.lorentz_inner(m.origin, m.origin) == pytest.approx(1.0 / k, rel=1e-12)
+        o = m.origin_rows(3)
+        np.testing.assert_allclose(mf.lorentz_inner(o, o), 1.0 / k, rtol=1e-12)
 
     def test_random_points_satisfy_constraint(self, rng):
         for k in (-0.5, -1.0, -2.0):
@@ -87,7 +89,7 @@ class TestLorentzInner:
 
     def test_dimension_mismatch(self):
         with pytest.raises(GeometryError):
-            mf.lorentz_inner(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+            mf.lorentz_inner(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -97,24 +99,22 @@ class TestLorentzInner:
 class TestMobius:
     def test_identity_element(self, rng):
         m = ball()
-        x = Point(m.random_points(rng, 1, 3.0)[0], m)
-        zero = Point(np.zeros(m.dim), m)
-        np.testing.assert_allclose(mf.mobius_add(x, zero).coords, x.coords, atol=1e-15)
+        x = m.random_points(rng, 20, 3.0)
+        zero = np.zeros_like(x)
+        np.testing.assert_allclose(mf.mobius_add_rows(x, zero, m.k), x, atol=1e-15)
+        np.testing.assert_allclose(mf.mobius_add_rows(zero, x, m.k), x, atol=1e-15)
 
     def test_inverse_element(self, rng):
         m = ball()
-        x = Point(m.random_points(rng, 1, 3.0)[0], m)
-        neg = Point(-x.coords, m)
-        assert np.linalg.norm(mf.mobius_add(neg, x).coords) < 1e-15
+        x = m.random_points(rng, 20, 3.0)
+        assert np.max(np.linalg.norm(mf.mobius_add_rows(-x, x, m.k), axis=1)) < 1e-15
 
     def test_left_cancellation(self, rng):
         m = ball(5, -0.8)
-        for _ in range(20):
-            x = Point(m.random_points(rng, 1, 2.5)[0], m)
-            y = Point(m.random_points(rng, 1, 2.5)[0], m)
-            neg = Point(-x.coords, m)
-            got = mf.mobius_add(neg, mf.mobius_add(x, y)).coords
-            np.testing.assert_allclose(got, y.coords, atol=1e-12)
+        x = m.random_points(rng, 20, 2.5)
+        y = m.random_points(rng, 20, 2.5)
+        got = mf.mobius_add_rows(-x, mf.mobius_add_rows(x, y, m.k), m.k)
+        np.testing.assert_allclose(got, y, atol=1e-12)
 
     @pytest.mark.parametrize("k", [-0.5, -1.0, -2.0])
     def test_distance_identity_100_pairs(self, rng, k):
@@ -126,28 +126,15 @@ class TestMobius:
         alt = 2.0 / m.sqrt_abs_k * np.arctanh(m.sqrt_abs_k * np.linalg.norm(diff, axis=1))
         assert np.max(np.abs(d_table - alt)) <= 1e-8
 
-    def test_boundary_overflow_raises(self):
-        m = ball(2, -1.0)
-        near = 1.0 - 1e-14
-        x = Point(np.array([near / np.sqrt(2)] * 2, dtype=float) * (1 - 1e-13), m)
-        with pytest.raises(GeometryError):
-            mf.mobius_add(x, x)
-
-    def test_non_poincare_rejected(self, rng):
-        m = hyp()
-        p = Point(m.origin, m)
-        with pytest.raises(GeometryError):
-            mf.mobius_add(p, p)
-
 
 class TestGyration:
     def test_identity_arguments(self, rng):
         m = ball()
-        x = Point(m.random_points(rng, 1, 2.0)[0], m)
-        zero = Point(np.zeros(m.dim), m)
-        v = rng.standard_normal(m.dim)
-        np.testing.assert_allclose(mf.gyration(zero, x, v), v, atol=1e-15)
-        np.testing.assert_allclose(mf.gyration(x, zero, v), v, atol=1e-15)
+        x = m.random_points(rng, 20, 2.0)
+        zero = np.zeros_like(x)
+        v = rng.standard_normal(x.shape)
+        np.testing.assert_allclose(mf.gyration_rows(zero, x, v, m.k), v, atol=1e-15)
+        np.testing.assert_allclose(mf.gyration_rows(x, zero, v, m.k), v, atol=1e-15)
 
     def test_norm_preservation_100_triples(self, rng):
         m = ball(5, -1.3)
@@ -195,12 +182,6 @@ class TestDistance:
         y = m.random_points(rng, 100, 3.0)
         dl = twin.dist(mf.to_lorentz_rows(x, k), mf.to_lorentz_rows(y, k))
         assert np.max(np.abs(m.dist(x, y) - dl)) <= 1e-6
-
-    def test_manifold_mismatch_raises(self, rng):
-        a = Point(ball().random_points(rng, 1, 1.0)[0], ball())
-        b = Point(ball(4, -2.0).random_points(rng, 1, 1.0)[0], ball(4, -2.0))
-        with pytest.raises(GeometryError):
-            mf.distance(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -253,22 +234,6 @@ class TestExpLog:
         with pytest.raises(GeometryError):
             m.expmap(x, big)
 
-    def test_point_api_round_trip(self, rng):
-        m = hyp(4, -1.0)
-        x = Point(m.random_points(rng, 1, 2.0)[0], m)
-        y = Point(m.random_points(rng, 1, 2.0)[0], m)
-        v = mf.log_map(x, y)
-        back = mf.exp_map(x, v)
-        np.testing.assert_allclose(back.coords, y.coords, atol=1e-9)
-
-    def test_exp_map_rejects_foreign_tangent(self, rng):
-        m = hyp(3, -1.0)
-        x = Point(m.random_points(rng, 1, 1.0)[0], m)
-        y = Point(m.random_points(rng, 1, 1.0)[0], m)
-        v = mf.log_map(x, y)
-        with pytest.raises(GeometryError):
-            mf.exp_map(y, v)
-
 
 # ---------------------------------------------------------------------------
 # Parallel transport
@@ -302,16 +267,6 @@ class TestTransport:
         t = m.transport(x, y, v)
         assert np.max(np.abs(m.metric_norm(y, t) - m.metric_norm(x, v))) <= 1e-6
 
-    def test_point_api(self, rng):
-        m = ball(3, -1.0)
-        x = Point(m.random_points(rng, 1, 2.0)[0], m)
-        y = Point(m.random_points(rng, 1, 2.0)[0], m)
-        z = Point(m.random_points(rng, 1, 2.0)[0], m)
-        v = mf.log_map(x, z)
-        t = mf.parallel_transport(x, y, v)
-        assert t.base == y
-        assert mf.metric_norm(t) == pytest.approx(mf.metric_norm(v), abs=1e-9)
-
 
 # ---------------------------------------------------------------------------
 # Lorentz tangent projection
@@ -339,12 +294,6 @@ class TestProjectTangent:
         twice = m.project_tangent(x, once)
         np.testing.assert_allclose(once, twice, atol=1e-9)
 
-    def test_point_api_requires_lorentz(self, rng):
-        m = ball(3, -1.0)
-        p = Point(m.random_points(rng, 1, 1.0)[0], m)
-        with pytest.raises(GeometryError):
-            mf.project_tangent_lorentz(p, np.zeros(3))
-
 
 # ---------------------------------------------------------------------------
 # Cross-model isometry and transfer
@@ -354,10 +303,10 @@ class TestIsometry:
     def test_origin_maps_to_origin(self):
         m = ball(3, -2.0)
         twin = hyp(3, -2.0)
-        p = Point(np.zeros(3), m)
-        np.testing.assert_allclose(mf.to_lorentz(p).coords, twin.origin, atol=1e-15)
-        np.testing.assert_allclose(mf.to_poincare(Point(twin.origin, twin)).coords,
-                                   np.zeros(3), atol=1e-15)
+        p = np.zeros((1, 3))
+        np.testing.assert_allclose(mf.to_lorentz_rows(p, m.k), twin.origin_rows(1), atol=1e-15)
+        np.testing.assert_allclose(mf.to_poincare_rows(twin.origin_rows(1), twin.k), p,
+                                   atol=1e-15)
 
     def test_round_trip_100_points(self, rng):
         for k in (-0.5, -1.0, -2.0):
@@ -405,13 +354,6 @@ class TestTransfer:
     def test_dimension_mismatch_raises(self, rng):
         with pytest.raises(GeometryError):
             mf.transfer_rows(np.zeros((1, 4)), ball(4, -1.0), hyp(5, -1.0))
-
-    def test_point_api(self, rng):
-        src = ball(3, -1.0)
-        dst = hyp(3, -2.0)
-        p = Point(src.random_points(rng, 1, 2.0)[0], src)
-        q = mf.transfer(p, dst)
-        assert q.manifold == dst
 
 
 # ---------------------------------------------------------------------------
