@@ -54,7 +54,7 @@ def _observe(res: PropertyResult, dev: np.ndarray, context: str) -> None:
 
 
 def _each_manifold(trials: int):
-    per = max(1, int(np.ceil(trials / (len(CURVATURES) * len(DIMS)))))
+    per = int(np.ceil(trials / (len(CURVATURES) * len(DIMS))))
     for kind in (mf.Model.POINCARE, mf.Model.LORENTZ):
         for k in CURVATURES:
             for n in DIMS:
@@ -62,7 +62,8 @@ def _each_manifold(trials: int):
 
 
 def manifold_property_suites(trials: int = 1000, seed: int = 0) -> list[PropertyResult]:
-    """Run every geometric property sweep; `trials` counts per model and suite."""
+    """Run every geometric property sweep on `trials` points per model, rounded
+    up to a multiple of 9 (one batch per curvature and dimension); 0 runs none."""
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     rng = np.random.default_rng(seed)

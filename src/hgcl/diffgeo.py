@@ -4,7 +4,8 @@ The origin maps ``exp0`` and ``log0`` are one tape node each: the forward
 runs the float ops of the composed primitive chain (``checks.composed_exp0``
 / ``checks.composed_log0``, the gradient reference) and the backward is
 closed form. ``dist_rows`` and ``lorentz_time`` are composed from autodiff
-primitives; ``hpc.pair_log_probs`` fuses the distance for training.
+primitives; for training, ``hpc.pair_log_probs`` fuses the distance through
+``Manifold.pair_dist``, whose forward is bitwise that of ``dist_rows``.
 
 Training-time embeddings are kept in intrinsic (n, dim) coordinates: ball
 coordinates for Poincare, the spatial block for Lorentz (the time coordinate

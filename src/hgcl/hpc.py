@@ -9,18 +9,17 @@ sigma((b - d)/tau), clamped away from {0, 1} before any log.
 
 Training scores every pool with one fused tape primitive,
 ``pair_log_probs``: it runs the float ops of the composed ``pair_probs``
-route on gathered rows, with the per-node terms computed once on n rows, and
-its backward is closed form (a sparse n x n product per view, no n·m x d
-tensors on the tape). ``pair_probs`` stays as the composed reference that
-the per-anchor ``mi_*`` sums and the parity tests run. The cross-view
-positives move each view through the origin tangent space with the fused
-``dg.exp0``/``dg.log0`` nodes, starting from the tangent that the decoder
-shares (``DualEmbedding.tangent``).
+route on gathered rows, and its backward is closed form (a sparse n x n
+product per view, no n·m x d tensors on the tape). The distance and its
+slopes come from ``Manifold.pair_dist``. ``pair_probs`` stays as the
+composed reference that the per-anchor ``mi_*`` sums and the parity tests
+run. The cross-view positives move each view through the origin tangent
+space with the fused ``dg.exp0``/``dg.log0`` nodes, starting from the
+tangent that the decoder shares (``DualEmbedding.tangent``).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -31,8 +30,7 @@ from . import autodiff as ad
 from . import diffgeo as dg
 from .autodiff import Tensor
 from .encoder import DualEmbedding
-from .kernels import MIN_NORM
-from .manifolds import Manifold, Model, transfer_scale
+from .manifolds import Manifold, transfer_scale
 
 PROB_CLAMP = 1e-7
 
@@ -150,61 +148,6 @@ def pair_probs(man: Manifold, a: Tensor, b: Tensor, cfg: HpcConfig) -> Tensor:
     return ad.clip(ad.sigmoid(z), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
-def _pair_scores(man: Manifold, similarity: str, x: np.ndarray, ia: np.ndarray,
-                 y: np.ndarray, ib: np.ndarray):
-    """Score s_p of each pair (x[ia_p], y[ib_p]), shape (N,), and ``slopes(gs)``.
-
-    The float ops are those of ``dg.dist_rows`` / ``dg.tangent_dot_rows`` in
-    the same order; per-node terms are computed on the rows of x and y and
-    gathered. ``slopes`` maps dL/ds to pair weights w and node weights u, u'
-    such that dL/dx = u·x + W·y and dL/dy = u'·y + Wᵀ·x, where W holds w_p
-    at (ia_p, ib_p).
-    """
-    k, inv_sk = man.k, 1.0 / man.sqrt_abs_k
-    nx, ny = x.shape[0], y.shape[0]
-    rows = functools.partial(np.take, axis=0)  # v[idx], faster on scattered rows
-    if similarity == "neg_dot":  # x, y are already log0 rows
-        score = np.sum(rows(x, ia) * rows(y, ib), axis=1) * -1.0
-        return score, lambda gs: (-gs, np.zeros(nx), np.zeros(ny))
-
-    if man.kind is Model.POINCARE:
-        def conformal(v):
-            return np.sum(v * v, axis=1) * k + 1.0  # clipped at MIN_NORM below
-
-        rx = conformal(x)
-        ry = rx if y is x else conformal(y)
-        qa = np.clip(rows(rx, ia), MIN_NORM, np.inf)
-        qb = np.clip(rows(ry, ib), MIN_NORM, np.inf)
-        diff = rows(x, ia) - rows(y, ib)
-        diff *= diff
-        d2 = np.sum(diff, axis=1)
-        den = qa * qb
-        arg = 1.0 - (d2 / den) * (2.0 * k)
-
-        def slopes(gs):
-            g_ratio = -(gs * inv_sk * ad.acosh_slope(arg) * (2.0 * k))
-            g_d2 = 2.0 * g_ratio / den
-            g_den = -g_ratio * d2 / (den * den)
-            u_own = (np.bincount(ia, g_d2, nx)
-                     + 2.0 * k * (rx >= MIN_NORM) * np.bincount(ia, g_den * qb, nx))
-            u_cand = (np.bincount(ib, g_d2, ny)
-                      + 2.0 * k * (ry >= MIN_NORM) * np.bincount(ib, g_den * qa, ny))
-            return -g_d2, u_own, u_cand
-    else:
-        tx = man.lorentz_time(x)
-        ty = tx if y is x else man.lorentz_time(y)
-        ta, tb = rows(tx, ia), rows(ty, ib)
-        arg = (np.sum(rows(x, ia) * rows(y, ib), axis=1) - ta * tb) * k
-
-        def slopes(gs):
-            g_inner = gs * inv_sk * ad.acosh_slope(arg) * k
-            u_own = np.bincount(ia, -g_inner * tb, nx) / np.maximum(tx, MIN_NORM)
-            u_cand = np.bincount(ib, -g_inner * ta, ny) / np.maximum(ty, MIN_NORM)
-            return g_inner, u_own, u_cand
-
-    return np.arccosh(np.maximum(arg, 1.0)) * inv_sk, slopes
-
-
 def _pair_matrix(w: np.ndarray, ia: np.ndarray, ib: np.ndarray, shape) -> sp.csr_matrix:
     """Sparse matrix with w_p at (ia_p, ib_p), repeats summed by its products.
     The pools' anchors come in CSR order already, so they need no sort."""
@@ -221,12 +164,12 @@ def pair_log_probs(man: Manifold, own: Tensor, ia, cand: Tensor, ib, cfg: HpcCon
     ``negative``, as one tape node.
 
     The value is bitwise that of ``pair_probs`` on gathered rows followed by
-    ``log`` and ``reduce_sum``. The backward is closed form (Nickel & Kiela
-    2017, eq. 4, for the ball; 2018 for the hyperboloid) and keeps each
-    masked zero slope of the composed route: the probability clamp, acosh at
-    arg <= 1 and the conformal factor's floor. For ``neg_dot`` both views go
-    through ``dg.log0`` on the tape first. ``own is cand`` (the intra-view
-    pools) accumulates both sides into the one tensor.
+    ``log`` and ``reduce_sum``. The backward is closed form, through the
+    slopes of ``Manifold.pair_dist``, and keeps each masked zero slope of the
+    composed route: the probability clamp, acosh at arg <= 1 and the
+    conformal factor's floor. For ``neg_dot`` both views go through
+    ``dg.log0`` on the tape first. ``own is cand`` (the intra-view pools)
+    accumulates both sides into the one tensor.
     """
     if cfg.similarity == "neg_dot":
         own_log = dg.log0(man, own)
@@ -243,7 +186,14 @@ def _pool_log_probs(man: Manifold, own: Tensor, ia, cand: Tensor, ib, cfg: HpcCo
     x, y = own.value, cand.value
     ia = np.asarray(ia, dtype=np.int64).ravel()
     ib = np.asarray(ib, dtype=np.int64).ravel()
-    score, slopes = _pair_scores(man, cfg.similarity, x, ia, y, ib)
+    if cfg.similarity == "neg_dot":  # x, y are already log0 rows
+        score = np.sum(np.take(x, ia, axis=0) * np.take(y, ib, axis=0), axis=1) * -1.0
+
+        def slopes(gs):
+            return -gs, np.zeros(x.shape[0]), np.zeros(y.shape[0])
+    else:
+        tx = man.node_terms(x)
+        score, slopes = man.pair_dist(x, tx, ia, y, tx if same else man.node_terms(y), ib)
     if not np.all(np.isfinite(score)):  # the clamp below would hide an inf
         raise ad.NonFiniteError("non-finite values produced by 'pair_log_probs'")
     sig = ad.stable_sigmoid((cfg.bias - score) * (1.0 / cfg.temperature))

@@ -13,17 +13,20 @@ Conventions used throughout:
 
 This is the numpy reference route: every closed form (distances, origin and
 general-base maps, Mobius addition, gyration, the ball/hyperboloid isometry)
-is written here once. ``hgcl.diffgeo`` holds the same formulas on the
+is written here once; ``dist`` and the fused HPC pair pools share
+``Manifold.pair_dist``. ``hgcl.diffgeo`` holds the same formulas on the
 autodiff tape, and the two check each other.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import acosh_slope
 from .kernels import ARTANH_CLIP, MIN_NORM
 
 BALL_GUARD = 1e-5  # relative margin kept between renormalized points and the boundary
@@ -167,24 +170,70 @@ class Manifold:
     # -- origin maps and distances -------------------------------------------
 
     def dist(self, x, y):
-        """Geodesic distance per row."""
+        """Geodesic distance per row of two equally shaped batches; the float
+        ops of ``pair_dist``, so bitwise those of ``diffgeo.dist_rows``."""
         x, y = _rows(x), _rows(y)
-        k = self.k
+        if x.shape != y.shape:
+            raise GeometryError(f"dist needs equal shapes, got {x.shape} vs {y.shape}")
+        idx = np.arange(x.shape[0])
         if self.kind is Model.POINCARE:
-            d2 = np.sum((x - y) ** 2, axis=1)
-            a = np.maximum(1.0 + k * np.sum(x * x, axis=1), MIN_NORM)
-            b = np.maximum(1.0 + k * np.sum(y * y, axis=1), MIN_NORM)
-            arg = 1.0 - 2.0 * k * d2 / (a * b)
+            return self.pair_dist(x, self.node_terms(x), idx, y, self.node_terms(y), idx)[0]
+        d = self.pair_dist(x[:, 1:], x[:, 0], idx, y[:, 1:], y[:, 0], idx)[0]
+        # <x,x>_L cancels catastrophically far from the origin; identical
+        # rows must still give an exact zero.
+        same = np.all(x == y, axis=1)
+        return np.where(same, 0.0, d) if np.any(same) else d
+
+    def node_terms(self, x) -> np.ndarray:
+        """Per-row term of ``pair_dist`` for intrinsic rows x, shape (n,):
+        1 + K|x|^2 on the ball (floored inside ``pair_dist``), the time
+        coordinate on the hyperboloid."""
+        if self.kind is Model.POINCARE:
+            return np.sum(x * x, axis=1) * self.k + 1.0
+        return self.lorentz_time(x)
+
+    def pair_dist(self, x, tx, ia, y, ty, ib):
+        """Distance d_p between intrinsic rows x[ia_p] and y[ib_p], shape (N,),
+        and ``slopes(gs)``; tx, ty are the rows' ``node_terms``.
+
+        The float ops are those of ``diffgeo.dist_rows``, in order, on gathered
+        rows. ``slopes`` maps dL/dd to pair weights w and node weights u, u'
+        with dL/dx = u·x + W·y and dL/dy = u'·y + Wᵀ·x, W holding w_p at
+        (ia_p, ib_p) (Nickel & Kiela 2017, eq. 4; 2018 for the hyperboloid),
+        keeps the composed route's masked zero slopes (acosh at arg <= 1, the
+        conformal floor) and takes tx, ty as the ``node_terms`` of x, y.
+        """
+        k, inv_sk = self.k, 1.0 / self.sqrt_abs_k
+        nx, ny = x.shape[0], y.shape[0]
+        rows = functools.partial(np.take, axis=0)  # v[idx], faster on scattered rows
+        ta, tb = rows(tx, ia), rows(ty, ib)
+        if self.kind is Model.POINCARE:
+            qa, qb = np.clip(ta, MIN_NORM, np.inf), np.clip(tb, MIN_NORM, np.inf)
+            diff = rows(x, ia) - rows(y, ib)
+            diff *= diff
+            d2 = np.sum(diff, axis=1)
+            den = qa * qb
+            arg = 1.0 - (d2 / den) * (2.0 * k)
+
+            def slopes(gs):
+                g_ratio = -(gs * inv_sk * acosh_slope(arg) * (2.0 * k))
+                g_d2 = 2.0 * g_ratio / den
+                g_den = -g_ratio * d2 / (den * den)
+                u_own = (np.bincount(ia, g_d2, nx)
+                         + 2.0 * k * (tx >= MIN_NORM) * np.bincount(ia, g_den * qb, nx))
+                u_cand = (np.bincount(ib, g_d2, ny)
+                          + 2.0 * k * (ty >= MIN_NORM) * np.bincount(ib, g_den * qa, ny))
+                return -g_d2, u_own, u_cand
         else:
-            arg = k * lorentz_inner_rows(x, y)
-        d = np.arccosh(np.maximum(arg, 1.0)) / np.sqrt(-k)
-        if self.kind is Model.LORENTZ:
-            # <x,x>_L cancels catastrophically far from the origin; identical
-            # rows must still give an exact zero.
-            same = np.all(x == y, axis=1)
-            if np.any(same):
-                d = np.where(same, 0.0, d)
-        return d
+            arg = (np.sum(rows(x, ia) * rows(y, ib), axis=1) - ta * tb) * k
+
+            def slopes(gs):
+                g_inner = gs * inv_sk * acosh_slope(arg) * k
+                u_own = np.bincount(ia, -g_inner * tb, nx) / np.maximum(tx, MIN_NORM)
+                u_cand = np.bincount(ib, -g_inner * ta, ny) / np.maximum(ty, MIN_NORM)
+                return g_inner, u_own, u_cand
+
+        return np.arccosh(np.maximum(arg, 1.0)) * inv_sk, slopes
 
     def pairwise_dist(self, x, y=None):
         """(rows of x, rows of y) distance matrix; zero diagonal for x alone."""

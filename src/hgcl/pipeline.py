@@ -212,12 +212,13 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, mask: np.ndarray) -> Tenso
 
 
 def total_loss(logits: Tensor, labels: np.ndarray, train_mask: np.ndarray,
-               hpc_value, lambda_contrast: float) -> Tensor:
-    """Masked cross-entropy plus lambda_c times the contrastive term."""
+               hpc_value, lambda_contrast: float) -> tuple[Tensor, Tensor]:
+    """Masked cross-entropy plus lambda_c times the contrastive term, and the
+    cross-entropy term alone."""
     ce = cross_entropy(logits, labels, train_mask)
     if lambda_contrast == 0.0 or hpc_value is None:
-        return ce
-    return ad.add(ce, ad.scalar_mul(hpc_value, lambda_contrast))
+        return ce, ce
+    return ad.add(ce, ad.scalar_mul(hpc_value, lambda_contrast)), ce
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +311,8 @@ def train(graph: Graph, config: TrainConfig) -> TrainResult:
                 with ad.Tape() as tape:
                     emb, logits = model.forward(graph, a_norm)
                     hpc_term = hpc_loss(emb, plan, hpc_cfg, include_tolerance) if use_hpc else None
-                    task = cross_entropy(logits, graph.labels, graph.train_mask)
-                    if hpc_term is not None:
-                        loss = ad.add(task, ad.scalar_mul(hpc_term, config.lambda_contrast))
-                    else:
-                        loss = task
+                    loss, task = total_loss(logits, graph.labels, graph.train_mask,
+                                            hpc_term, config.lambda_contrast)
                     tape.backward(loss)
                 opt.step()
                 stage = "validation"

@@ -76,14 +76,16 @@ def test_clamped_rows_get_the_composed_gradient(rng, man, name):
     assert fused_vs_composed(name, man, x, rng) <= 1e-12  # NaN fails too
 
 
-@pytest.mark.parametrize("man", MANIFOLDS, ids=lambda m: f"{m.kind.value}{m.k}")
+# K = -1.3 puts every float op of the distance on inexact operands.
+@pytest.mark.parametrize("man", MANIFOLDS + [mf.poincare(6, -1.3), mf.lorentz(6, -1.3)],
+                         ids=lambda m: f"{m.kind.value}{m.k}")
 def test_dist_rows_match_numpy_route(rng, man):
-    x = man.random_points(rng, 80, 3.0)
-    y = man.random_points(rng, 80, 3.0)
-    d_np = man.dist(x, y)
-    d_t = dg.dist_rows(man, Tensor(dg.ambient_to_internal(man, x)),
-                       Tensor(dg.ambient_to_internal(man, y)))
-    np.testing.assert_allclose(d_t.value[:, 0], d_np, atol=1e-10)
+    """One numpy formula, ``Manifold.pair_dist``, keeps ``dist`` on the tape's bits."""
+    a = dg.ambient_to_internal(man, man.random_points(rng, 2000, 3.0))
+    b = dg.ambient_to_internal(man, man.random_points(rng, 2000, 3.0))
+    d_np = man.dist(dg.internal_to_ambient(man, a), dg.internal_to_ambient(man, b))
+    d_t = dg.dist_rows(man, Tensor(a), Tensor(b))
+    assert np.array_equal(d_t.value[:, 0], d_np)
 
 
 def test_lorentz_time_reconstruction(rng):

@@ -92,7 +92,6 @@ class TestDiscriminator:
         pts = ray_points(man, radii)
         anchor = Tensor(np.zeros((1000, 3)))
         probs = pair_probs(man, anchor, Tensor(pts), cfg).value[:, 0]
-        d = man.dist(man.origin_rows(1000), man.exp0(pts * 0 + pts))  # sanity only
         order = np.argsort(radii)
         assert np.all(np.diff(probs[order]) < 0)
 

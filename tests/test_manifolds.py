@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hgcl import checks
 from hgcl import manifolds as mf
 from hgcl.manifolds import GeometryError, Model
 
@@ -182,6 +183,17 @@ class TestDistance:
         y = m.random_points(rng, 100, 3.0)
         dl = twin.dist(mf.to_lorentz_rows(x, k), mf.to_lorentz_rows(y, k))
         assert np.max(np.abs(m.dist(x, y) - dl)) <= 1e-6
+
+    @pytest.mark.parametrize("make", [ball, hyp])
+    def test_mismatched_batches_rejected(self, rng, make):
+        m = make()
+        x = m.random_points(rng, 5, 2.0)
+        with pytest.raises(GeometryError, match="equal shapes"):
+            m.dist(x, m.random_points(rng, 6, 2.0))  # more rows than x
+        with pytest.raises(GeometryError, match="equal shapes"):
+            m.dist(x[:1], x)  # one row no longer broadcasts
+        with pytest.raises(GeometryError, match="equal shapes"):
+            m.dist(x, np.concatenate([x, x[:, :1]], axis=1))  # wider rows
 
 
 # ---------------------------------------------------------------------------
@@ -368,3 +380,9 @@ def test_triangle_inequality_sampled(rng, make, k):
     z = m.random_points(rng, 1000, 3.0)
     slack = m.dist(x, z) - m.dist(x, y) - m.dist(y, z)
     assert np.max(slack) <= 1e-8
+
+
+def test_property_suites_zero_trials_run_nothing():
+    results = checks.manifold_property_suites(trials=0, seed=0)
+    assert [r.trials for r in results] == [0] * 7
+    assert all(r.ok and r.max_dev == 0.0 for r in results)

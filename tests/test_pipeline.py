@@ -123,10 +123,10 @@ class TestTotalLoss:
         logits = Tensor(np.zeros((8, 2)))
         labels = np.array([0, 1] * 4)
         mask = np.ones(8, dtype=bool)
-        ce = total_loss(logits, labels, mask, None, 0.0)
+        ce, _ = total_loss(logits, labels, mask, None, 0.0)
         assert ce.item() == pytest.approx(math.log(2.0), abs=1e-12)
         logits3 = Tensor(np.full((6, 3), 0.37))
-        ce3 = total_loss(logits3, np.array([0, 1, 2] * 2), np.ones(6, dtype=bool), None, 0.0)
+        ce3, _ = total_loss(logits3, np.array([0, 1, 2] * 2), np.ones(6, dtype=bool), None, 0.0)
         assert ce3.item() == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_lambda_zero_equals_pure_ce(self, rng):
@@ -134,7 +134,7 @@ class TestTotalLoss:
         labels = np.array([0, 1, 2, 1, 0])
         mask = np.array([True, True, False, True, False])
         hpc_val = Tensor(np.array([[123.0]]))
-        assert total_loss(logits, labels, mask, hpc_val, 0.0).item() == \
+        assert total_loss(logits, labels, mask, hpc_val, 0.0)[0].item() == \
             cross_entropy(logits, labels, mask).item()
 
     def test_additivity(self, rng):
@@ -142,8 +142,9 @@ class TestTotalLoss:
         labels = np.array([0, 1, 0, 1])
         mask = np.ones(4, dtype=bool)
         ce = cross_entropy(logits, labels, mask).item()
-        got = total_loss(logits, labels, mask, Tensor(np.array([[0.5]])), 1.0).item()
-        assert got == pytest.approx(ce + 0.5, abs=1e-12)
+        got, ce_term = total_loss(logits, labels, mask, Tensor(np.array([[0.5]])), 1.0)
+        assert got.item() == pytest.approx(ce + 0.5, abs=1e-12)
+        assert ce_term.item() == ce
 
     def test_empty_mask_rejected(self):
         with pytest.raises(PipelineError):
