@@ -63,6 +63,21 @@ def _parse_synthetic(spec: str):
     return {"branching": b, "depth": h, "d_feat": d_feat, "noise": noise, "seed": seed}
 
 
+def _parse_seeds(spec: str) -> list[int]:
+    """The distinct non-negative seeds of ``--seeds``, checked before any training."""
+    try:
+        seeds = [int(s) for s in spec.split(",") if s != ""]
+    except ValueError:
+        raise CliError(f"--seeds wants comma-separated integers, got {spec!r}")
+    if not seeds:
+        raise CliError("--seeds must name at least one seed")
+    if min(seeds) < 0:
+        raise CliError(f"--seeds must be non-negative, got {spec!r}")
+    if len(set(seeds)) != len(seeds):
+        raise CliError(f"--seeds names a seed twice, got {spec!r}")
+    return seeds
+
+
 def _load_dataset(args) -> tuple[data_mod.Graph, dict]:
     if getattr(args, "data", None):
         graph = data_mod.load_graph(args.data)
@@ -135,11 +150,9 @@ def _build_config(args, seed: int) -> pl.TrainConfig:
 
 def cmd_train(args) -> int:
     t_start = time.time()
+    seeds = _parse_seeds(args.seeds)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seeds = [int(s) for s in str(args.seeds).split(",") if s != ""]
-    if not seeds:
-        raise CliError("--seeds must name at least one seed")
     base = _build_config(args, seeds[0])
     graph, source = _load_dataset(args)
 

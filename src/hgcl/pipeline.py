@@ -57,6 +57,8 @@ class TrainConfig:
         if not 0 <= self.lambda_contrast < math.inf:
             raise PipelineError(f"lambda_contrast must be finite and >= 0, "
                                 f"got {self.lambda_contrast}")
+        if self.seed < 0:
+            raise PipelineError(f"seed must be >= 0, got {self.seed}")
         if self.patience > self.epochs:
             raise PipelineError("patience cannot exceed epochs")
         if self.ablation not in ABLATIONS:
@@ -262,10 +264,12 @@ def predictions(model: HgclModel, graph: Graph, a_norm=None) -> np.ndarray:
 
 
 def evaluate(model: HgclModel, graph: Graph, mask: np.ndarray,
-             a_norm=None) -> Metrics:
+             a_norm=None, logits: np.ndarray | None = None) -> Metrics:
+    """Accuracy and macro-F1 on ``mask``; the argmax of ``logits`` when given,
+    else of a fresh forward of ``model``."""
     if mask is None or not np.any(mask):
         raise PipelineError("empty evaluation mask")
-    pred = predictions(model, graph, a_norm)
+    pred = predictions(model, graph, a_norm) if logits is None else np.argmax(logits, axis=1)
     return Metrics(
         accuracy=accuracy_score(pred[mask], graph.labels[mask]),
         macro_f1=macro_f1_score(pred[mask], graph.labels[mask], graph.n_classes),
@@ -274,8 +278,14 @@ def evaluate(model: HgclModel, graph: Graph, mask: np.ndarray,
 
 def train(graph: Graph, config: TrainConfig) -> TrainResult:
     """Full training pass: encode views, refresh the sample plan, combine the
-    losses, Adam step, early stop on the validation metric. Each encoder lifts
-    and averages the features once for the whole call (``Encoder.memoized``)."""
+    losses, Adam step, early stop on the validation metric.
+
+    Every weight state is forwarded once, on a tape: the forward taken after
+    epoch e's step gives epoch e's validation logits and is the forward that
+    epoch e + 1 backpropagates through, so a run of E epochs makes E + 1
+    forwards. The final metrics read the kept logits of the chosen weights.
+    Each encoder lifts and averages the features once for the whole call
+    (``Encoder.memoized``)."""
     if graph.train_mask is None:
         raise PipelineError("graph has no train/val/test masks; call split() first")
     for name, mask in (("train", graph.train_mask), ("val", graph.val_mask),
@@ -291,57 +301,74 @@ def train(graph: Graph, config: TrainConfig) -> TrainResult:
     include_tolerance = config.ablation != "no_pos"
     hpc_cfg = config.effective_hpc()
 
+    def forward() -> tuple[ad.Tape, DualEmbedding, Tensor]:
+        """Taped forward of the current weights."""
+        with ad.Tape() as tape:
+            emb, logits = model.forward(graph, a_norm)
+        return tape, emb, logits
+
+    def step(tape: ad.Tape, emb: DualEmbedding, logits: Tensor,
+             plan: SamplePlan | None) -> tuple[float, float, float]:
+        """Loss and backward on the tape of a held forward; returns the task,
+        contrastive and total loss as floats, so no tensor of the step
+        outlives the call."""
+        opt.zero_grad()
+        with tape:
+            hpc_term = hpc_loss(emb, plan, hpc_cfg, include_tolerance) if use_hpc else None
+            loss, task = total_loss(logits, graph.labels, graph.train_mask,
+                                    hpc_term, config.lambda_contrast)
+            tape.backward(loss)
+        return task.item(), hpc_term.item() if hpc_term is not None else 0.0, loss.item()
+
     history: list[EpochRecord] = []
     best_val = -np.inf
     best_epoch = -1
     best_state: list[np.ndarray] | None = None
+    best_logits: np.ndarray | None = None  # a plain array: a Tensor would keep its tape
     stale = 0
     plan_builds = 0
 
     with model.encoder_alpha.memoized(graph.features, a_norm), \
             model.encoder_beta.memoized(graph.features, a_norm):
-        for epoch in range(config.epochs):
-            plan: SamplePlan | None = None
-            if use_hpc:
-                plan = build_sample_plan(graph, hpc_cfg.num_negatives, neg_rng)
-                plan_builds += 1
-            opt.zero_grad()
-            stage = "training step"
-            try:
-                with ad.Tape() as tape:
-                    emb, logits = model.forward(graph, a_norm)
-                    hpc_term = hpc_loss(emb, plan, hpc_cfg, include_tolerance) if use_hpc else None
-                    loss, task = total_loss(logits, graph.labels, graph.train_mask,
-                                            hpc_term, config.lambda_contrast)
-                    tape.backward(loss)
+        epoch, stage = 0, "training step"
+        try:
+            held = forward()
+            for epoch in range(config.epochs):
+                stage = "training step"
+                plan: SamplePlan | None = None
+                if use_hpc:
+                    plan = build_sample_plan(graph, hpc_cfg.num_negatives, neg_rng)
+                    plan_builds += 1
+                task, hpc_value, total = step(*held, plan)
+                held = plan = None  # free this step's graph before the next forward
                 opt.step()
                 stage = "validation"
-                val = evaluate(model, graph, graph.val_mask, a_norm).get(config.eval_metric)
-            except (ad.NonFiniteError, EncoderError) as exc:
-                raise PipelineError(f"epoch {epoch}, {stage}: {exc}") from exc
-            history.append(EpochRecord(
-                epoch=epoch,
-                task_loss=task.item(),
-                hpc_loss=hpc_term.item() if hpc_term is not None else 0.0,
-                total_loss=loss.item(),
-                val_metric=val,
-            ))
-            if val > best_val:
-                best_val = val
-                best_epoch = epoch
-                best_state = model.state_arrays()
-                stale = 0
-            else:
-                stale += 1
-                if stale >= config.patience:
-                    break
+                held = forward()
+                logits = held[2].value
+                val = evaluate(model, graph, graph.val_mask, a_norm,
+                               logits=logits).get(config.eval_metric)
+                history.append(EpochRecord(epoch=epoch, task_loss=task, hpc_loss=hpc_value,
+                                           total_loss=total, val_metric=val))
+                if val > best_val:
+                    best_val = val
+                    best_epoch = epoch
+                    best_state = model.state_arrays()
+                    best_logits = logits
+                    stale = 0
+                else:
+                    stale += 1
+                    if stale >= config.patience:
+                        break
+        except (ad.NonFiniteError, EncoderError) as exc:
+            raise PipelineError(f"epoch {epoch}, {stage}: {exc}") from exc
 
-        if best_state is not None and config.checkpoint == "best":
-            model.load_state_arrays(best_state)
-        val_metrics = evaluate(model, graph, graph.val_mask, a_norm)
-        test_metrics = evaluate(model, graph, graph.test_mask, a_norm)
-        return TrainResult(model, history, best_epoch, best_val, val_metrics,
-                           test_metrics, plan_builds, len(history))
+    if best_state is not None and config.checkpoint == "best":
+        model.load_state_arrays(best_state)
+        logits = best_logits
+    val_metrics = evaluate(model, graph, graph.val_mask, a_norm, logits=logits)
+    test_metrics = evaluate(model, graph, graph.test_mask, a_norm, logits=logits)
+    return TrainResult(model, history, best_epoch, best_val, val_metrics,
+                       test_metrics, plan_builds, len(history))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from hgcl import checks, kernels
+from hgcl import pipeline as pl
 from hgcl.cli import CONFIG_KEYS, HPC_KEYS, RUNTIME_EXIT, build_parser, main
 from hgcl.hpc import HpcConfig
 from hgcl.pipeline import TrainConfig
@@ -283,6 +284,24 @@ class TestExitCodes:
         rc = main(["train", "--synthetic", "2,3,8,0.2", "--out", str(out)] + FAST_TRAIN
                   + [flag, value])
         assert rc == RUNTIME_EXIT
+        assert message in capsys.readouterr().err
+        assert not list(out.glob("metrics_seed*"))
+
+    @pytest.mark.parametrize("seeds, message", [
+        ("a", "--seeds wants comma-separated integers, got 'a'"),
+        ("0,-1", "--seeds must be non-negative, got '0,-1'"),
+        ("0,0", "--seeds names a seed twice, got '0,0'"),
+    ])
+    def test_bad_seeds_are_usage_errors_before_any_training(self, tmp_path, capsys,
+                                                              monkeypatch, seeds, message):
+        def no_training(*args):
+            raise AssertionError("training ran")
+
+        monkeypatch.setattr(pl, "train", no_training)
+        out = tmp_path / "run"
+        rc = main(["train", "--synthetic", "2,3,8,0.2", "--out", str(out),
+                   "--seeds", seeds] + FAST_TRAIN)
+        assert rc == 1
         assert message in capsys.readouterr().err
         assert not list(out.glob("metrics_seed*"))
 

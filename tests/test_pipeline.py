@@ -1,10 +1,12 @@
 """Decoder, combined objective, training loop, metrics, heatmap export."""
 
 import csv
+import gc
 import io
 import json
 import math
 import tempfile
+import weakref
 from collections import Counter
 from unittest import mock
 
@@ -64,6 +66,10 @@ class TestConfig:
     def test_value_that_breaks_training_rejected(self, field, value):
         with pytest.raises(PipelineError, match=f"{field} must be"):
             TrainConfig(**{field: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(PipelineError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
 
     def test_round_trips_through_dict(self):
         cfg = small_config(ablation="no_dist", hpc=HpcConfig(lambda_neg=0.25))
@@ -311,6 +317,91 @@ class TestTrain:
             evaluate(res.model, g, np.zeros(g.n_nodes, dtype=bool))
 
 
+class TestOneForwardPerWeightState:
+    """``train`` forwards each weight state once, on a tape: the forward after
+    epoch e's step is epoch e's validation pass and epoch e + 1's input."""
+
+    @pytest.mark.parametrize("checkpoint, epochs, patience", [
+        ("best", 12, 12), ("last", 12, 12), ("best", 200, 3), ("last", 200, 3),
+    ])
+    def test_forwards_are_epochs_run_plus_one(self, monkeypatch, checkpoint, epochs, patience):
+        calls, real = [], pl.decode
+
+        def counting_decode(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(pl, "decode", counting_decode)
+        res = train(tree_graph(), small_config(epochs=epochs, patience=patience,
+                                               checkpoint=checkpoint))
+        if patience < epochs:
+            assert res.epochs_run < epochs  # early stopping did cut the run
+        assert len(calls) == res.epochs_run + 1
+
+    @pytest.mark.parametrize("checkpoint", ["best", "last"])
+    def test_final_metrics_equal_a_fresh_forward(self, checkpoint):
+        g = tree_graph()
+        res = train(g, small_config(epochs=60, patience=5, checkpoint=checkpoint))
+        assert res.val_metrics == evaluate(res.model, g, g.val_mask)
+        assert res.test_metrics == evaluate(res.model, g, g.test_mask)
+
+    def test_evaluate_with_logits_equals_without(self):
+        g = tree_graph()
+        res = train(g, small_config(epochs=5, patience=5))
+        a_norm = normalize_adjacency(g)
+        _, logits = res.model.forward(g, a_norm)
+        for mask in (g.train_mask, g.val_mask, g.test_mask):
+            assert evaluate(res.model, g, mask, a_norm, logits=logits.value) \
+                == evaluate(res.model, g, mask, a_norm)
+
+    @pytest.mark.parametrize("failing_call, where", [
+        (1, "epoch 0, training step"), (2, "epoch 0, validation"), (3, "epoch 1, validation"),
+    ])
+    def test_non_finite_forward_names_epoch_and_stage(self, monkeypatch, failing_call, where):
+        calls, steps, real = [], [], pl.decode
+        real_step = pl.Adam.step
+
+        def blown_up(*args):
+            calls.append(None)
+            out = real(*args)
+            return ad.scalar_mul(out, math.inf) if len(calls) == failing_call else out
+
+        def counting_step(opt):
+            steps.append(None)
+            return real_step(opt)
+
+        monkeypatch.setattr(pl, "decode", blown_up)
+        monkeypatch.setattr(pl.Adam, "step", counting_step)
+        with pytest.raises(PipelineError, match=f"^{where}: non-finite values produced by "
+                                                "'scalar_mul'") as info:
+            train(tree_graph(), small_config())
+        assert isinstance(info.value.__cause__, ad.NonFiniteError)
+        assert len(steps) == failing_call - 1
+
+    def test_each_step_graph_is_freed_before_the_next_forward(self, monkeypatch):
+        # Tensors have __slots__ and take no weak reference; the step's Tape
+        # and its loss value array do.
+        stepped, real_loss, real_decode = [], pl.total_loss, pl.decode
+
+        def recording_loss(*args):
+            loss, task = real_loss(*args)
+            stepped.extend([weakref.ref(ad.Tape.current()), weakref.ref(loss.value)])
+            return loss, task
+
+        def checking_decode(*args):
+            assert all(ref() is None for ref in stepped), "an earlier step's graph is alive"
+            return real_decode(*args)
+
+        monkeypatch.setattr(pl, "total_loss", recording_loss)
+        monkeypatch.setattr(pl, "decode", checking_decode)
+        gc.disable()  # reference counting alone must free the graph
+        try:
+            res = train(tree_graph(), small_config(epochs=4, patience=4))
+        finally:
+            gc.enable()
+        assert len(stepped) == 2 * res.epochs_run == 8
+
+
 @st.composite
 def small_datasets(draw):
     """Up to 16 nodes cut into up to 5 parts, each a random tree with extra
@@ -358,11 +449,11 @@ class TestTapeSize:
         def recording_tangent(self, view):
             out = real_tangent(self, view)
             if ad.Tape.current() is not None:
-                tangents.append((stage[-1], view, out))
+                tangents.append((ad.Tape.current(), stage[-1], view, out))
             return out
 
         def counting_ce(*args):
-            before_ce.append(list(ad.Tape.current().nodes))
+            before_ce.append((ad.Tape.current(), list(ad.Tape.current().nodes)))
             return real_ce(*args)
 
         monkeypatch.setattr(DualEmbedding, "tangent", recording_tangent)
@@ -371,12 +462,13 @@ class TestTapeSize:
         monkeypatch.setattr(pl, "cross_entropy", counting_ce)
         train(masked(synthetic_tree(3, 5)), TrainConfig(epochs=1, patience=1, ablation=ablation))
 
-        [nodes] = before_ce
+        [(tape, nodes)] = before_ce
         ops = Counter(node._op for node in nodes)
         assert (ops["exp0"], ops["log0"], len(nodes)) == (n_exp0, n_log0, n_nodes)
         readers = {"decode", "hpc_loss"} if ablation == "full" else {"decode"}
         for view in ("alpha", "beta"):
-            seen = [(where, t) for where, v, t in tangents if v == view]
+            # the post-step forward records its own decode tangents on a new tape
+            seen = [(where, t) for on, where, v, t in tangents if v == view and on is tape]
             assert {where for where, _ in seen} == readers
             assert all(t is seen[0][1] for _, t in seen)
 
