@@ -20,7 +20,7 @@ from . import data as data_mod
 from . import diffgeo as dg
 from . import manifolds as mf
 from . import pipeline as pl
-from .encoder import Encoder, encode_views
+from .encoder import Encoder, encode_views, first_message
 from .hpc import HpcConfig, build_sample_plan, hpc_loss, pair_log_probs
 from .kernels import ARTANH_CLIP, MIN_NORM
 
@@ -322,13 +322,14 @@ def _encoder_cases(seed: int) -> list[GradCheckCase]:
     rng = np.random.default_rng(seed + 2)
     g = _ten_node_graph()
     a_norm = data_mod.normalize_adjacency(g)
+    msg, _ = first_message(g.features, a_norm, pl.TrainConfig.max_feature_norm)
     cases = []
 
     def run_layer_w():
         man = mf.poincare(4, -1.0)
         enc = Encoder(man, 5, [4], "none", np.random.default_rng(3))
         def f():
-            h = enc.encode(g.features, a_norm)
+            h = enc.encode(msg, a_norm)
             return ad.reduce_sum(ad.square(h))
         return ad.grad_check(f, enc.parameters())
     cases.append(GradCheckCase("encoder:layer-weights", "encoder", 1e-4, run_layer_w))
@@ -338,7 +339,7 @@ def _encoder_cases(seed: int) -> list[GradCheckCase]:
         enc_b = Encoder(mf.lorentz(3, -0.5), 5, [4, 3], "tanh", np.random.default_rng(5))
         w = ad.parameter(rng.standard_normal((6, 2)) * 0.3)
         def f():
-            emb = encode_views(g.features, a_norm, enc_a, enc_b)
+            emb = encode_views(msg, a_norm, enc_a, enc_b)
             logits = pl.decode(emb, w, ad.Tensor(np.zeros((1, 2))))
             return pl.cross_entropy(logits, g.labels, np.ones(10, dtype=bool))
         return ad.grad_check(f, enc_a.parameters() + enc_b.parameters() + [w])
@@ -349,6 +350,7 @@ def _encoder_cases(seed: int) -> list[GradCheckCase]:
 def _hpc_cases(seed: int) -> list[GradCheckCase]:
     g = _ten_node_graph()
     a_norm = data_mod.normalize_adjacency(g)
+    msg, _ = first_message(g.features, a_norm, pl.TrainConfig.max_feature_norm)
     cfg = HpcConfig(lambda_neg=0.5, num_negatives=2)
     cases = []
 
@@ -370,7 +372,7 @@ def _hpc_cases(seed: int) -> list[GradCheckCase]:
         enc_b = Encoder(mf.lorentz(3, -0.5), 5, [4, 3], "tanh", np.random.default_rng(9))
         plan = build_sample_plan(g, 2, np.random.default_rng(1))
         def f():
-            emb = encode_views(g.features, a_norm, enc_a, enc_b)
+            emb = encode_views(msg, a_norm, enc_a, enc_b)
             return hpc_loss(emb, plan, cfg)
         return ad.grad_check(f, enc_a.parameters() + enc_b.parameters())
     cases.append(GradCheckCase("hpc:loss-through-encoder", "hpc", 1e-3, run_through_encoder))

@@ -3,24 +3,22 @@
 Each layer aggregates in the tangent space at the origin: log map the node
 points, average neighbors through the normalized adjacency, apply an affine
 map and activation, and push the result back with the exp map. Both origin
-maps are single tape nodes (``diffgeo.exp0``/``diffgeo.log0``). Euclidean
-input features are lifted through the origin exp map, so every intermediate
-embedding satisfies its model constraint by construction. The encoders' output
-views go through ``log0`` once more per training step, in
+maps are single tape nodes (``diffgeo.exp0``/``diffgeo.log0``), so every
+intermediate embedding satisfies its model constraint by construction. The
+encoders' output views go through ``log0`` once more per training step, in
 :meth:`DualEmbedding.tangent`, which the decoder and the contrastive term share.
 
-Nothing trainable comes before the first layer's neighbor average, so
-``aggregate(a_norm, log0(lift(features)))`` is a constant of the graph.
-``pipeline.train`` computes it once per call for each encoder (see
-:meth:`Encoder.memoized`) and every forward of that call, training step or
-validation pass, starts from it. Forward-only callers outside ``train``
-recompute it on each encode and keep no copy.
+Euclidean input features are origin tangents. Lifting them with ``exp0`` and
+reading them back with ``log0`` is the identity, so the first layer's input is
+``aggregate(a_norm, clamp(features))`` (:func:`first_message`): the same for
+both views, a constant of the graph, and exact where the round trip through
+tanh/artanh would saturate at large ``|K|``. ``pipeline.train`` computes it
+once per call; every encode takes it in place of the features.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,13 +39,9 @@ class EncoderError(RuntimeError):
     pass
 
 
-def lift_features(manifold: Manifold, features: np.ndarray,
-                  max_norm: float = 8.0) -> tuple[Tensor, int]:
-    """Treat feature rows as origin tangents and exp-map them onto the manifold.
-
-    Rows with tangent norm above ``max_norm`` are rescaled onto the clamp;
-    the count of clamped rows is returned alongside the lifted points.
-    """
+def lift_features(features: np.ndarray, max_norm: float) -> tuple[np.ndarray, int]:
+    """Feature rows as origin tangents, rows of norm above ``max_norm`` rescaled
+    onto the clamp; returns them with the count of clamped rows."""
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if not np.all(np.isfinite(x)):
         raise EncoderError("non-finite features")
@@ -55,7 +49,14 @@ def lift_features(manifold: Manifold, features: np.ndarray,
     over = norms[:, 0] > max_norm
     if np.any(over):
         x = x * np.where(norms > max_norm, max_norm / norms, 1.0)
-    return dg.exp0(manifold, Tensor(x)), int(np.sum(over))
+    return x, int(np.sum(over))
+
+
+def first_message(features: np.ndarray, a_norm, max_norm: float) -> tuple[Tensor, int]:
+    """The first layer's untracked input ``aggregate(a_norm, lift_features(...))``
+    and the count of clamped feature rows; no parameter enters it."""
+    x, clamped = lift_features(features, max_norm)
+    return ad.aggregate(a_norm, Tensor(x)), clamped
 
 
 @dataclass
@@ -93,51 +94,23 @@ class Encoder:
     """Stack of HgnnLayers producing one hyperbolic view of the graph."""
 
     def __init__(self, manifold: Manifold, d_in: int, dims: list[int],
-                 activation: str, rng: np.random.Generator,
-                 max_feature_norm: float = 8.0):
+                 activation: str, rng: np.random.Generator):
         if activation not in ACTIVATIONS:
             raise EncoderError(f"unknown activation {activation!r}")
         self.manifold = dataclasses.replace(manifold, dim=dims[-1])
-        self.max_feature_norm = max_feature_norm
         self.layers: list[HgnnLayer] = []
         prev = d_in
         for i, d in enumerate(dims):
             act = activation if i < len(dims) - 1 else "none"
             self.layers.append(HgnnLayer.init(self.manifold, prev, d, act, rng))
             prev = d
-        self.clamped_rows = 0
-        # (features, a_norm, message, clamped) while inside memoized(), else None
-        self._memo: tuple | None = None
 
-    def first_message(self, features: np.ndarray, a_norm) -> tuple[Tensor, int]:
-        """The first layer's untracked input ``aggregate(a_norm, log0(lift(features)))``
-        and the count of clamped feature rows; no parameter enters it."""
-        h, clamped = lift_features(self.manifold, features, self.max_feature_norm)
-        try:
-            return ad.aggregate(a_norm, dg.log0(self.manifold, h)), clamped
-        except ad.NonFiniteError as exc:
-            raise EncoderError(f"layer 0: {exc}") from exc
-
-    @contextmanager
-    def memoized(self, features: np.ndarray, a_norm):
-        """Within the block, encodes of these very ``features`` and ``a_norm``
-        objects (matched by identity) reuse one :meth:`first_message`; the
-        memo is dropped on exit, by error or not."""
-        self._memo = (features, a_norm, *self.first_message(features, a_norm))
-        try:
-            yield
-        finally:
-            self._memo = None
-
-    def encode(self, features: np.ndarray, a_norm) -> Tensor:
-        memo = self._memo
-        if memo is not None and memo[0] is features and memo[1] is a_norm:
-            msg, self.clamped_rows = memo[2], memo[3]
-        else:
-            msg, self.clamped_rows = self.first_message(features, a_norm)
+    def encode(self, message: Tensor, a_norm) -> Tensor:
+        """The view of the graph whose first-layer input is ``message``
+        (:func:`first_message`)."""
         for i, layer in enumerate(self.layers):
             try:
-                h = layer.transform(msg) if i == 0 else layer.forward(h, a_norm)
+                h = layer.transform(message) if i == 0 else layer.forward(h, a_norm)
             except ad.NonFiniteError as exc:
                 raise EncoderError(f"layer {i}: {exc}") from exc
         return h
@@ -188,11 +161,11 @@ class DualEmbedding:
         return pts
 
 
-def encode_views(features: np.ndarray, a_norm, encoder_alpha: Encoder,
+def encode_views(message: Tensor, a_norm, encoder_alpha: Encoder,
                  encoder_beta: Encoder) -> DualEmbedding:
     return DualEmbedding(
-        alpha=encoder_alpha.encode(features, a_norm),
-        beta=encoder_beta.encode(features, a_norm),
+        alpha=encoder_alpha.encode(message, a_norm),
+        beta=encoder_beta.encode(message, a_norm),
         manifold_alpha=encoder_alpha.manifold,
         manifold_beta=encoder_beta.manifold,
     )

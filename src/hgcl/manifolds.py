@@ -30,6 +30,7 @@ from .autodiff import acosh_slope
 from .kernels import ARTANH_CLIP, MIN_NORM
 
 BALL_GUARD = 1e-5  # relative margin kept between renormalized points and the boundary
+MAX_TANGENT_NORM = 16.0  # expmap rejects tangents of larger metric norm
 
 
 class GeometryError(ValueError):
@@ -78,7 +79,6 @@ class Manifold:
     kind: Model
     curvature: float
     dim: int
-    max_tangent_norm: float = 16.0
 
     def __post_init__(self):
         if not self.curvature < 0:
@@ -312,10 +312,10 @@ class Manifold:
         x = np.atleast_2d(_coerce(x))
         v = np.atleast_2d(_coerce(v))
         norms = self.metric_norm(x, v)
-        if np.any(norms > self.max_tangent_norm):
+        if np.any(norms > MAX_TANGENT_NORM):
             raise GeometryError(
                 f"tangent metric norm {norms.max():.3g} exceeds the "
-                f"max_tangent_norm clamp {self.max_tangent_norm:g}"
+                f"max tangent norm {MAX_TANGENT_NORM:g}"
             )
         sk = self.sqrt_abs_k
         if self.kind is Model.POINCARE:
@@ -391,12 +391,12 @@ class Manifold:
         return self.exp0(self.random_tangents0(rng, n, max_norm=max_radius))
 
 
-def poincare(dim: int, curvature: float = -1.0, **kw) -> Manifold:
-    return Manifold(Model.POINCARE, curvature, dim, **kw)
+def poincare(dim: int, curvature: float = -1.0) -> Manifold:
+    return Manifold(Model.POINCARE, curvature, dim)
 
 
-def lorentz(dim: int, curvature: float = -1.0, **kw) -> Manifold:
-    return Manifold(Model.LORENTZ, curvature, dim, **kw)
+def lorentz(dim: int, curvature: float = -1.0) -> Manifold:
+    return Manifold(Model.LORENTZ, curvature, dim)
 
 
 # ---------------------------------------------------------------------------

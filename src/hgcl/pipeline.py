@@ -13,7 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Graph, atomic_open, normalize_adjacency
-from .encoder import DualEmbedding, Encoder, EncoderError, encode_views
+from .encoder import DualEmbedding, Encoder, EncoderError, encode_views, first_message
 from .hpc import HpcConfig, SamplePlan, build_sample_plan, hpc_loss
 from .manifolds import Manifold, Model
 from .optim import Adam
@@ -134,11 +134,9 @@ class HgclModel:
         seeds = np.random.SeedSequence(config.seed).spawn(3)
         dims = [config.hidden_dim] * (config.num_layers - 1) + [config.embed_dim]
         self.encoder_alpha = Encoder(config.manifold_alpha(), d_feat, dims,
-                                     config.activation, np.random.default_rng(seeds[0]),
-                                     config.max_feature_norm)
+                                     config.activation, np.random.default_rng(seeds[0]))
         self.encoder_beta = Encoder(config.manifold_beta(), d_feat, dims,
-                                    config.activation, np.random.default_rng(seeds[1]),
-                                    config.max_feature_norm)
+                                    config.activation, np.random.default_rng(seeds[1]))
         rng_dec = np.random.default_rng(seeds[2])
         s = 1.0 / np.sqrt(2 * config.embed_dim)
         self.dec_weight = ad.parameter(rng_dec.uniform(-s, s, size=(2 * config.embed_dim, n_classes)))
@@ -149,12 +147,13 @@ class HgclModel:
                 + [self.dec_weight, self.dec_bias])
 
     def embed(self, graph: Graph, a_norm) -> DualEmbedding:
-        return encode_views(graph.features, a_norm, self.encoder_alpha, self.encoder_beta)
+        """Both views of ``graph``, encoded from a fresh first message."""
+        message, _ = first_message(graph.features, a_norm, self.config.max_feature_norm)
+        return encode_views(message, a_norm, self.encoder_alpha, self.encoder_beta)
 
-    def forward(self, graph: Graph, a_norm) -> tuple[DualEmbedding, Tensor]:
-        emb = self.embed(graph, a_norm)
-        logits = decode(emb, self.dec_weight, self.dec_bias)
-        return emb, logits
+    def forward(self, message: Tensor, a_norm) -> tuple[DualEmbedding, Tensor]:
+        emb = encode_views(message, a_norm, self.encoder_alpha, self.encoder_beta)
+        return emb, decode(emb, self.dec_weight, self.dec_bias)
 
     def state_arrays(self) -> list[np.ndarray]:
         return [p.value.copy() for p in self.parameters()]
@@ -259,17 +258,15 @@ class TrainResult:
 
 def predictions(model: HgclModel, graph: Graph, a_norm=None) -> np.ndarray:
     a_norm = normalize_adjacency(graph) if a_norm is None else a_norm
-    _, logits = model.forward(graph, a_norm)
+    logits = decode(model.embed(graph, a_norm), model.dec_weight, model.dec_bias)
     return np.argmax(logits.value, axis=1)
 
 
-def evaluate(model: HgclModel, graph: Graph, mask: np.ndarray,
-             a_norm=None, logits: np.ndarray | None = None) -> Metrics:
-    """Accuracy and macro-F1 on ``mask``; the argmax of ``logits`` when given,
-    else of a fresh forward of ``model``."""
+def evaluate(graph: Graph, mask: np.ndarray, logits: np.ndarray) -> Metrics:
+    """Accuracy and macro-F1 on ``mask`` of the argmax of ``logits``."""
     if mask is None or not np.any(mask):
         raise PipelineError("empty evaluation mask")
-    pred = predictions(model, graph, a_norm) if logits is None else np.argmax(logits, axis=1)
+    pred = np.argmax(logits, axis=1)
     return Metrics(
         accuracy=accuracy_score(pred[mask], graph.labels[mask]),
         macro_f1=macro_f1_score(pred[mask], graph.labels[mask], graph.n_classes),
@@ -280,12 +277,13 @@ def train(graph: Graph, config: TrainConfig) -> TrainResult:
     """Full training pass: encode views, refresh the sample plan, combine the
     losses, Adam step, early stop on the validation metric.
 
-    Every weight state is forwarded once, on a tape: the forward taken after
-    epoch e's step gives epoch e's validation logits and is the forward that
-    epoch e + 1 backpropagates through, so a run of E epochs makes E + 1
-    forwards. The final metrics read the kept logits of the chosen weights.
-    Each encoder lifts and averages the features once for the whole call
-    (``Encoder.memoized``)."""
+    The features are lifted and averaged once for the whole call
+    (``encoder.first_message``), and both views of every forward read that
+    one message. Every weight state is forwarded once, on a tape: the forward
+    taken after epoch e's step gives epoch e's validation logits and is the
+    forward that epoch e + 1 backpropagates through, so a run of E epochs
+    makes E + 1 forwards. The final metrics read the kept logits of the
+    chosen weights."""
     if graph.train_mask is None:
         raise PipelineError("graph has no train/val/test masks; call split() first")
     for name, mask in (("train", graph.train_mask), ("val", graph.val_mask),
@@ -294,6 +292,7 @@ def train(graph: Graph, config: TrainConfig) -> TrainResult:
             raise PipelineError(f"the {name} mask is empty; training needs nodes in all three")
     model = HgclModel(config, graph.features.shape[1], graph.n_classes)
     a_norm = normalize_adjacency(graph)
+    message, _ = first_message(graph.features, a_norm, config.max_feature_norm)
     opt = Adam(model.parameters(), lr=config.lr, clip_norm=config.grad_clip)
     neg_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(4)[3])
 
@@ -304,7 +303,7 @@ def train(graph: Graph, config: TrainConfig) -> TrainResult:
     def forward() -> tuple[ad.Tape, DualEmbedding, Tensor]:
         """Taped forward of the current weights."""
         with ad.Tape() as tape:
-            emb, logits = model.forward(graph, a_norm)
+            emb, logits = model.forward(message, a_norm)
         return tape, emb, logits
 
     def step(tape: ad.Tape, emb: DualEmbedding, logits: Tensor,
@@ -328,45 +327,42 @@ def train(graph: Graph, config: TrainConfig) -> TrainResult:
     stale = 0
     plan_builds = 0
 
-    with model.encoder_alpha.memoized(graph.features, a_norm), \
-            model.encoder_beta.memoized(graph.features, a_norm):
-        epoch, stage = 0, "training step"
-        try:
+    epoch, stage = 0, "training step"
+    try:
+        held = forward()
+        for epoch in range(config.epochs):
+            stage = "training step"
+            plan: SamplePlan | None = None
+            if use_hpc:
+                plan = build_sample_plan(graph, hpc_cfg.num_negatives, neg_rng)
+                plan_builds += 1
+            task, hpc_value, total = step(*held, plan)
+            held = plan = None  # free this step's graph before the next forward
+            opt.step()
+            stage = "validation"
             held = forward()
-            for epoch in range(config.epochs):
-                stage = "training step"
-                plan: SamplePlan | None = None
-                if use_hpc:
-                    plan = build_sample_plan(graph, hpc_cfg.num_negatives, neg_rng)
-                    plan_builds += 1
-                task, hpc_value, total = step(*held, plan)
-                held = plan = None  # free this step's graph before the next forward
-                opt.step()
-                stage = "validation"
-                held = forward()
-                logits = held[2].value
-                val = evaluate(model, graph, graph.val_mask, a_norm,
-                               logits=logits).get(config.eval_metric)
-                history.append(EpochRecord(epoch=epoch, task_loss=task, hpc_loss=hpc_value,
-                                           total_loss=total, val_metric=val))
-                if val > best_val:
-                    best_val = val
-                    best_epoch = epoch
-                    best_state = model.state_arrays()
-                    best_logits = logits
-                    stale = 0
-                else:
-                    stale += 1
-                    if stale >= config.patience:
-                        break
-        except (ad.NonFiniteError, EncoderError) as exc:
-            raise PipelineError(f"epoch {epoch}, {stage}: {exc}") from exc
+            logits = held[2].value
+            val = evaluate(graph, graph.val_mask, logits).get(config.eval_metric)
+            history.append(EpochRecord(epoch=epoch, task_loss=task, hpc_loss=hpc_value,
+                                       total_loss=total, val_metric=val))
+            if val > best_val:
+                best_val = val
+                best_epoch = epoch
+                best_state = model.state_arrays()
+                best_logits = logits
+                stale = 0
+            else:
+                stale += 1
+                if stale >= config.patience:
+                    break
+    except (ad.NonFiniteError, EncoderError) as exc:
+        raise PipelineError(f"epoch {epoch}, {stage}: {exc}") from exc
 
     if best_state is not None and config.checkpoint == "best":
         model.load_state_arrays(best_state)
         logits = best_logits
-    val_metrics = evaluate(model, graph, graph.val_mask, a_norm, logits=logits)
-    test_metrics = evaluate(model, graph, graph.test_mask, a_norm, logits=logits)
+    val_metrics = evaluate(graph, graph.val_mask, logits)
+    test_metrics = evaluate(graph, graph.test_mask, logits)
     return TrainResult(model, history, best_epoch, best_val, val_metrics,
                        test_metrics, plan_builds, len(history))
 

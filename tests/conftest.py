@@ -16,9 +16,9 @@ def lift_calls(monkeypatch):
     calls = []
     real = enc_mod.lift_features
 
-    def counting(manifold, features, *args, **kwargs):
+    def counting(features, max_norm):
         calls.append(features)
-        return real(manifold, features, *args, **kwargs)
+        return real(features, max_norm)
 
     monkeypatch.setattr(enc_mod, "lift_features", counting)
     return calls

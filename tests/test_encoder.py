@@ -10,46 +10,85 @@ from hgcl import manifolds as mf
 from hgcl.autodiff import Tensor
 from hgcl.data import normalize_adjacency
 from hgcl.encoder import (DualEmbedding, Encoder, EncoderError, HgnnLayer, encode_views,
-                          lift_features)
+                          first_message, lift_features)
+from hgcl.pipeline import TrainConfig
+
+MAX_NORM = TrainConfig.max_feature_norm
+
+
+def message(features, a_norm):
+    return first_message(features, a_norm, MAX_NORM)[0]
 
 
 class TestLiftFeatures:
+    """Feature rows are origin tangents: the points they stand for are their
+    ``exp0``, which the first layer's ``log0`` would map straight back."""
+
     def test_zero_row_goes_to_origin(self):
         man = mf.lorentz(3, -1.0)
-        x = np.zeros((2, 3))
-        lifted, clamped = lift_features(man, x)
+        lifted, clamped = lift_features(np.zeros((2, 3)), MAX_NORM)
         assert clamped == 0
-        pts = dg.internal_to_ambient(man, lifted.value)
+        assert not np.any(lifted)
+        pts = dg.internal_to_ambient(man, dg.exp0(man, Tensor(lifted)).value)
         np.testing.assert_allclose(pts, man.origin_rows(2), atol=1e-12)
 
     @pytest.mark.parametrize("man", [mf.poincare(6, -1.0), mf.lorentz(6, -0.5)],
                              ids=["poincare", "lorentz"])
     def test_outputs_satisfy_model_constraints(self, rng, man):
         x = rng.standard_normal((50, 6)) * 2.0
-        lifted, _ = lift_features(man, x)
-        man.check_points(dg.internal_to_ambient(man, lifted.value))
+        lifted, _ = lift_features(x, MAX_NORM)
+        man.check_points(dg.internal_to_ambient(man, dg.exp0(man, Tensor(lifted)).value))
 
     def test_oversize_rows_rescaled_and_counted(self, rng):
-        man = mf.poincare(4, -1.0)
         x = rng.standard_normal((10, 4))
         x[3] *= 100.0
         x[7] *= 50.0
-        lifted, clamped = lift_features(man, x, max_norm=5.0)
+        lifted, clamped = lift_features(x, max_norm=5.0)
         assert clamped == 2
-        man.check_points(lifted.value)
+        np.testing.assert_allclose(np.linalg.norm(lifted[[3, 7]], axis=1), 5.0, rtol=1e-15)
+        np.testing.assert_allclose(lifted[3], x[3] * 5.0 / np.linalg.norm(x[3]), rtol=1e-15)
+        keep = np.ones(10, dtype=bool)
+        keep[[3, 7]] = False
+        assert np.array_equal(lifted[keep], x[keep])
 
     def test_lorentz_lift_distance_equals_tangent_norm(self, rng):
         man = mf.lorentz(5, -1.3)
         x = rng.standard_normal((30, 5))
-        lifted, _ = lift_features(man, x, max_norm=1e9)
-        pts = dg.internal_to_ambient(man, lifted.value)
+        lifted, _ = lift_features(x, max_norm=1e9)
+        pts = dg.internal_to_ambient(man, dg.exp0(man, Tensor(lifted)).value)
         d = man.dist(man.origin_rows(30), pts)
         np.testing.assert_allclose(d, np.linalg.norm(x, axis=1), atol=1e-9)
 
     def test_non_finite_features_rejected(self):
-        man = mf.poincare(2, -1.0)
         with pytest.raises(EncoderError):
-            lift_features(man, np.array([[np.nan, 0.0]]))
+            lift_features(np.array([[np.nan, 0.0]]), MAX_NORM)
+
+
+class TestFirstMessage:
+    """``first_message`` is ``aggregate(a_norm, clamp(features))``: the
+    ``log0(exp0(.))`` round trip it replaces is the identity in exact
+    arithmetic (and saturates at large |K|; see ``test_pipeline``)."""
+
+    @pytest.mark.parametrize("man", [mf.poincare(4, -1.0), mf.lorentz(4, -0.5)],
+                             ids=["poincare", "lorentz"])
+    def test_matches_the_exp0_log0_route_at_the_default_curvatures(self, ten_node_graph, man):
+        g = ten_node_graph
+        a_norm = normalize_adjacency(g)
+        msg, clamped = first_message(g.features, a_norm, MAX_NORM)
+        assert clamped == 0
+        x = Tensor(lift_features(g.features, MAX_NORM)[0])
+        old = ad.aggregate(a_norm, dg.log0(man, dg.exp0(man, x)))
+        np.testing.assert_allclose(msg.value, old.value, rtol=0, atol=1e-12)
+
+    def test_clamped_rows_counted(self, ten_node_graph):
+        g = ten_node_graph
+        feats = g.features.copy()
+        feats[[2, 6]] *= 100.0
+        a_norm = normalize_adjacency(g)
+        msg, clamped = first_message(feats, a_norm, MAX_NORM)
+        assert clamped == 2
+        assert np.array_equal(msg.value, np.asarray(a_norm @ lift_features(feats, MAX_NORM)[0]))
+        assert not msg.requires_grad
 
 
 class TestLayerForward:
@@ -75,28 +114,29 @@ class TestLayerForward:
     def test_weight_gradient_passes_fd(self, ten_node_graph):
         a_norm = normalize_adjacency(ten_node_graph)
         enc = Encoder(mf.poincare(4, -1.0), 5, [4], "none", np.random.default_rng(0))
+        msg = message(ten_node_graph.features, a_norm)
 
         def f():
-            return ad.reduce_sum(ad.square(enc.encode(ten_node_graph.features, a_norm)))
+            return ad.reduce_sum(ad.square(enc.encode(msg, a_norm)))
 
         assert ad.grad_check(f, enc.parameters()) <= 1e-4
 
     def test_all_zero_weight_degenerate_net_stays_finite(self, ten_node_graph):
         # every embedding collapses to the origin, yet loss and grads are finite
         a_norm = normalize_adjacency(ten_node_graph)
+        msg = message(ten_node_graph.features, a_norm)
         for man in (mf.poincare(4, -1.0), mf.lorentz(4, -0.5)):
             enc = Encoder(man, 5, [4, 4], "tanh", np.random.default_rng(0))
             for p in enc.parameters():
                 p.value[:] = 0.0
             with ad.Tape() as tape:
-                out = ad.reduce_sum(ad.square(enc.encode(ten_node_graph.features, a_norm)))
+                out = ad.reduce_sum(ad.square(enc.encode(msg, a_norm)))
                 tape.backward(out)
             assert np.isfinite(out.item())
             assert all(p.grad is None or np.all(np.isfinite(p.grad))
                        for p in enc.parameters())
             err = ad.grad_check(
-                lambda: ad.reduce_sum(ad.square(enc.encode(ten_node_graph.features,
-                                                           a_norm))),
+                lambda: ad.reduce_sum(ad.square(enc.encode(msg, a_norm))),
                 enc.parameters())
             assert np.isfinite(err)
 
@@ -112,14 +152,16 @@ class TestEncodeViews:
 
     def test_deterministic_under_fixed_seed(self, ten_node_graph):
         a_norm = normalize_adjacency(ten_node_graph)
-        e1 = encode_views(ten_node_graph.features, a_norm, *self.make_encoders(3))
-        e2 = encode_views(ten_node_graph.features, a_norm, *self.make_encoders(3))
+        msg = message(ten_node_graph.features, a_norm)
+        e1 = encode_views(msg, a_norm, *self.make_encoders(3))
+        e2 = encode_views(msg, a_norm, *self.make_encoders(3))
         assert np.array_equal(e1.alpha.value, e2.alpha.value)
         assert np.array_equal(e1.beta.value, e2.beta.value)
 
     def test_views_live_on_their_manifolds(self, ten_node_graph):
         a_norm = normalize_adjacency(ten_node_graph)
-        emb = encode_views(ten_node_graph.features, a_norm, *self.make_encoders(1))
+        msg = message(ten_node_graph.features, a_norm)
+        emb = encode_views(msg, a_norm, *self.make_encoders(1))
         emb.manifold_alpha.check_points(emb.points("alpha"))
         emb.manifold_beta.check_points(emb.points("beta"))
 
@@ -129,18 +171,18 @@ class TestEncodeViews:
         man = mf.poincare(3, -1.0)
         enc_a = Encoder(man, 5, [4, 3], "tanh", np.random.default_rng(ss[0]))
         enc_b = Encoder(man, 5, [4, 3], "tanh", np.random.default_rng(ss[1]))
-        emb = encode_views(ten_node_graph.features, a_norm, enc_a, enc_b)
+        emb = encode_views(message(ten_node_graph.features, a_norm), a_norm, enc_a, enc_b)
         assert np.max(np.abs(emb.alpha.value - emb.beta.value)) > 1e-3
 
     def test_permutation_equivariance_exact(self, rng, ten_node_graph):
         g = ten_node_graph
         a_norm = normalize_adjacency(g)
         enc_a, enc_b = self.make_encoders(5)
-        emb = encode_views(g.features, a_norm, enc_a, enc_b)
+        emb = encode_views(message(g.features, a_norm), a_norm, enc_a, enc_b)
         perm = rng.permutation(g.n_nodes)
         p = np.eye(g.n_nodes)[perm]
         a_perm = sparse.csr_matrix(p @ a_norm.toarray() @ p.T)
-        emb_p = encode_views(g.features[perm], a_perm, enc_a, enc_b)
+        emb_p = encode_views(message(g.features[perm], a_perm), a_perm, enc_a, enc_b)
         # permuting columns reorders the float sums inside the sparse matmul,
         # so equality holds to the last couple of ulps rather than bitwise
         np.testing.assert_allclose(emb_p.alpha.value, emb.alpha.value[perm],
@@ -156,96 +198,17 @@ class TestEncodeViews:
         from concurrent.futures import ThreadPoolExecutor
         a_norm = normalize_adjacency(ten_node_graph)
         enc_a, enc_b = self.make_encoders(4)
-        ref = encode_views(ten_node_graph.features, a_norm, enc_a, enc_b)
+        msg = message(ten_node_graph.features, a_norm)
+        ref = encode_views(msg, a_norm, enc_a, enc_b)
 
         def job(_):
-            emb = encode_views(ten_node_graph.features, a_norm, enc_a, enc_b)
+            emb = encode_views(msg, a_norm, enc_a, enc_b)
             return emb.alpha.value, emb.beta.value
 
         with ThreadPoolExecutor(max_workers=4) as pool:
             for alpha, beta in pool.map(job, range(8)):
                 assert np.array_equal(alpha, ref.alpha.value)
                 assert np.array_equal(beta, ref.beta.value)
-
-
-class TestFirstStageMemo:
-    """``Encoder.memoized``: one lift and neighbor average per scope, bitwise
-    equal to recomputing them."""
-
-    def encoder(self, seed=0, max_feature_norm=8.0):
-        return Encoder(mf.lorentz(3, -0.5), 5, [4, 3], "tanh",
-                       np.random.default_rng(seed), max_feature_norm)
-
-    def test_weight_change_inside_scope_matches_uncached_encode(self, ten_node_graph,
-                                                                lift_calls):
-        g = ten_node_graph
-        a_norm = normalize_adjacency(g)
-        enc, ref = self.encoder(1), self.encoder(1)
-        with enc.memoized(g.features, a_norm):
-            first = enc.encode(g.features, a_norm).value
-            for p, q in zip(enc.parameters(), ref.parameters()):
-                p.value = p.value * 1.5 + 0.25
-                q.value = p.value.copy()
-            cached = enc.encode(g.features, a_norm).value
-        assert len(lift_calls) == 1
-        uncached = ref.encode(g.features, a_norm).value
-        assert len(lift_calls) == 2
-        assert not np.array_equal(first, cached)
-        assert np.array_equal(cached, uncached)
-
-    @pytest.mark.parametrize("swap", ["features", "a_norm"])
-    def test_other_objects_miss_the_memo(self, ten_node_graph, lift_calls, swap):
-        g = ten_node_graph
-        a_norm = normalize_adjacency(g)
-        enc = self.encoder(2)
-        with enc.memoized(g.features, a_norm):
-            same = enc.encode(g.features, a_norm).value
-            assert len(lift_calls) == 1
-            if swap == "features":
-                copy = enc.encode(g.features.copy(), a_norm).value
-                other = enc.encode(g.features * 2.0, a_norm).value
-            else:
-                copy = enc.encode(g.features, a_norm.copy()).value
-                other = enc.encode(g.features, a_norm * 0.5).value
-            assert len(lift_calls) == 3
-        if swap == "features":
-            uncached = enc.encode(g.features * 2.0, a_norm).value
-        else:
-            uncached = enc.encode(g.features, a_norm * 0.5).value
-        assert np.array_equal(copy, same)
-        assert np.array_equal(other, uncached)
-        assert not np.array_equal(other, same)
-
-    def test_memo_is_dropped_on_exit_and_on_error(self, ten_node_graph, lift_calls):
-        g = ten_node_graph
-        a_norm = normalize_adjacency(g)
-        enc = self.encoder(3)
-        with enc.memoized(g.features, a_norm):
-            assert enc._memo is not None
-        assert enc._memo is None
-        with pytest.raises(RuntimeError, match="boom"):
-            with enc.memoized(g.features, a_norm):
-                raise RuntimeError("boom")
-        assert enc._memo is None
-        n = len(lift_calls)
-        enc.encode(g.features, a_norm)
-        assert len(lift_calls) == n + 1
-
-    def test_clamped_rows_reported_on_cached_encodes(self, ten_node_graph):
-        g = ten_node_graph
-        a_norm = normalize_adjacency(g)
-        feats = g.features.copy()
-        feats[4] *= 100.0
-        enc = self.encoder(4, max_feature_norm=5.0)
-        uncached = enc.encode(feats, a_norm).value
-        assert enc.clamped_rows == 1
-        enc.clamped_rows = -1
-        with enc.memoized(feats, a_norm):
-            for _ in range(2):
-                cached = enc.encode(feats, a_norm).value
-                assert enc.clamped_rows == 1
-                enc.clamped_rows = -1
-        assert np.array_equal(cached, uncached)
 
 
 class TestSharedTangent:

@@ -8,12 +8,12 @@ from hgcl import manifolds as mf
 from hgcl.manifolds import GeometryError, Model
 
 
-def ball(dim=4, k=-1.0, **kw):
-    return mf.poincare(dim, k, **kw)
+def ball(dim=4, k=-1.0):
+    return mf.poincare(dim, k)
 
 
-def hyp(dim=4, k=-1.0, **kw):
-    return mf.lorentz(dim, k, **kw)
+def hyp(dim=4, k=-1.0):
+    return mf.lorentz(dim, k)
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +239,14 @@ class TestExpLog:
             y = m.expmap(x, u)
             assert np.max(np.abs(m.dist(x, y) - m.metric_norm(x, u))) <= 1e-6
 
-    def test_max_tangent_norm_clamp_raises(self, rng):
-        m = ball(3, -1.0, max_tangent_norm=4.0)
-        x = m.random_points(rng, 1, 1.0)
-        big = np.ones((1, 3)) * 10.0
-        with pytest.raises(GeometryError):
-            m.expmap(x, big)
+    def test_max_tangent_norm_clamp_raises(self):
+        assert mf.MAX_TANGENT_NORM == 16.0
+        m = ball(3, -1.0)
+        x = m.origin_rows(1)
+        # the metric norm at the ball's origin is twice the Euclidean norm
+        m.expmap(x, np.array([[7.9, 0.0, 0.0]]))
+        with pytest.raises(GeometryError, match="max tangent norm 16"):
+            m.expmap(x, np.array([[8.1, 0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------

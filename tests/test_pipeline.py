@@ -39,6 +39,12 @@ def tree_graph(b=2, h=4, noise=0.3, seed=1, fractions=(0.6, 0.2, 0.2)):
     return masked(g, fractions, seed=seed)
 
 
+def fresh_logits(model, graph):
+    """Class logits of an untaped forward of ``model`` on ``graph``."""
+    emb = model.embed(graph, normalize_adjacency(graph))
+    return decode(emb, model.dec_weight, model.dec_bias).value
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(PipelineError):
@@ -225,7 +231,7 @@ class TestTrain:
             cfg = TrainConfig(hidden_dim=8, embed_dim=8, epochs=200, patience=200,
                               seed=seed, checkpoint="last")
             res = train(g, cfg)
-            acc = evaluate(res.model, g, g.train_mask).accuracy
+            acc = evaluate(g, g.train_mask, fresh_logits(res.model, g)).accuracy
             assert acc >= 0.95, f"seed {seed}: train accuracy {acc:.3f}"
 
     def test_no_hpc_skips_plan_construction(self):
@@ -257,14 +263,20 @@ class TestTrain:
         assert res.best_epoch <= res.epochs_run - 1
 
     @pytest.mark.parametrize("epochs", [1, 4])
-    def test_features_are_lifted_once_per_view(self, lift_calls, epochs):
+    def test_features_are_lifted_once_per_train_call(self, monkeypatch, lift_calls, epochs):
+        messages, real = [], pl.encode_views
+
+        def recording(message, *rest):
+            messages.append(message)
+            return real(message, *rest)
+
+        monkeypatch.setattr(pl, "encode_views", recording)
         g = tree_graph()
         res = train(g, small_config(epochs=epochs, patience=epochs))
         assert res.epochs_run == epochs
-        assert len(lift_calls) == 2
-        assert all(f is g.features for f in lift_calls)
-        assert res.model.encoder_alpha._memo is None
-        assert res.model.encoder_beta._memo is None
+        assert len(lift_calls) == 1 and lift_calls[0] is g.features
+        assert len(messages) == epochs + 1  # one per forward, both views read it
+        assert all(m is messages[0] for m in messages)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_encoder_failure_names_epoch_and_stage(self):
@@ -314,7 +326,27 @@ class TestTrain:
         g = tree_graph()
         res = train(g, small_config())
         with pytest.raises(PipelineError):
-            evaluate(res.model, g, np.zeros(g.n_nodes, dtype=bool))
+            evaluate(g, np.zeros(g.n_nodes, dtype=bool), fresh_logits(res.model, g))
+
+
+class TestFirstLayerInput:
+    def test_ball_at_k_minus_4_reads_the_clamped_features_exactly(self):
+        # On the ball at K = -4, tanh saturates at tangent norm 8 and artanh
+        # clips, so a log0(exp0(.)) round trip reads a clamped row ~11% short.
+        g = tree_graph()
+        feats = g.features.copy()
+        feats[3] *= 20.0 / np.linalg.norm(feats[3])
+        g = data_mod.Graph(g.n_nodes, g.edges, feats, g.labels,
+                           g.train_mask, g.val_mask, g.test_mask)
+        model = HgclModel(small_config(num_layers=1, curvature_alpha=-4.0),
+                          feats.shape[1], g.n_classes)
+        a_norm = normalize_adjacency(g)
+        cap = model.config.max_feature_norm
+        norms = np.sqrt(np.sum(feats * feats, axis=1, keepdims=True))
+        clamped = feats * np.where(norms > cap, cap / norms, 1.0)
+        layer = model.encoder_alpha.layers[0]
+        expect = layer.transform(Tensor(np.asarray(a_norm @ clamped)))
+        assert np.array_equal(model.embed(g, a_norm).alpha.value, expect.value)
 
 
 class TestOneForwardPerWeightState:
@@ -342,17 +374,19 @@ class TestOneForwardPerWeightState:
     def test_final_metrics_equal_a_fresh_forward(self, checkpoint):
         g = tree_graph()
         res = train(g, small_config(epochs=60, patience=5, checkpoint=checkpoint))
-        assert res.val_metrics == evaluate(res.model, g, g.val_mask)
-        assert res.test_metrics == evaluate(res.model, g, g.test_mask)
+        logits = fresh_logits(res.model, g)
+        assert res.val_metrics == evaluate(g, g.val_mask, logits)
+        assert res.test_metrics == evaluate(g, g.test_mask, logits)
 
     def test_evaluate_with_logits_equals_without(self):
+        # evaluate scores given logits; predictions runs its own forward
         g = tree_graph()
         res = train(g, small_config(epochs=5, patience=5))
-        a_norm = normalize_adjacency(g)
-        _, logits = res.model.forward(g, a_norm)
+        pred, logits = pl.predictions(res.model, g), fresh_logits(res.model, g)
         for mask in (g.train_mask, g.val_mask, g.test_mask):
-            assert evaluate(res.model, g, mask, a_norm, logits=logits.value) \
-                == evaluate(res.model, g, mask, a_norm)
+            assert evaluate(g, mask, logits) == Metrics(
+                accuracy=pl.accuracy_score(pred[mask], g.labels[mask]),
+                macro_f1=pl.macro_f1_score(pred[mask], g.labels[mask], g.n_classes))
 
     @pytest.mark.parametrize("failing_call, where", [
         (1, "epoch 0, training step"), (2, "epoch 0, validation"), (3, "epoch 1, validation"),
