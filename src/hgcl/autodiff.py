@@ -312,12 +312,8 @@ def tanh(a) -> Tensor:
 
 def stable_sigmoid(v: np.ndarray) -> np.ndarray:
     """1 / (1 + e^-v) without overflow: e^v / (1 + e^v) on the negative side."""
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a) -> Tensor:
@@ -432,8 +428,21 @@ def reduce_mean(a, axis: int | None = None) -> Tensor:
 
 
 def row_dot(a, b) -> Tensor:
-    """Rowwise inner product as an (n, 1) column."""
-    return reduce_sum(mul(a, b), axis=1)
+    """Rowwise inner product as an (n, 1) column. ``np.einsum`` sums it, as it
+    does the pair reductions of ``Manifold.pair_dist``, so the two agree
+    bitwise; ``row_dot(v, v)`` is the squared row norm."""
+    a, b = as_tensor(a), as_tensor(b)
+    if a.value.shape != b.value.shape:
+        raise AutodiffError(f"row_dot: incompatible shapes {a.value.shape} and {b.value.shape}")
+    out_value = np.einsum("nd,nd->n", a.value, b.value)[:, None]
+
+    def backward(g):
+        if a.requires_grad:
+            a.accumulate(g * b.value)
+        if b.requires_grad:
+            b.accumulate(g * a.value)
+
+    return record("row_dot", out_value, (a, b), backward)
 
 
 def concat_cols(parts: Iterable) -> Tensor:

@@ -21,7 +21,7 @@ from . import diffgeo as dg
 from . import manifolds as mf
 from . import pipeline as pl
 from .encoder import Encoder, encode_views, first_message
-from .hpc import HpcConfig, build_sample_plan, hpc_loss, pair_log_probs
+from .hpc import HpcConfig, build_sample_plan, hpc_loss, pair_log_probs, pool_log_probs
 from .kernels import ARTANH_CLIP, MIN_NORM
 
 CURVATURES = (-0.5, -1.0, -2.0)
@@ -249,6 +249,8 @@ def _primitive_cases(seed: int) -> list[GradCheckCase]:
         m = rng.standard_normal((5, 4))
         return ad.grad_check(lambda: ad.reduce_sum(ad.square(ad.aggregate(m, a))), [a])
     cases.append(GradCheckCase("primitive:aggregate", "manifold", 1e-6, run_aggregate))
+    binary("row_dot", ad.row_dot, g, g)
+    unary("row_dot_self", lambda t: ad.row_dot(t, t), g)
     return cases
 
 
@@ -413,6 +415,40 @@ def _hpc_cases(seed: int) -> list[GradCheckCase]:
                                            pair_case(man, similarity, same)))
         cases.append(GradCheckCase(f"hpc:pair_log_probs[{man.kind.value}:clamp-active]",
                                    "hpc", 1e-6, pair_case(man, "distance", clamped=True)))
+
+    # The merged pools that hpc_loss scores: the inter block [i, inter
+    # negatives] against a second tensor and the intra CSR (neighbors, then
+    # intra negatives) against the view itself, negatives weighted by
+    # lambda_neg = 0.7, on a graph whose node 6 has no neighbor (an empty CSR
+    # row when lambda_neg = 0 drops the negatives).
+    pool_graph = data_mod.Graph(7, np.array([(0, 1), (1, 2), (1, 3), (3, 4), (4, 5)]),
+                                np.zeros((7, 1)), np.zeros(7, dtype=int))
+    pool_plan = build_sample_plan(pool_graph, 2, np.random.default_rng(seed + 6))
+
+    def merged_case(man, similarity, intra, clamped=False, lambda_neg=0.7):
+        def run():
+            rng = np.random.default_rng(seed + 7)
+            own = ad.parameter(dg.ambient_to_internal(man, man.random_points(rng, 7, 1.5)))
+            cand = own if intra else ad.parameter(
+                dg.ambient_to_internal(man, man.random_points(rng, 7, 1.5)))
+            # Clamped: bias -10 puts sigma on the lower clamp past d = 1.28.
+            cfg = HpcConfig(lambda_neg=lambda_neg, bias=-10.0 if clamped else 2.0,
+                            temperature=0.7, similarity=similarity)
+            pool = (pool_plan.intra_pool if intra else pool_plan.inter_pool)(lambda_neg)
+            return ad.grad_check(lambda: pool_log_probs(man, own, cand, pool, cfg),
+                                 [own] if intra else [own, cand])
+        return run
+
+    merged = [(f"{sim}:{'intra-csr' if intra else 'inter-block'}",
+               dict(similarity=sim, intra=intra))
+              for sim in ("distance", "neg_dot") for intra in (False, True)]
+    merged += [("inter-block:clamp-active", dict(similarity="distance", intra=False, clamped=True)),
+               ("intra-csr:clamp-active", dict(similarity="distance", intra=True, clamped=True)),
+               ("intra-csr:lambda-0", dict(similarity="distance", intra=True, lambda_neg=0.0))]
+    for man in (mf.poincare(3, -1.0), mf.lorentz(3, -0.5)):
+        for tag, kw in merged:
+            cases.append(GradCheckCase(f"hpc:pool_log_probs[{man.kind.value}:{tag}]", "hpc",
+                                       1e-6, merged_case(man, **kw)))
     return cases
 
 

@@ -140,7 +140,8 @@ def dist_rows(man: Manifold, a: Tensor, b: Tensor) -> Tensor:
     k = man.k
     inv_sk = 1.0 / man.sqrt_abs_k
     if man.kind is Model.POINCARE:
-        d2 = ad.reduce_sum(ad.square(ad.sub(a, b)), axis=1)
+        diff = ad.sub(a, b)
+        d2 = ad.row_dot(diff, diff)
         qa = ad.clip(ad.add(ad.scalar_mul(ad.reduce_sum(ad.square(a), axis=1), k), 1.0),
                      MIN_NORM, np.inf)
         qb = ad.clip(ad.add(ad.scalar_mul(ad.reduce_sum(ad.square(b), axis=1), k), 1.0),

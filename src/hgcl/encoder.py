@@ -41,15 +41,23 @@ class EncoderError(RuntimeError):
 
 def lift_features(features: np.ndarray, max_norm: float) -> tuple[np.ndarray, int]:
     """Feature rows as origin tangents, rows of norm above ``max_norm`` rescaled
-    onto the clamp; returns them with the count of clamped rows."""
+    onto the clamp; returns them with the count of clamped rows. A finite row
+    whose |x|^2 overflows lands on the clamp too."""
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if not np.all(np.isfinite(x)):
         raise EncoderError("non-finite features")
-    norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
-    over = norms[:, 0] > max_norm
-    if np.any(over):
-        x = x * np.where(norms > max_norm, max_norm / norms, 1.0)
-    return x, int(np.sum(over))
+    with np.errstate(over="ignore"):  # the rows this hits are redone below
+        norms = np.sqrt(np.sum(x * x, axis=1))
+    over = norms > max_norm
+    if not np.any(over):
+        return x, 0
+    out = x.copy()
+    out[over] *= (max_norm / norms[over])[:, None]
+    huge = np.isinf(norms)
+    if np.any(huge):  # scale by the largest entry first, so the norm stays finite
+        unit = x[huge] / np.max(np.abs(x[huge]), axis=1, keepdims=True)
+        out[huge] = unit * (max_norm / np.sqrt(np.sum(unit * unit, axis=1, keepdims=True)))
+    return out, int(np.sum(over))
 
 
 def first_message(features: np.ndarray, a_norm, max_norm: float) -> tuple[Tensor, int]:

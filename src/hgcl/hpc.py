@@ -7,15 +7,23 @@ neighbors, drawn independently for the intra-view and inter-view pools.
 Pair similarity is the distance-aware probability ``pair_probs``,
 sigma((b - d)/tau), clamped away from {0, 1} before any log.
 
-Training scores every pool with one fused tape primitive,
-``pair_log_probs``: it runs the float ops of the composed ``pair_probs``
-route on gathered rows, and its backward is closed form (a sparse n x n
-product per view, no n·m x d tensors on the tape). The distance and its
-slopes come from ``Manifold.pair_dist``. ``pair_probs`` stays as the
-composed reference that the per-anchor ``mi_*`` sums and the parity tests
-run. The cross-view positives move each view through the origin tangent
-space with the fused ``dg.exp0``/``dg.log0`` nodes, starting from the
-tangent that the decoder shares (``DualEmbedding.tangent``).
+Training scores each view with two fused ``pair_log_probs`` tape nodes,
+one per :class:`Pool`, built once per plan for both views: the consistency
+positive with the inter-view negatives, as one (n, m + 1) block
+``[i, neg_inter[i]]`` against the other view (``SamplePlan.inter_pool``),
+and the tolerance pairs with the intra-view negatives, as one CSR against
+the view itself whose row pointer is the adjacency's plus m per row
+(``SamplePlan.intra_pool``). Each pair carries its sign and its weight
+(1 or ``lambda_neg``). A node works through its pairs in blocks of
+``PAIR_CHUNK``, gathers each side of a block once and takes the distance
+and its slopes from ``Manifold.pair_dist``. Its value runs the float ops of
+the composed ``pair_probs`` route, and its backward is closed form: one
+sparse n x n product per side from the pool's row pointer, no n·m x d
+tensors on the tape. ``pair_probs`` stays as the composed reference that
+the per-anchor ``mi_*`` sums and the parity tests run. The cross-view
+positives move each view through the origin tangent space with the fused
+``dg.exp0``/``dg.log0`` nodes, starting from the tangent that the decoder
+shares (``DualEmbedding.tangent``).
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from .encoder import DualEmbedding
 from .manifolds import Manifold, transfer_scale
 
 PROB_CLAMP = 1e-7
+PAIR_CHUNK = 16384  # pairs a pool node scores at a time, so each block stays in cache
 
 
 class SamplingError(ValueError):
@@ -62,10 +71,50 @@ class HpcConfig:
             raise ValueError(f"unknown similarity {self.similarity!r}")
 
 
+@dataclass(frozen=True)
+class Pool:
+    """The pairs one ``pair_log_probs`` node scores, with their structure.
+
+    Row r of ``ids`` lists the candidates of own row ``anchors[r]``, or of own
+    row r when ``anchors`` is None (a block: one row of ``ids`` per own row, no
+    anchor gather). ``negative`` marks the pairs scored as log(1 - D), whose
+    logs are weighted by ``neg_weight`` (``lambda_neg`` in ``hpc_loss``); the
+    others weigh 1. ``indptr`` is the CSR row pointer of the own rows into
+    ``ids.ravel()``, known when the anchors are in order; without it the
+    backward's sparse matrix is assembled from the pairs."""
+
+    ids: np.ndarray  # (rows, c) candidate ids
+    negative: np.ndarray  # bool, ids' shape
+    neg_weight: float = 1.0
+    anchors: np.ndarray | None = None  # (rows,) own row of each row of ids
+    indptr: np.ndarray | None = None
+
+    @classmethod
+    def pairs(cls, ia, ib, negative: bool) -> "Pool":
+        """Flat pairs (ia_p, ib_p) in any order, all positive or all negative."""
+        ia = np.asarray(ia, dtype=np.int64).ravel()
+        ib = np.asarray(ib, dtype=np.int64).ravel()
+        return cls(ib[:, None], np.full((ib.size, 1), negative), anchors=ia)
+
+    def blocks(self) -> list[slice]:
+        """Consecutive rows of ``ids`` holding about ``PAIR_CHUNK`` pairs each."""
+        step = max(1, PAIR_CHUNK // self.ids.shape[1])
+        return [slice(lo, lo + step) for lo in range(0, self.ids.shape[0], step)]
+
+    def matrix(self, w: np.ndarray, shape) -> sp.csr_matrix:
+        """Sparse (own, cand) matrix with each pair's w, repeats summed by its
+        products."""
+        if self.indptr is not None:
+            return sp.csr_matrix((w.ravel(), self.ids.ravel(), self.indptr), shape=shape)
+        rows = np.repeat(self.anchors, self.ids.shape[1])
+        return sp.csr_matrix((w.ravel(), (rows, self.ids.ravel())), shape=shape)
+
+
 @dataclass
 class SamplePlan:
     """One epoch of contrastive ids: m negatives per anchor for each pool, and
-    the tolerance positives as flat (anchor, neighbor) pairs."""
+    the tolerance positives as flat (anchor, neighbor) pairs in anchor order
+    (the CSR's)."""
 
     neg_intra: np.ndarray  # (n, m)
     neg_inter: np.ndarray  # (n, m)
@@ -79,6 +128,34 @@ class SamplePlan:
     @property
     def num_negatives(self) -> int:
         return self.neg_intra.shape[1]
+
+    def inter_pool(self, lambda_neg: float) -> Pool:
+        """Each node against [itself, its inter negatives] in the other view:
+        one (n, m + 1) block, the negatives dropped when ``lambda_neg`` is 0."""
+        m = self.num_negatives if lambda_neg > 0.0 else 0
+        n = self.n_nodes
+        ids = np.concatenate([np.arange(n)[:, None], self.neg_inter[:, :m]], axis=1)
+        negative = np.zeros(ids.shape, dtype=bool)
+        negative[:, 1:] = True
+        return Pool(ids, negative, lambda_neg, indptr=np.arange(0, ids.size + 1, m + 1))
+
+    def intra_pool(self, lambda_neg: float) -> Pool:
+        """Each node against its neighbors, then its intra negatives, in its
+        own view: one CSR whose row pointer is the adjacency's plus m per
+        row, the negatives dropped when ``lambda_neg`` is 0."""
+        m = self.num_negatives if lambda_neg > 0.0 else 0
+        n = self.n_nodes
+        deg = np.bincount(self.edge_anchor, minlength=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(deg + m, out=indptr[1:])
+        ids = np.empty(indptr[-1], dtype=np.int64)
+        ids[np.arange(self.edge_nbr.size) + m * self.edge_anchor] = self.edge_nbr
+        neg_slots = (indptr[1:, None] - m) + np.arange(m)
+        ids[neg_slots] = self.neg_intra[:, :m]
+        negative = np.zeros(ids.size, dtype=bool)
+        negative[neg_slots] = True
+        return Pool(ids[:, None], negative[:, None], lambda_neg,
+                    anchors=np.repeat(np.arange(n), deg + m), indptr=indptr)
 
 
 def build_sample_plan(graph, m: int, rng: np.random.Generator) -> SamplePlan:
@@ -148,65 +225,85 @@ def pair_probs(man: Manifold, a: Tensor, b: Tensor, cfg: HpcConfig) -> Tensor:
     return ad.clip(ad.sigmoid(z), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
-def _pair_matrix(w: np.ndarray, ia: np.ndarray, ib: np.ndarray, shape) -> sp.csr_matrix:
-    """Sparse matrix with w_p at (ia_p, ib_p), repeats summed by its products.
-    The pools' anchors come in CSR order already, so they need no sort."""
-    if ia.size > 1 and np.any(ia[1:] < ia[:-1]):
-        order = np.argsort(ia, kind="stable")
-        w, ia, ib = w[order], ia[order], ib[order]
-    indptr = np.searchsorted(ia, np.arange(shape[0] + 1))
-    return sp.csr_matrix((w, ib, indptr), shape=shape)
-
-
 def pair_log_probs(man: Manifold, own: Tensor, ia, cand: Tensor, ib, cfg: HpcConfig,
                    negative: bool) -> Tensor:
     """Sum over pairs p of log D(own[ia_p], cand[ib_p]), or of log(1 - D) if
-    ``negative``, as one tape node.
+    ``negative``, as one tape node: :func:`pool_log_probs` on flat pairs.
 
     The value is bitwise that of ``pair_probs`` on gathered rows followed by
-    ``log`` and ``reduce_sum``. The backward is closed form, through the
-    slopes of ``Manifold.pair_dist``, and keeps each masked zero slope of the
-    composed route: the probability clamp, acosh at arg <= 1 and the
-    conformal factor's floor. For ``neg_dot`` both views go through
-    ``dg.log0`` on the tape first. ``own is cand`` (the intra-view pools)
-    accumulates both sides into the one tensor.
-    """
+    ``log`` and ``reduce_sum``."""
+    return pool_log_probs(man, own, cand, Pool.pairs(ia, ib, negative), cfg)
+
+
+def pool_log_probs(man: Manifold, own: Tensor, cand: Tensor, pool: Pool,
+                   cfg: HpcConfig) -> Tensor:
+    """Sum over the pool's pairs of weight · log D(own row, candidate row), or
+    log(1 - D) for its negative pairs, as one ``pair_log_probs`` tape node.
+
+    The backward is closed form, through the slopes of
+    ``Manifold.pair_dist``, and keeps each masked zero slope of the composed
+    route: the probability clamp, acosh at arg <= 1 and the conformal
+    factor's floor. For ``neg_dot`` both views go through ``dg.log0`` on the
+    tape first. ``own is cand`` (the intra-view pools) accumulates both sides
+    into the one tensor."""
     if cfg.similarity == "neg_dot":
         own_log = dg.log0(man, own)
         cand = own_log if cand is own else dg.log0(man, cand)
         own = own_log
-    return _pool_log_probs(man, own, ia, cand, ib, cfg, negative)
+    t_own = _node_terms(man, own, cfg)
+    return _pool_log_probs(man, own, t_own, cand,
+                           t_own if cand is own else _node_terms(man, cand, cfg), pool, cfg)
 
 
-def _pool_log_probs(man: Manifold, own: Tensor, ia, cand: Tensor, ib, cfg: HpcConfig,
-                    negative: bool) -> Tensor:
-    """The node of :func:`pair_log_probs` on rows already in scoring form:
-    points for ``distance``, ``log0`` tangent rows for ``neg_dot``."""
+def _node_terms(man: Manifold, t: Tensor, cfg: HpcConfig) -> np.ndarray | None:
+    return man.node_terms(t.value) if cfg.similarity == "distance" else None
+
+
+def _pool_log_probs(man: Manifold, own: Tensor, tx, cand: Tensor, ty, pool: Pool,
+                    cfg: HpcConfig) -> Tensor:
+    """The node of :func:`pool_log_probs` on rows already in scoring form
+    (points for ``distance``, ``log0`` tangent rows for ``neg_dot``) and
+    their ``node_terms`` tx, ty.
+
+    It scores the pool ``PAIR_CHUNK`` pairs at a time, forward and backward:
+    each side of a block of pairs is gathered once, and the block's per-pair
+    arrays stay in cache."""
     same = own is cand
     x, y = own.value, cand.value
-    ia = np.asarray(ia, dtype=np.int64).ravel()
-    ib = np.asarray(ib, dtype=np.int64).ravel()
-    if cfg.similarity == "neg_dot":  # x, y are already log0 rows
-        score = np.sum(np.take(x, ia, axis=0) * np.take(y, ib, axis=0), axis=1) * -1.0
-
-        def slopes(gs):
-            return -gs, np.zeros(x.shape[0]), np.zeros(y.shape[0])
-    else:
-        tx = man.node_terms(x)
-        score, slopes = man.pair_dist(x, tx, ia, y, tx if same else man.node_terms(y), ib)
-    if not np.all(np.isfinite(score)):  # the clamp below would hide an inf
-        raise ad.NonFiniteError("non-finite values produced by 'pair_log_probs'")
-    sig = ad.stable_sigmoid((cfg.bias - score) * (1.0 / cfg.temperature))
-    prob = np.clip(sig, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    value = np.sum(np.log(1.0 - prob if negative else prob)).reshape(1, 1)
+    ids, anchors = pool.ids, pool.anchors
+    logs = np.empty(ids.shape)
+    blocks = []  # (rows, sig, slopes) of each block, for the backward
+    for r in pool.blocks():
+        own_rows = x[r] if anchors is None else np.take(x, anchors[r], axis=0)
+        cand_rows = np.take(y, ids[r].ravel(), axis=0).reshape(-1, ids.shape[1], y.shape[1])
+        if cfg.similarity == "neg_dot":  # x, y are already log0 rows
+            score, slopes = np.einsum("nd,ncd->nc", own_rows, cand_rows) * -1.0, _dot_slopes
+        else:
+            t_own = tx[r] if anchors is None else np.take(tx, anchors[r])
+            score, slopes = man.pair_dist(own_rows, t_own, cand_rows, np.take(ty, ids[r]))
+        if not np.all(np.isfinite(score)):  # the clamp below would hide an inf
+            raise ad.NonFiniteError("non-finite values produced by 'pair_log_probs'")
+        sig = ad.stable_sigmoid((cfg.bias - score) * (1.0 / cfg.temperature))
+        prob = np.clip(sig, PROB_CLAMP, 1.0 - PROB_CLAMP)
+        negative = pool.negative[r]
+        logs[r] = (np.log(np.where(negative, 1.0 - prob, prob))
+                   * np.where(negative, pool.neg_weight, 1.0))
+        blocks.append((r, sig, slopes))
 
     def backward(g):
-        g = g.item()
-        d_prob = -g / (1.0 - prob) if negative else g / prob
-        live = (sig >= PROB_CLAMP) & (sig <= 1.0 - PROB_CLAMP)
-        gs = -(d_prob * live * (sig * (1.0 - sig)) * (1.0 / cfg.temperature))
-        w, u_own, u_cand = slopes(gs)
-        pairs = _pair_matrix(w, ia, ib, (x.shape[0], y.shape[0]))
+        w, u_rows, v = np.empty(ids.shape), np.empty(ids.shape[0]), np.empty(ids.shape)
+        scale = g.item() / cfg.temperature
+        for r, sig, slopes in blocks:
+            # dL/dscore: d log(sig) and d log(1 - sig) times sigma' = sig(1 - sig),
+            # times dz/dscore = -1/tau; zero where the probability is clamped.
+            live = (sig >= PROB_CLAMP) & (sig <= 1.0 - PROB_CLAMP)
+            gs = np.where(pool.negative[r], pool.neg_weight * sig, sig - 1.0)
+            gs *= live * scale
+            w[r], u, v[r] = slopes(gs)
+            u_rows[r] = np.sum(u, axis=1)
+        u_own = u_rows if anchors is None else np.bincount(anchors, u_rows, x.shape[0])
+        u_cand = np.bincount(ids.ravel(), v.ravel(), y.shape[0])
+        pairs = pool.matrix(w, (x.shape[0], y.shape[0]))
         if same:
             own.accumulate((u_own + u_cand)[:, None] * x + pairs @ y + pairs.T @ x)
             return
@@ -215,7 +312,13 @@ def _pool_log_probs(man: Manifold, own: Tensor, ia, cand: Tensor, ib, cfg: HpcCo
         if cand.requires_grad:
             cand.accumulate(u_cand[:, None] * y + pairs.T @ x)
 
-    return ad.record("pair_log_probs", value, (own,) if same else (own, cand), backward)
+    return ad.record("pair_log_probs", np.sum(logs).reshape(1, 1),
+                     (own,) if same else (own, cand), backward)
+
+
+def _dot_slopes(gs):
+    """``slopes`` of the ``neg_dot`` score -x·y: pair weight -1, no node weight."""
+    return -gs, np.zeros_like(gs), np.zeros_like(gs)
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +373,16 @@ def hpc_loss(emb: DualEmbedding, plan: SamplePlan, cfg: HpcConfig,
     """-(1/2n) sum_i [consistency(alpha) + consistency(beta)
     + tolerance(alpha) + tolerance(beta)], differentiable in both views.
 
-    Each pool of each view is one ``pair_log_probs`` node. Each view moves
-    into the other's model as ``exp0(target, transfer_scale · tangent)``, the
-    float ops of ``dg.transfer0``, from the view's shared ``emb.tangent``,
-    which ``decode`` reads as well; ``neg_dot`` scores the own-view rows on
-    that tangent too and adds one ``log0`` per transferred view."""
+    Each view is two ``pair_log_probs`` nodes over the plan's two pools,
+    built once for both views: the consistency positive with the inter-view
+    negatives against the other view moved into this one's model
+    (``SamplePlan.inter_pool``), and the tolerance positives with the
+    intra-view negatives against the view itself (``SamplePlan.intra_pool``,
+    skipped without ``include_tolerance``). Each view moves into the other's
+    model as ``exp0(target, transfer_scale · tangent)``, the float ops of
+    ``dg.transfer0``, from the view's shared ``emb.tangent``, which
+    ``decode`` reads as well; ``neg_dot`` scores the own-view rows on that
+    tangent too and adds one ``log0`` per transferred view."""
     n = plan.n_nodes
     man_a, man_b = emb.manifold_alpha, emb.manifold_beta
 
@@ -292,26 +400,17 @@ def hpc_loss(emb: DualEmbedding, plan: SamplePlan, cfg: HpcConfig,
         beta, alpha_in_beta = emb.tangent("beta"), dg.log0(man_b, alpha_in_beta)
     else:
         alpha, beta = emb.alpha, emb.beta
-    nodes = np.arange(n)
-    anchors = np.repeat(nodes, plan.num_negatives)
+    inter = plan.inter_pool(cfg.lambda_neg)
+    intra = plan.intra_pool(cfg.lambda_neg) if include_tolerance else None
 
-    def both_views(ia, ib, negative, intra):
-        """Pool sum of the alpha view plus that of the beta view."""
-        return ad.add(
-            _pool_log_probs(man_a, alpha, ia, alpha if intra else beta_in_alpha,
-                            ib, cfg, negative),
-            _pool_log_probs(man_b, beta, ia, beta if intra else alpha_in_beta,
-                            ib, cfg, negative))
+    def view_sum(man: Manifold, own: Tensor, other: Tensor) -> Tensor:
+        """Both pools of one view, ``other`` being the other view in its model."""
+        t_own = _node_terms(man, own, cfg)
+        total = _pool_log_probs(man, own, t_own, other, _node_terms(man, other, cfg),
+                                inter, cfg)
+        if intra is None:
+            return total
+        return ad.add(total, _pool_log_probs(man, own, t_own, own, t_own, intra, cfg))
 
-    total = both_views(nodes, nodes, False, intra=False)
-    if cfg.lambda_neg > 0.0:
-        neg_sum = both_views(anchors, plan.neg_inter, True, intra=False)
-        total = ad.add(total, ad.scalar_mul(neg_sum, cfg.lambda_neg))
-
-    if include_tolerance:
-        total = ad.add(total, both_views(plan.edge_anchor, plan.edge_nbr, False, intra=True))
-        if cfg.lambda_neg > 0.0:
-            neg_sum = both_views(anchors, plan.neg_intra, True, intra=True)
-            total = ad.add(total, ad.scalar_mul(neg_sum, cfg.lambda_neg))
-
+    total = ad.add(view_sum(man_a, alpha, beta_in_alpha), view_sum(man_b, beta, alpha_in_beta))
     return ad.scalar_mul(total, -1.0 / (2.0 * n))

@@ -21,7 +21,6 @@ autodiff tape, and the two check each other.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,10 +174,10 @@ class Manifold:
         x, y = _rows(x), _rows(y)
         if x.shape != y.shape:
             raise GeometryError(f"dist needs equal shapes, got {x.shape} vs {y.shape}")
-        idx = np.arange(x.shape[0])
         if self.kind is Model.POINCARE:
-            return self.pair_dist(x, self.node_terms(x), idx, y, self.node_terms(y), idx)[0]
-        d = self.pair_dist(x[:, 1:], x[:, 0], idx, y[:, 1:], y[:, 0], idx)[0]
+            return self.pair_dist(x, self.node_terms(x), y[:, None, :],
+                                  self.node_terms(y)[:, None])[0][:, 0]
+        d = self.pair_dist(x[:, 1:], x[:, 0], y[:, None, 1:], y[:, None, 0])[0][:, 0]
         # <x,x>_L cancels catastrophically far from the origin; identical
         # rows must still give an exact zero.
         same = np.all(x == y, axis=1)
@@ -192,46 +191,50 @@ class Manifold:
             return np.sum(x * x, axis=1) * self.k + 1.0
         return self.lorentz_time(x)
 
-    def pair_dist(self, x, tx, ia, y, ty, ib):
-        """Distance d_p between intrinsic rows x[ia_p] and y[ib_p], shape (N,),
-        and ``slopes(gs)``; tx, ty are the rows' ``node_terms``.
+    def pair_dist(self, x, tx, y, ty):
+        """Distance d_rj between intrinsic row x_r and each of its candidate
+        rows y_rj, shape (rows, c), and ``slopes(gs)``.
 
-        The float ops are those of ``diffgeo.dist_rows``, in order, on gathered
-        rows. ``slopes`` maps dL/dd to pair weights w and node weights u, u'
-        with dL/dx = u·x + W·y and dL/dy = u'·y + Wᵀ·x, W holding w_p at
-        (ia_p, ib_p) (Nickel & Kiela 2017, eq. 4; 2018 for the hyperboloid),
-        keeps the composed route's masked zero slopes (acosh at arg <= 1, the
-        conformal floor) and takes tx, ty as the ``node_terms`` of x, y.
+        x is (rows, d) and y (rows, c, d), both gathered by the caller; tx
+        (rows,) and ty (rows, c) are their ``node_terms``. The float ops are
+        those of ``diffgeo.dist_rows``, in order; the sums over d are
+        ``np.einsum``'s, as in ``autodiff.row_dot``, so the two agree
+        bitwise. ``slopes`` maps dL/dd to per-pair weights w, u, v with
+        dL/dx_r = sum_j (u_rj·x_r + w_rj·y_rj) and dL/dy_rj = v_rj·y_rj +
+        w_rj·x_r (Nickel & Kiela 2017, eq. 4; 2018 for the hyperboloid). They
+        keep the composed route's masked zero slopes: acosh at arg <= 1 and
+        the conformal floor.
         """
         k, inv_sk = self.k, 1.0 / self.sqrt_abs_k
-        nx, ny = x.shape[0], y.shape[0]
-        rows = functools.partial(np.take, axis=0)  # v[idx], faster on scattered rows
-        ta, tb = rows(tx, ia), rows(ty, ib)
+        ta, tb = tx[:, None], ty
         if self.kind is Model.POINCARE:
-            qa, qb = np.clip(ta, MIN_NORM, np.inf), np.clip(tb, MIN_NORM, np.inf)
-            diff = rows(x, ia) - rows(y, ib)
-            diff *= diff
-            d2 = np.sum(diff, axis=1)
-            den = qa * qb
-            arg = 1.0 - (d2 / den) * (2.0 * k)
+            diff = x[:, None, :] - y
+            d2 = np.einsum("ncd,ncd->nc", diff, diff)
+
+            def ball_terms():
+                """Floored conformal terms, their product and the acosh argument;
+                the backward recomputes them, so a tape keeps d2, ta, tb only."""
+                qa, qb = np.clip(ta, MIN_NORM, np.inf), np.clip(tb, MIN_NORM, np.inf)
+                den = qa * qb
+                return qa, qb, den, 1.0 - (d2 / den) * (2.0 * k)
+
+            arg = ball_terms()[3]
 
             def slopes(gs):
-                g_ratio = -(gs * inv_sk * acosh_slope(arg) * (2.0 * k))
-                g_d2 = 2.0 * g_ratio / den
-                g_den = -g_ratio * d2 / (den * den)
-                u_own = (np.bincount(ia, g_d2, nx)
-                         + 2.0 * k * (tx >= MIN_NORM) * np.bincount(ia, g_den * qb, nx))
-                u_cand = (np.bincount(ib, g_d2, ny)
-                          + 2.0 * k * (ty >= MIN_NORM) * np.bincount(ib, g_den * qa, ny))
-                return -g_d2, u_own, u_cand
+                # d2 enters through d2/den, and den = qa·qb through each floored
+                # term: dL/dq_a = -k·d2/q_a · dL/dd2 where q_a is not floored.
+                qa, qb, den, arg = ball_terms()
+                g_d2 = gs * acosh_slope(arg) * (-4.0 * k * inv_sk) / den
+                u = g_d2 * (1.0 - d2 * (k * (ta >= MIN_NORM) / qa))
+                v = g_d2 * (1.0 - d2 * (k * (tb >= MIN_NORM) / qb))
+                return -g_d2, u, v
         else:
-            arg = (np.sum(rows(x, ia) * rows(y, ib), axis=1) - ta * tb) * k
+            arg = (np.einsum("nd,ncd->nc", x, y) - ta * tb) * k
 
             def slopes(gs):
                 g_inner = gs * inv_sk * acosh_slope(arg) * k
-                u_own = np.bincount(ia, -g_inner * tb, nx) / np.maximum(tx, MIN_NORM)
-                u_cand = np.bincount(ib, -g_inner * ta, ny) / np.maximum(ty, MIN_NORM)
-                return g_inner, u_own, u_cand
+                return (g_inner, -g_inner * tb / np.maximum(ta, MIN_NORM),
+                        -g_inner * ta / np.maximum(tb, MIN_NORM))
 
         return np.arccosh(np.maximum(arg, 1.0)) * inv_sk, slopes
 

@@ -51,6 +51,18 @@ class TestLiftFeatures:
         keep[[3, 7]] = False
         assert np.array_equal(lifted[keep], x[keep])
 
+    def test_row_whose_square_overflows_lands_on_the_clamp(self):
+        # |x|^2 of these finite rows overflows; they must still be scaled onto
+        # the clamp, not to the origin, and the other rows stay bitwise.
+        lifted, clamped = lift_features([[1e200, 0.0]], 8.0)
+        assert clamped == 1 and np.array_equal(lifted, [[8.0, 0.0]])
+        x = np.array([[3e300, -4e300], [0.0, 0.0], [30.0, 40.0], [0.3, 0.4]])
+        lifted, clamped = lift_features(x, 5.0)
+        assert clamped == 2
+        np.testing.assert_allclose(lifted[:3:2], [[3.0, -4.0], [3.0, 4.0]], rtol=1e-15)
+        assert np.array_equal(lifted[2], x[2] * (5.0 / 50.0))
+        assert np.array_equal(lifted[[1, 3]], x[[1, 3]])
+
     def test_lorentz_lift_distance_equals_tangent_norm(self, rng):
         man = mf.lorentz(5, -1.3)
         x = rng.standard_normal((30, 5))

@@ -9,12 +9,14 @@ import pytest
 
 from hgcl import autodiff as ad
 from hgcl import diffgeo as dg
+from hgcl import hpc as hpc_mod
 from hgcl import manifolds as mf
 from hgcl.autodiff import Tape, Tensor
 from hgcl.data import Graph, synthetic_tree
 from hgcl.encoder import DualEmbedding
 from hgcl.hpc import (HpcConfig, SamplePlan, SamplingError, build_sample_plan, hpc_loss,
-                      mi_consistency, mi_tolerance, pair_log_probs, pair_probs)
+                      mi_consistency, mi_tolerance, pair_log_probs, pair_probs,
+                      pool_log_probs)
 
 
 def sigmoid(v):
@@ -331,22 +333,37 @@ class TestHpcLoss:
     @pytest.mark.parametrize("similarity", ["distance", "neg_dot"])
     @pytest.mark.parametrize("include_tolerance", [True, False])
     def test_matches_mi_sums_with_hub_isolated_node_and_two_components(
-            self, rng, similarity, include_tolerance):
+            self, rng, monkeypatch, similarity, include_tolerance):
         # hub 0 with leaves 1-6, leaf chain 6-7; path 8-9-10-11; node 12 isolated
         edges = [(0, j) for j in range(1, 7)] + [(6, 7), (8, 9), (9, 10), (10, 11)]
         g = Graph(13, np.array(edges), np.zeros((13, 1)), np.zeros(13, dtype=int))
         man_a, man_b = mf.poincare(3, -1.3), mf.lorentz(3, -0.7)
-        cfg = HpcConfig(num_negatives=3, lambda_neg=0.8, similarity=similarity)
         plan = build_sample_plan(g, 3, np.random.default_rng(4))
         emb = DualEmbedding(
             Tensor(dg.ambient_to_internal(man_a, man_a.random_points(rng, 13, 2.5))),
             Tensor(dg.ambient_to_internal(man_b, man_b.random_points(rng, 13, 2.5))),
             man_a, man_b)
+        gathered = []  # (candidate rows, of which negative) per pair_log_probs node
+        real_node = hpc_mod._pool_log_probs
+
+        def counting_node(man, own, tx, cand, ty, pool, cfg):
+            gathered.append((pool.ids.size, int(np.sum(pool.negative))))
+            return real_node(man, own, tx, cand, ty, pool, cfg)
+
+        monkeypatch.setattr(hpc_mod, "_pool_log_probs", counting_node)
         terms = [mi_consistency] + ([mi_tolerance] if include_tolerance else [])
-        total = math.fsum(term(i, emb, plan, cfg, view) for term in terms
-                          for view in ("alpha", "beta") for i in range(13))
-        got = hpc_loss(emb, plan, cfg, include_tolerance=include_tolerance).item()
-        assert got == pytest.approx(-total / (2 * 13), abs=1e-10)
+        for lambda_neg in (0.8, 0.0):
+            cfg = HpcConfig(num_negatives=3, lambda_neg=lambda_neg, similarity=similarity)
+            total = math.fsum(term(i, emb, plan, cfg, view) for term in terms
+                              for view in ("alpha", "beta") for i in range(13))
+            gathered.clear()
+            got = hpc_loss(emb, plan, cfg, include_tolerance=include_tolerance).item()
+            assert got == pytest.approx(-total / (2 * 13), abs=1e-10)
+            m = 3 if lambda_neg > 0 else 0  # lambda_neg = 0 gathers no negative row
+            per_view = [(13 * (1 + m), 13 * m)]
+            if include_tolerance:
+                per_view.append((2 * len(edges) + 13 * m, 13 * m))
+            assert gathered == per_view * 2
 
     def test_infimum_closed_form_on_clique_pair(self):
         g, man, coords = clique_pair_fixture(d_between=40.0)
@@ -561,9 +578,9 @@ class TestPairLogProbs:
         with Tape() as tape:
             hpc_loss(DualEmbedding(ha, hb, man_a, man_b), plan, HpcConfig(num_negatives=2))
         ops = Counter(node._op for node in tape.nodes)
-        assert ops["pair_log_probs"] == 8  # 4 pools x 2 views
+        assert ops["pair_log_probs"] == 4  # 2 merged pools x 2 views
         assert ops["gather_rows"] == 0
-        assert len(tape.nodes) <= 24
+        assert len(tape.nodes) <= 14
 
     def test_neg_dot_maps_each_view_through_log0_once(self):
         # Four view tensors (alpha, beta and their transfers), each mapped once;
@@ -581,5 +598,105 @@ class TestPairLogProbs:
                      HpcConfig(num_negatives=5, similarity="neg_dot"))
         ops = Counter(node._op for node in tape.nodes)
         assert ops["log0"] == 4
-        assert ops["pair_log_probs"] == 8
-        assert len(tape.nodes) <= 26
+        assert ops["pair_log_probs"] == 4
+        assert len(tape.nodes) <= 16
+
+
+# hub 0 with leaves 1-4, path 5-6; node 7 isolated
+POOL_GRAPH = Graph(8, np.array([(0, 1), (0, 2), (0, 3), (0, 4), (5, 6)]),
+                   np.zeros((8, 1)), np.zeros(8, dtype=int))
+
+
+def composed_pool(man, own, cand, pool, cfg):
+    """The reference route of a merged pool: each pair's rows gathered, scored
+    by ``pair_probs`` and logged, the negatives' logs weighted."""
+    rows = np.repeat(np.arange(pool.ids.shape[0]) if pool.anchors is None else pool.anchors,
+                     pool.ids.shape[1])
+    negative = pool.negative.ravel()
+    probs = pair_probs(man, ad.gather_rows(own, rows), ad.gather_rows(cand, pool.ids.ravel()),
+                       cfg)
+    logs = ad.log(ad.add(ad.mul(probs, np.where(negative, -1.0, 1.0)[:, None]),
+                         negative.astype(float)[:, None]))
+    return ad.reduce_sum(ad.mul(logs, np.where(negative, pool.neg_weight, 1.0)[:, None]))
+
+
+class TestMergedPools:
+    """Each view scores two pools: the consistency positive with the inter
+    negatives as one block, the tolerance pairs with the intra negatives as
+    one CSR."""
+
+    def test_inter_pool_is_the_anchor_then_its_negatives(self):
+        plan = build_sample_plan(POOL_GRAPH, 2, np.random.default_rng(0))
+        pool = plan.inter_pool(0.3)
+        assert pool.anchors is None and pool.neg_weight == 0.3
+        assert np.array_equal(pool.ids, np.column_stack([np.arange(8), plan.neg_inter]))
+        assert pool.negative[:, 1:].all()
+        assert not np.any(pool.negative[:, 0])
+        assert np.array_equal(pool.indptr, np.arange(0, 25, 3))
+
+    def test_intra_pool_is_the_csr_rows_then_their_negatives(self):
+        plan = build_sample_plan(POOL_GRAPH, 2, np.random.default_rng(0))
+        csr = POOL_GRAPH.csr_adjacency()
+        pool = plan.intra_pool(0.3)
+        assert np.array_equal(pool.indptr, csr.indptr + 2 * np.arange(9))
+        for i in range(8):
+            row = slice(pool.indptr[i], pool.indptr[i + 1])
+            nbrs = csr.indices[csr.indptr[i]:csr.indptr[i + 1]]
+            assert np.array_equal(pool.ids[row, 0], np.concatenate([nbrs, plan.neg_intra[i]]))
+            assert np.array_equal(pool.negative[row, 0], np.arange(len(nbrs) + 2) >= len(nbrs))
+            assert np.all(pool.anchors[row] == i)
+
+    def test_lambda_zero_pools_hold_no_negatives(self):
+        plan = build_sample_plan(POOL_GRAPH, 2, np.random.default_rng(0))
+        inter, intra = plan.inter_pool(0.0), plan.intra_pool(0.0)
+        assert np.array_equal(inter.ids, np.arange(8)[:, None]) and not np.any(inter.negative)
+        assert np.array_equal(intra.ids[:, 0], plan.edge_nbr) and not np.any(intra.negative)
+        assert np.array_equal(intra.indptr, POOL_GRAPH.csr_adjacency().indptr)
+
+    @pytest.mark.parametrize("intra", [False, True], ids=["inter-block", "intra-csr"])
+    @pytest.mark.parametrize("similarity", ["distance", "neg_dot"])
+    @pytest.mark.parametrize("man", MODELS, ids=lambda m: m.kind.value)
+    def test_matches_composed_route(self, man, similarity, intra):
+        rng = np.random.default_rng(9)
+        plan = build_sample_plan(POOL_GRAPH, 2, np.random.default_rng(1))
+        cfg = HpcConfig(bias=1.5, temperature=0.8, lambda_neg=0.6, similarity=similarity)
+        pool = plan.intra_pool(0.6) if intra else plan.inter_pool(0.6)
+        x = dg.ambient_to_internal(man, man.random_points(rng, 8, 2.0))
+        y = dg.ambient_to_internal(man, man.random_points(rng, 8, 2.0))
+        results = []
+        for route in (pool_log_probs, composed_pool):
+            own = ad.parameter(x.copy())
+            cand = own if intra else ad.parameter(y.copy())
+            with Tape() as tape:
+                out = route(man, own, cand, pool, cfg)
+                tape.backward(out)
+            results.append((out.item(), [own.grad] if intra else [own.grad, cand.grad]))
+        (fused, fused_grads), (ref, ref_grads) = results
+        assert fused == pytest.approx(ref, rel=1e-14)
+        for got, want in zip(fused_grads, ref_grads):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("similarity", ["distance", "neg_dot"])
+    def test_pair_chunks_leave_the_bits_unchanged(self, monkeypatch, similarity):
+        graph = synthetic_tree(3, 4)
+        rng = np.random.default_rng(5)
+        man_a, man_b = MODELS
+        ha = ad.parameter(dg.ambient_to_internal(
+            man_a, man_a.random_points(rng, graph.n_nodes, 1.5)))
+        hb = ad.parameter(dg.ambient_to_internal(
+            man_b, man_b.random_points(rng, graph.n_nodes, 1.5)))
+        plan = build_sample_plan(graph, 3, np.random.default_rng(0))
+        cfg = HpcConfig(num_negatives=3, similarity=similarity)
+
+        def run():
+            ha.grad = hb.grad = None
+            with Tape() as tape:
+                loss = hpc_loss(DualEmbedding(ha, hb, man_a, man_b), plan, cfg)
+                tape.backward(loss)
+            return loss.item(), ha.grad.copy(), hb.grad.copy()
+
+        whole = run()
+        monkeypatch.setattr(hpc_mod, "PAIR_CHUNK", 7)  # blocks of 1-7 rows, ragged at the end
+        chunked = run()
+        assert whole[0] == chunked[0]
+        assert all(np.array_equal(a, b) for a, b in zip(whole[1:], chunked[1:]))

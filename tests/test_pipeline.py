@@ -464,7 +464,7 @@ class TestTapeSize:
     decoder and the contrastive term share each view's log0."""
 
     @pytest.mark.parametrize("ablation, n_exp0, n_log0, n_nodes", [
-        ("full", 6, 4, 45),  # 4 encoder exp0 + 2 transfers; 2 encoder + 2 shared log0
+        ("full", 6, 4, 35),  # 4 encoder exp0 + 2 transfers; 2 encoder + 2 shared log0
         ("no_hpc", 4, 4, 23),
     ])
     def test_one_step(self, monkeypatch, ablation, n_exp0, n_log0, n_nodes):
