@@ -284,6 +284,8 @@ def matmul(a, b) -> Tensor:
 def aggregate(mat, a) -> Tensor:
     """Left-multiply by a constant (possibly sparse) matrix: out = mat @ a."""
     a = as_tensor(a)
+    if mat.shape[1] != a.value.shape[0]:
+        raise AutodiffError(f"aggregate: {mat.shape} @ {a.value.shape}")
     out_value = np.asarray(mat @ a.value)
 
     def backward(g):

@@ -346,6 +346,23 @@ def _encoder_cases(seed: int) -> list[GradCheckCase]:
             return pl.cross_entropy(logits, g.labels, np.ones(10, dtype=bool))
         return ad.grad_check(f, enc_a.parameters() + enc_b.parameters() + [w])
     cases.append(GradCheckCase("encoder:two-layer-objective", "encoder", 1e-3, run_two_layer))
+
+    # 64-wide binary features, up to 2 words a row: the rule sends this graph
+    # to the CSR first layer, whose weight gradient is x.T @ (a_norm.T @ G).
+    words = np.zeros((10, 64))
+    words[np.arange(10).repeat(2), np.random.default_rng(11).choice(64, 20)] = 1.0
+    sparse_msg, _ = first_message(words, a_norm, pl.TrainConfig.max_feature_norm)
+
+    def run_sparse_first_layer():
+        enc_a = Encoder(mf.poincare(3, -1.0), 64, [4, 3], "tanh", np.random.default_rng(12))
+        enc_b = Encoder(mf.lorentz(3, -0.5), 64, [4, 3], "tanh", np.random.default_rng(13))
+        def f():
+            emb = encode_views(sparse_msg, a_norm, enc_a, enc_b)
+            return ad.add(ad.reduce_sum(ad.square(emb.tangent("alpha"))),
+                          ad.reduce_sum(ad.square(emb.tangent("beta"))))
+        return ad.grad_check(f, enc_a.parameters() + enc_b.parameters())
+    cases.append(GradCheckCase("encoder:sparse-first-layer", "encoder", 1e-4,
+                               run_sparse_first_layer))
     return cases
 
 

@@ -148,6 +148,10 @@ class HgclModel:
 
     def embed(self, graph: Graph, a_norm) -> DualEmbedding:
         """Both views of ``graph``, encoded from a fresh first message."""
+        width = graph.features.shape[1]
+        if width != self.d_feat:
+            raise PipelineError(f"the model takes {self.d_feat}-wide features, "
+                                f"the graph has {width}-wide features")
         message, _ = first_message(graph.features, a_norm, self.config.max_feature_norm)
         return encode_views(message, a_norm, self.encoder_alpha, self.encoder_beta)
 
@@ -279,7 +283,10 @@ def train(graph: Graph, config: TrainConfig) -> TrainResult:
 
     The features are lifted and averaged once for the whole call
     (``encoder.first_message``), and both views of every forward read that
-    one message. Every weight state is forwarded once, on a tape: the forward
+    one message. For dense features, such as the synthetic trees', it is the
+    dense ``a_norm @ X``; for wide sparse features, where the nonzero counts
+    make ``a_norm @ (X @ W)`` cheaper (``encoder.csr_route``), it is the two
+    CSR factors. Every weight state is forwarded once, on a tape: the forward
     taken after epoch e's step gives epoch e's validation logits and is the
     forward that epoch e + 1 backpropagates through, so a run of E epochs
     makes E + 1 forwards. The final metrics read the kept logits of the

@@ -56,3 +56,16 @@ def masked(graph, fractions=(0.6, 0.2, 0.2), seed=0):
     tr, va, te = data_mod.split(graph, fractions, seed)
     return data_mod.Graph(graph.n_nodes, graph.edges, graph.features, graph.labels,
                           tr, va, te)
+
+
+def bag_of_words_graph(n=60, width=400, words=3, seed=5):
+    """A random connected graph with sparse binary features: ``words`` ones a
+    row out of ``width``, so the encoder's first layer runs on CSR features."""
+    rng = np.random.default_rng(seed)
+    tree = np.stack([np.arange(1, n), rng.integers(0, np.arange(1, n))], axis=1)
+    edges = np.concatenate([tree, rng.integers(0, n, size=(n // 2, 2))])
+    labels = rng.integers(0, 2, size=n)
+    features = np.zeros((n, width))
+    features[np.arange(n)[:, None], rng.permuted(np.tile(np.arange(width), (n, 1)),
+                                                 axis=1)[:, :words]] = 1.0
+    return data_mod.Graph(n, edges, features, labels)

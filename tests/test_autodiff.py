@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from hgcl import autodiff as ad
 from hgcl import checks
@@ -36,6 +37,12 @@ class TestTensorBasics:
     def test_incompatible_broadcast_rejected(self):
         with pytest.raises(AutodiffError):
             ad.add(Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 3))))
+
+    def test_product_shape_mismatch_named(self):
+        with pytest.raises(AutodiffError, match=r"^matmul: \(3, 2\) @ \(3, 4\)$"):
+            ad.matmul(Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 4))))
+        with pytest.raises(AutodiffError, match=r"^aggregate: \(3, 2\) @ \(3, 4\)$"):
+            ad.aggregate(sparse.csr_matrix((3, 2)), Tensor(np.zeros((3, 4))))
 
     def test_ops_outside_tape_do_not_record(self):
         p = ad.parameter(np.ones((2, 2)))

@@ -2,6 +2,7 @@
 
 import json
 import numbers
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,3 +29,17 @@ def test_every_entry_names_a_declared_metric_and_how_it_was_measured():
         assert f"--workload {e['workload']} " in e["command"], e
     prs = [e["pr"] for e in entries]
     assert all(isinstance(p, int) for p in prs) and prs == sorted(prs)  # appended in order
+
+
+def test_pair_wins_and_parent_quartiles_are_well_formed():
+    """``change_better`` ("k/pairs": pairs the change won) and
+    ``parent_quartiles`` ([q1, q3] of the parent's runs) come together."""
+    entries = json.loads((ROOT / "BENCH_perfbench.json").read_text())
+    for e in entries:
+        assert ("change_better" in e) == ("parent_quartiles" in e), e
+        if "change_better" not in e:
+            continue
+        won = re.fullmatch(r"(\d+)/(\d+)", e["change_better"])
+        assert won and int(won[2]) == e["pairs"] and int(won[1]) <= e["pairs"], e
+        q1, q3 = e["parent_quartiles"]
+        assert isinstance(q1, numbers.Real) and isinstance(q3, numbers.Real) and q1 <= q3, e

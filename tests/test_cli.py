@@ -250,6 +250,19 @@ class TestOtherCommands:
         assert not csv_path.exists()
 
 
+    def test_heatmap_feature_width_mismatch_names_both_widths(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["train", "--synthetic", "2,3,8,0.2", "--out", str(out)] + FAST_TRAIN)
+        capsys.readouterr()
+        csv_path = tmp_path / "h.csv"
+        rc = main(["heatmap", "--synthetic", "2,3,12,0.2",
+                   "--model", str(out / "model_seed0.npz"), "--out", str(csv_path)])
+        assert rc == RUNTIME_EXIT
+        assert capsys.readouterr().err == ("error: PipelineError: the model takes 8-wide "
+                                           "features, the graph has 12-wide features\n")
+        assert not csv_path.exists()
+
+
 class TestExitCodes:
     def test_usage_error_is_exit_1(self):
         proc = subprocess.run(

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from conftest import bag_of_words_graph
 from hgcl import autodiff as ad
+from hgcl import checks
 from hgcl import diffgeo as dg
+from hgcl import encoder as enc_mod
 from hgcl import manifolds as mf
 from hgcl.autodiff import Tensor
-from hgcl.data import normalize_adjacency
-from hgcl.encoder import (DualEmbedding, Encoder, EncoderError, HgnnLayer, encode_views,
-                          first_message, lift_features)
+from hgcl.data import normalize_adjacency, synthetic_tree
+from hgcl.encoder import (DualEmbedding, Encoder, EncoderError, HgnnLayer, SparseMessage,
+                          csr_route, encode_views, first_message, lift_features)
 from hgcl.pipeline import TrainConfig
 
 MAX_NORM = TrainConfig.max_feature_norm
@@ -101,6 +104,74 @@ class TestFirstMessage:
         assert clamped == 2
         assert np.array_equal(msg.value, np.asarray(a_norm @ lift_features(feats, MAX_NORM)[0]))
         assert not msg.requires_grad
+
+
+def rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestCsrRoute:
+    """Wide sparse features take the CSR first layer ``a_norm @ (x @ W)``,
+    which agrees with the dense message's ``(a_norm @ x) @ W`` to rounding."""
+
+    def test_rule_keeps_tree_features_dense_and_sends_words_to_csr(self):
+        tree = synthetic_tree(3, 4)
+        a_tree = normalize_adjacency(tree)
+        assert not csr_route(tree.features, a_tree)
+        assert isinstance(message(tree.features, a_tree), Tensor)
+        words = bag_of_words_graph()
+        a_words = normalize_adjacency(words)
+        assert csr_route(words.features, a_words)
+        assert isinstance(message(words.features, a_words), SparseMessage)
+
+    def test_rule_boundary(self, ten_node_graph):
+        a_norm = normalize_adjacency(ten_node_graph)
+        assert a_norm.nnz == 32
+        x = np.zeros((10, 64))
+        x.flat[:48] = 1.0  # 8 * (48 + 32) == 10 * 64
+        assert csr_route(x, a_norm)
+        x.flat[48] = 1.0
+        assert not csr_route(x, a_norm)
+
+    def test_views_and_gradients_match_the_dense_message(self, monkeypatch):
+        g = bag_of_words_graph()
+        feats = g.features.copy()
+        feats[4] *= 50.0  # norm 87: the clamp applies before the CSR conversion
+        a_norm = normalize_adjacency(g)
+        sparse_msg, clamped = first_message(feats, a_norm, MAX_NORM)
+        assert isinstance(sparse_msg, SparseMessage) and clamped == 1
+        assert np.array_equal(sparse_msg.x.toarray(), lift_features(feats, MAX_NORM)[0])
+        monkeypatch.setattr(enc_mod, "csr_route", lambda x, a_norm: False)
+        dense_msg, _ = first_message(feats, a_norm, MAX_NORM)
+        assert isinstance(dense_msg, Tensor)
+
+        def views_and_grads(msg):
+            enc_a = Encoder(mf.poincare(4, -1.0), 400, [8, 4], "tanh", np.random.default_rng(1))
+            enc_b = Encoder(mf.lorentz(4, -0.5), 400, [8, 4], "tanh", np.random.default_rng(2))
+            with ad.Tape() as tape:
+                emb = encode_views(msg, a_norm, enc_a, enc_b)
+                tape.backward(ad.add(ad.reduce_sum(ad.square(emb.tangent("alpha"))),
+                                     ad.reduce_sum(ad.square(emb.tangent("beta")))))
+            return [emb.alpha.value, emb.beta.value] + [
+                p.grad for p in enc_a.parameters() + enc_b.parameters()]
+
+        got, want = views_and_grads(sparse_msg), views_and_grads(dense_msg)
+        assert len(got) == 10
+        for a, b in zip(got, want):
+            assert rel_err(a, b) <= 1e-13
+
+    def test_gradcheck_registry_covers_the_csr_route(self, monkeypatch):
+        messages, real = [], checks.first_message
+
+        def recording(*args):
+            out = real(*args)
+            messages.append(out[0])
+            return out
+
+        monkeypatch.setattr(checks, "first_message", recording)
+        names = [c.name for c in checks.gradient_check_cases(scope="encoder")]
+        assert "encoder:sparse-first-layer" in names
+        assert [type(m) for m in messages] == [Tensor, SparseMessage, Tensor]
 
 
 class TestLayerForward:

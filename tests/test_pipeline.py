@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import masked
+from conftest import bag_of_words_graph, masked
 from hgcl import autodiff as ad
 from hgcl import data as data_mod
+from hgcl import encoder as enc_mod
 from hgcl import manifolds as mf
 from hgcl import pipeline as pl
 from hgcl.autodiff import Tensor
@@ -347,6 +348,55 @@ class TestFirstLayerInput:
         layer = model.encoder_alpha.layers[0]
         expect = layer.transform(Tensor(np.asarray(a_norm @ clamped)))
         assert np.array_equal(model.embed(g, a_norm).alpha.value, expect.value)
+
+    def test_tree_metric_stream_is_unchanged(self):
+        # The metric stream perfbench compares, recorded before the CSR route
+        # existed: tree features keep the dense message, so it must not move.
+        g = tree_graph()
+        assert not enc_mod.csr_route(g.features, normalize_adjacency(g))
+        res = train(g, small_config(epochs=5, patience=5))
+        assert [rec.to_json() for rec in res.history] == [
+            '{"epoch": 0, "hpc_loss": 8.3066822154, "task_loss": 0.7011118318, '
+            '"total_loss": 9.0077940472, "val_metric": 0.5}',
+            '{"epoch": 1, "hpc_loss": 7.8943504702, "task_loss": 0.6874612133, '
+            '"total_loss": 8.5818116835, "val_metric": 0.6666666667}',
+            '{"epoch": 2, "hpc_loss": 7.444248658, "task_loss": 0.6706292155, '
+            '"total_loss": 8.1148778735, "val_metric": 0.8333333333}',
+            '{"epoch": 3, "hpc_loss": 6.9934436362, "task_loss": 0.6508775472, '
+            '"total_loss": 7.6443211834, "val_metric": 1.0}',
+            '{"epoch": 4, "hpc_loss": 6.4647562838, "task_loss": 0.6282314579, '
+            '"total_loss": 7.0929877418, "val_metric": 1.0}',
+        ]
+
+    def test_csr_route_history_matches_the_dense_route(self, monkeypatch):
+        g = masked(bag_of_words_graph())
+        assert enc_mod.csr_route(g.features, normalize_adjacency(g))
+        cfg = small_config(epochs=8, patience=8)
+        sparse_run = train(g, cfg)
+        monkeypatch.setattr(enc_mod, "csr_route", lambda x, a_norm: False)
+        dense_run = train(g, cfg)
+        fields = ("task_loss", "hpc_loss", "total_loss", "val_metric")
+        got = np.array([[getattr(r, f) for f in fields] for r in sparse_run.history])
+        want = np.array([[getattr(r, f) for f in fields] for r in dense_run.history])
+        assert got.shape == (8, 4)
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=0)
+        assert sparse_run.test_metrics == dense_run.test_metrics
+
+    @pytest.mark.parametrize("graph", [tree_graph, lambda: masked(bag_of_words_graph())],
+                             ids=["dense", "csr"])
+    def test_feature_width_mismatch_named_before_any_forward(self, monkeypatch, tmp_path,
+                                                             graph):
+        g = graph()
+        model = HgclModel(small_config(), g.features.shape[1] + 4, g.n_classes)
+        monkeypatch.setattr(pl, "encode_views", mock.Mock(side_effect=AssertionError))
+        width = g.features.shape[1]
+        message = f"the model takes {width + 4}-wide features, the graph has {width}-wide"
+        for run in (lambda: model.embed(g, normalize_adjacency(g)),
+                    lambda: pl.predictions(model, g),
+                    lambda: export_heatmap(model, g, [0, 1], "alpha", tmp_path / "h.csv")):
+            with pytest.raises(PipelineError, match=message):
+                run()
+        assert not (tmp_path / "h.csv").exists()
 
 
 class TestOneForwardPerWeightState:
