@@ -281,6 +281,35 @@ def matmul(a, b) -> Tensor:
     return record("matmul", out_value, (a, b), backward)
 
 
+def affine(x, w, b, activation: str = "none") -> Tensor:
+    """``act(x @ w + b)`` as one tape node that keeps only its output.
+
+    The forward runs the float ops of ``act(add(matmul(x, w), b))`` in the
+    same order, and the backward those of that chain's three backwards, so
+    both agree bit for bit; ``act`` is a key of :data:`ACTIVATIONS`."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.value.shape[1] != w.value.shape[0]:
+        raise AutodiffError(f"affine: {x.value.shape} @ {w.value.shape}")
+    fwd, slope = ACTIVATIONS[activation]
+    z = x.value @ w.value
+    if b.value.shape not in ((1, z.shape[1]), z.shape):
+        raise AutodiffError(f"affine: bias {b.value.shape} for output {z.shape}")
+    z += b.value
+    out_value = z if fwd is None else fwd(z)
+
+    def backward(g):
+        if slope is not None:
+            g = g * slope(out_value)
+        if x.requires_grad:
+            x.accumulate(g @ w.value.T)
+        if w.requires_grad:
+            w.accumulate(x.value.T @ g)
+        if b.requires_grad:
+            b.accumulate(_unbroadcast(g, b.value.shape))
+
+    return record("affine", out_value, (x, w, b), backward)
+
+
 def aggregate(mat, a) -> Tensor:
     """Left-multiply by a constant (possibly sparse) matrix: out = mat @ a."""
     a = as_tensor(a)
@@ -308,8 +337,23 @@ def _unary(op: str, a, fn, dfn_from) -> Tensor:
     return record(op, out_value, (a,), backward)
 
 
+# Activations as (forward, slope), the slope a function of the output alone,
+# so a node that keeps only its output can run its backward: tanh' = 1 - o^2
+# and relu' = [o > 0]. ``tanh``, ``relu`` and ``affine`` read them here.
+ACTIVATIONS = {
+    "tanh": (np.tanh, lambda o: 1.0 - o * o),
+    "relu": (lambda v: np.maximum(v, 0.0), lambda o: (o > 0).astype(np.float64)),
+    "none": (None, None),
+}
+
+
+def _activation(name: str, a) -> Tensor:
+    fwd, slope = ACTIVATIONS[name]
+    return _unary(name, a, fwd, lambda v, o: slope(o))
+
+
 def tanh(a) -> Tensor:
-    return _unary("tanh", a, np.tanh, lambda v, o: 1.0 - o * o)
+    return _activation("tanh", a)
 
 
 def stable_sigmoid(v: np.ndarray) -> np.ndarray:
@@ -323,7 +367,7 @@ def sigmoid(a) -> Tensor:
 
 
 def relu(a) -> Tensor:
-    return _unary("relu", a, lambda v: np.maximum(v, 0.0), lambda v, o: (v > 0).astype(np.float64))
+    return _activation("relu", a)
 
 
 def exp(a) -> Tensor:

@@ -244,6 +244,25 @@ def _primitive_cases(seed: int) -> list[GradCheckCase]:
            lambda: rng.standard_normal((3, 2)))
     binary("concat_cols", lambda a, b: ad.square(ad.concat_cols([a, b])), g, g)
 
+    def affine_case(activation, track_x):
+        def run():
+            while True:  # for relu, stay off the kink
+                x, w, b = g(), rng.standard_normal((3, 2)), rng.standard_normal((1, 2))
+                if activation != "relu" or np.min(np.abs(x @ w + b)) > 0.05:
+                    break
+            x = ad.parameter(x) if track_x else ad.Tensor(x)
+            w, b = ad.parameter(w), ad.parameter(b)
+            return ad.grad_check(
+                lambda: ad.reduce_sum(ad.square(ad.affine(x, w, b, activation))),
+                [x, w, b] if track_x else [w, b])
+        return run
+
+    for activation in ad.ACTIVATIONS:
+        for track_x in (True, False):
+            tag = activation if track_x else f"{activation}:const-x"
+            cases.append(GradCheckCase(f"primitive:affine[{tag}]", "manifold", 1e-6,
+                                       affine_case(activation, track_x)))
+
     def run_aggregate():
         a = ad.parameter(rng.standard_normal((4, 3)))
         m = rng.standard_normal((5, 4))
@@ -331,7 +350,7 @@ def _encoder_cases(seed: int) -> list[GradCheckCase]:
         man = mf.poincare(4, -1.0)
         enc = Encoder(man, 5, [4], "none", np.random.default_rng(3))
         def f():
-            h = enc.encode(msg, a_norm)
+            _, h = enc.encode(msg, a_norm)
             return ad.reduce_sum(ad.square(h))
         return ad.grad_check(f, enc.parameters())
     cases.append(GradCheckCase("encoder:layer-weights", "encoder", 1e-4, run_layer_w))

@@ -1,12 +1,15 @@
 """Two-view hyperbolic GNN encoders.
 
-Each layer aggregates in the tangent space at the origin: log map the node
-points, average neighbors through the normalized adjacency, apply an affine
-map and activation, and push the result back with the exp map. Both origin
-maps are single tape nodes (``diffgeo.exp0``/``diffgeo.log0``), so every
-intermediate embedding satisfies its model constraint by construction. The
-encoders' output views go through ``log0`` once more per training step, in
-:meth:`DualEmbedding.tangent`, which the decoder and the contrastive term share.
+Each layer aggregates in the tangent space at the origin, as HGCN does:
+average the previous layer's origin tangents through the normalized
+adjacency, then apply an affine map and activation, one ``ad.affine`` tape
+node. All layers of an encoder share one manifold, so a layer's output stays
+a tangent, and the next layer aggregates it directly: mapping it to a point
+with ``exp0`` and back with ``log0`` would be the identity. Each view takes
+``exp0`` once, of its last tangent (:meth:`Encoder.encode`), so its points
+satisfy the model constraint by construction. :class:`DualEmbedding` carries
+both; the decoder, the cross-view transfers and ``neg_dot`` read the tangent,
+and the distance pools and the heatmap read the points.
 
 Euclidean input features are origin tangents. Lifting them with ``exp0`` and
 reading them back with ``log0`` is the identity, so the first layer's input is
@@ -28,7 +31,7 @@ citation graphs, take the CSR route; dense features such as
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -112,34 +115,33 @@ def first_message(features: np.ndarray, a_norm,
 
 @dataclass
 class HgnnLayer:
-    """One tangent-space graph convolution on a fixed manifold."""
+    """One graph convolution in the origin tangent space: tangents in,
+    tangents out, so it needs no manifold."""
 
     weight: Tensor
     bias: Tensor
-    manifold: Manifold
     activation: str = "tanh"
 
     @classmethod
-    def init(cls, manifold: Manifold, d_in: int, d_out: int, activation: str,
+    def init(cls, d_in: int, d_out: int, activation: str,
              rng: np.random.Generator) -> "HgnnLayer":
         s = 1.0 / np.sqrt(d_in)
         weight = ad.parameter(rng.uniform(-s, s, size=(d_in, d_out)))
         bias = ad.parameter(np.zeros((1, d_out)))
-        return cls(weight, bias, manifold, activation)
+        return cls(weight, bias, activation)
 
-    def forward(self, h: Tensor, a_norm) -> Tensor:
-        # the maps read only the model and curvature, not dim: any width will do
-        return self.transform(ad.aggregate(a_norm, dg.log0(self.manifold, h)))
+    def forward(self, t: Tensor, a_norm) -> Tensor:
+        """The layer on the previous layer's origin tangents ``t``."""
+        return self.transform(ad.aggregate(a_norm, t))
 
     def transform(self, msg: Tensor | SparseMessage) -> Tensor:
-        """Affine map, activation and exp map of an aggregated tangent message."""
+        """Affine map and activation of an aggregated tangent message: the
+        layer's output tangent. A dense message takes one ``ad.affine`` node;
+        the CSR factors keep their two ``aggregate`` nodes, then add the bias
+        and apply the activation."""
         if isinstance(msg, SparseMessage):
-            xw = msg.times(self.weight)
-        else:
-            xw = ad.matmul(msg, self.weight)
-        z = ad.add(xw, self.bias)
-        z = ACTIVATIONS[self.activation](z)
-        return dg.exp0(self.manifold, z)
+            return ACTIVATIONS[self.activation](ad.add(msg.times(self.weight), self.bias))
+        return ad.affine(msg, self.weight, self.bias, self.activation)
 
     def parameters(self) -> list[Tensor]:
         return [self.weight, self.bias]
@@ -157,18 +159,22 @@ class Encoder:
         prev = d_in
         for i, d in enumerate(dims):
             act = activation if i < len(dims) - 1 else "none"
-            self.layers.append(HgnnLayer.init(self.manifold, prev, d, act, rng))
+            self.layers.append(HgnnLayer.init(prev, d, act, rng))
             prev = d
 
-    def encode(self, message: Tensor | SparseMessage, a_norm) -> Tensor:
+    def encode(self, message: Tensor | SparseMessage, a_norm) -> tuple[Tensor, Tensor]:
         """The view of the graph whose first-layer input is ``message``
-        (:func:`first_message`), dense or CSR."""
+        (:func:`first_message`), dense or CSR: the last layer's origin tangent
+        and its point ``exp0(tangent)``. An error names the layer; the exp0
+        counts as the last layer's."""
+        last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
             try:
-                h = layer.transform(message) if i == 0 else layer.forward(h, a_norm)
+                t = layer.transform(message) if i == 0 else layer.forward(t, a_norm)
+                if i == last:
+                    return t, dg.exp0(self.manifold, t)
             except ad.NonFiniteError as exc:
                 raise EncoderError(f"layer {i}: {exc}") from exc
-        return h
 
     def parameters(self) -> list[Tensor]:
         return [p for layer in self.layers for p in layer.parameters()]
@@ -176,16 +182,21 @@ class Encoder:
 
 @dataclass
 class DualEmbedding:
-    """Per-node embedding pair, one view per manifold (intrinsic coordinates).
+    """Per-node embedding pair, one view per manifold (intrinsic coordinates),
+    and each view's origin tangent.
 
-    :meth:`tangent` memoizes each view's origin tangent for the active tape, so
-    one training step takes ``log0`` of each view once for all its readers."""
+    :func:`encode_views` sets both tangents: each is its encoder's last
+    tangent, whose ``exp0`` the points are, so the readers of the tangent
+    (the decoder, the cross-view transfers, ``neg_dot``) take no ``log0``.
+    An embedding built from points alone has no tangents, and :meth:`tangent`
+    takes ``log0`` of its points on each call."""
 
     alpha: Tensor
     beta: Tensor
     manifold_alpha: Manifold
     manifold_beta: Manifold
-    _tangents: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    tangent_alpha: Tensor | None = None
+    tangent_beta: Tensor | None = None
 
     def view(self, view: str) -> tuple[Manifold, Tensor]:
         if view == "alpha":
@@ -195,18 +206,11 @@ class DualEmbedding:
         raise ValueError(f"view must be 'alpha' or 'beta', got {view!r}")
 
     def tangent(self, view: str) -> Tensor:
-        """``log0`` of one view. Under a tape it is computed once and shared by
-        every reader on that tape; with no tape active it is recomputed on each
-        call, so forward-only probes that edit a view in place see the edit."""
-        tape = ad.Tape.current()
-        memo = self._tangents.get(view)
-        if memo is not None and tape is not None and memo[0] is tape:
-            return memo[1]
+        """The origin tangent of one view: the carried one, or ``log0`` of
+        the points when none is carried."""
         man, h = self.view(view)
-        out = dg.log0(man, h)
-        if tape is not None:
-            self._tangents[view] = (tape, out)
-        return out
+        t = self.tangent_alpha if view == "alpha" else self.tangent_beta
+        return dg.log0(man, h) if t is None else t
 
     def points(self, view: str) -> np.ndarray:
         """Materialize one view as validated ambient point rows."""
@@ -218,9 +222,7 @@ class DualEmbedding:
 
 def encode_views(message: Tensor | SparseMessage, a_norm, encoder_alpha: Encoder,
                  encoder_beta: Encoder) -> DualEmbedding:
-    return DualEmbedding(
-        alpha=encoder_alpha.encode(message, a_norm),
-        beta=encoder_beta.encode(message, a_norm),
-        manifold_alpha=encoder_alpha.manifold,
-        manifold_beta=encoder_beta.manifold,
-    )
+    tangent_alpha, alpha = encoder_alpha.encode(message, a_norm)
+    tangent_beta, beta = encoder_beta.encode(message, a_norm)
+    return DualEmbedding(alpha, beta, encoder_alpha.manifold, encoder_beta.manifold,
+                         tangent_alpha, tangent_beta)

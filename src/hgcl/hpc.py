@@ -21,9 +21,12 @@ the composed ``pair_probs`` route, and its backward is closed form: one
 sparse n x n product per side from the pool's row pointer, no n·m x d
 tensors on the tape. ``pair_probs`` stays as the composed reference that
 the per-anchor ``mi_*`` sums and the parity tests run. The cross-view
-positives move each view through the origin tangent space with the fused
-``dg.exp0``/``dg.log0`` nodes, starting from the tangent that the decoder
-shares (``DualEmbedding.tangent``).
+positives move each view into the other's model as
+``exp0(target, transfer_scale · tangent)``, one fused ``dg.exp0`` node,
+from the origin tangent the encoder carries (``DualEmbedding.tangent``),
+which the decoder reads too. ``neg_dot`` scores those tangents directly, the
+moved ones as ``transfer_scale · tangent``, so a training step takes no
+``log0``.
 """
 
 from __future__ import annotations
@@ -380,26 +383,25 @@ def hpc_loss(emb: DualEmbedding, plan: SamplePlan, cfg: HpcConfig,
     intra-view negatives against the view itself (``SamplePlan.intra_pool``,
     skipped without ``include_tolerance``). Each view moves into the other's
     model as ``exp0(target, transfer_scale · tangent)``, the float ops of
-    ``dg.transfer0``, from the view's shared ``emb.tangent``, which
-    ``decode`` reads as well; ``neg_dot`` scores the own-view rows on that
-    tangent too and adds one ``log0`` per transferred view."""
+    ``dg.transfer0``, from the view's origin tangent ``emb.tangent``, which
+    ``decode`` reads as well. ``neg_dot`` scores origin tangents, so it reads
+    the own views' tangents and ``transfer_scale · tangent`` for the moved
+    ones, with no origin map."""
     n = plan.n_nodes
     man_a, man_b = emb.manifold_alpha, emb.manifold_beta
 
-    def moved(view: str, target: Manifold) -> Tensor:
-        """The view in ``target``'s model (the view itself on its own model)."""
+    def scored(view: str, target: Manifold) -> Tensor:
+        """One view as the pools of ``target``'s view score it: its origin
+        tangent for ``neg_dot``, its points for ``distance``."""
         source, h = emb.view(view)
+        neg_dot = cfg.similarity == "neg_dot"
         if source == target:
-            return h
-        return dg.exp0(target, ad.scalar_mul(emb.tangent(view),
-                                             transfer_scale(source, target)))
+            return emb.tangent(view) if neg_dot else h
+        u = ad.scalar_mul(emb.tangent(view), transfer_scale(source, target))
+        return u if neg_dot else dg.exp0(target, u)
 
-    beta_in_alpha, alpha_in_beta = moved("beta", man_a), moved("alpha", man_b)
-    if cfg.similarity == "neg_dot":
-        alpha, beta_in_alpha = emb.tangent("alpha"), dg.log0(man_a, beta_in_alpha)
-        beta, alpha_in_beta = emb.tangent("beta"), dg.log0(man_b, alpha_in_beta)
-    else:
-        alpha, beta = emb.alpha, emb.beta
+    alpha, beta_in_alpha = scored("alpha", man_a), scored("beta", man_a)
+    beta, alpha_in_beta = scored("beta", man_b), scored("alpha", man_b)
     inter = plan.inter_pool(cfg.lambda_neg)
     intra = plan.intra_pool(cfg.lambda_neg) if include_tolerance else None
 

@@ -158,6 +158,43 @@ class TestGradCheck:
             ad.grad_check(lambda: ad.square(theta), [theta])
 
 
+class TestAffine:
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "none"])
+    @pytest.mark.parametrize("track_x", [True, False])
+    def test_equals_the_chain_bit_for_bit(self, rng, activation, track_x):
+        x0, w0, b0 = (rng.standard_normal((40, 7)), rng.standard_normal((7, 5)),
+                      rng.standard_normal((1, 5)))
+        x0[0], b0[0, 0] = 0.0, 0.0  # a zero pre-activation: relu's kink
+        g0 = rng.standard_normal((40, 5))
+        act = {"tanh": ad.tanh, "relu": ad.relu, "none": lambda t: t}[activation]
+        runs = []
+        for fn in (lambda x, w, b: ad.affine(x, w, b, activation),
+                   lambda x, w, b: act(ad.add(ad.matmul(x, w), b))):
+            x = ad.parameter(x0.copy()) if track_x else Tensor(x0.copy())
+            w, b = ad.parameter(w0.copy()), ad.parameter(b0.copy())
+            with Tape() as tape:
+                out = fn(x, w, b)
+                tape.backward(ad.reduce_sum(ad.mul(out, Tensor(g0))))
+            runs.append([out.value, w.grad, b.grad] + ([x.grad] if track_x else []))
+        fused, chain = runs
+        for a, b in zip(fused, chain):
+            assert np.array_equal(a, b)
+
+    def test_one_node_keeping_only_its_output(self, rng):
+        x, w, b = (Tensor(rng.standard_normal((6, 3))), ad.parameter(rng.standard_normal((3, 2))),
+                   ad.parameter(np.zeros((1, 2))))
+        with Tape() as tape:
+            out = ad.affine(x, w, b, "tanh")
+        assert tape.nodes == [out] and out._op == "affine"
+
+    def test_shapes_checked(self):
+        x, w = Tensor(np.ones((4, 3))), Tensor(np.ones((3, 2)))
+        with pytest.raises(AutodiffError, match="affine"):
+            ad.affine(x, Tensor(np.ones((2, 2))), Tensor(np.zeros((1, 2))))
+        with pytest.raises(AutodiffError, match="bias"):
+            ad.affine(x, w, Tensor(np.zeros((1, 3))))
+
+
 def test_every_registered_primitive_within_1e6():
     for case in checks.gradient_check_cases(scope="manifold"):
         if case.name.startswith("primitive:"):

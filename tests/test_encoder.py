@@ -1,5 +1,7 @@
 """Feature lifting and the two-view tangent-space GNN encoders."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -177,7 +179,7 @@ class TestCsrRoute:
 class TestLayerForward:
     def test_identity_configuration_is_identity(self, rng):
         man = mf.poincare(4, -1.0)
-        layer = HgnnLayer(Tensor(np.eye(4)), Tensor(np.zeros((1, 4))), man, "none")
+        layer = HgnnLayer(Tensor(np.eye(4)), Tensor(np.zeros((1, 4))), "none")
         h = Tensor(man.random_points(rng, 12, 2.0))
         out = layer.forward(h, sparse.identity(12, format="csr"))
         np.testing.assert_allclose(out.value, h.value, atol=1e-9)
@@ -189,7 +191,7 @@ class TestLayerForward:
         a_row = sparse.csr_matrix(a / a.sum(axis=1, keepdims=True))
         p = man.random_points(rng, 1, 1.5)
         h = Tensor(np.repeat(dg.ambient_to_internal(man, p), 10, axis=0))
-        layer = HgnnLayer(Tensor(np.eye(4)), Tensor(np.zeros((1, 4))), man, "none")
+        layer = HgnnLayer(Tensor(np.eye(4)), Tensor(np.zeros((1, 4))), "none")
         out = layer.forward(h, a_row).value
         spread = np.max(np.abs(out - out[0]))
         assert spread <= 1e-9
@@ -200,7 +202,7 @@ class TestLayerForward:
         msg = message(ten_node_graph.features, a_norm)
 
         def f():
-            return ad.reduce_sum(ad.square(enc.encode(msg, a_norm)))
+            return ad.reduce_sum(ad.square(enc.encode(msg, a_norm)[1]))
 
         assert ad.grad_check(f, enc.parameters()) <= 1e-4
 
@@ -213,13 +215,13 @@ class TestLayerForward:
             for p in enc.parameters():
                 p.value[:] = 0.0
             with ad.Tape() as tape:
-                out = ad.reduce_sum(ad.square(enc.encode(msg, a_norm)))
+                out = ad.reduce_sum(ad.square(enc.encode(msg, a_norm)[1]))
                 tape.backward(out)
             assert np.isfinite(out.item())
             assert all(p.grad is None or np.all(np.isfinite(p.grad))
                        for p in enc.parameters())
             err = ad.grad_check(
-                lambda: ad.reduce_sum(ad.square(enc.encode(msg, a_norm))),
+                lambda: ad.reduce_sum(ad.square(enc.encode(msg, a_norm)[1])),
                 enc.parameters())
             assert np.isfinite(err)
 
@@ -295,8 +297,9 @@ class TestEncodeViews:
 
 
 class TestSharedTangent:
-    """``DualEmbedding.tangent``: one ``log0`` per view and tape, equal to
-    ``dg.log0`` bit for bit."""
+    """``DualEmbedding.tangent``: the tangent the encoder carries, whose
+    ``exp0`` the points are, or ``log0`` of the points for an embedding built
+    from points alone."""
 
     def embedding(self, rng):
         man_a, man_b = mf.poincare(3, -1.0), mf.lorentz(3, -0.5)
@@ -304,27 +307,48 @@ class TestSharedTangent:
         hb = ad.parameter(dg.ambient_to_internal(man_b, man_b.random_points(rng, 7, 2.0)))
         return DualEmbedding(ha, hb, man_a, man_b)
 
-    def test_one_node_per_view_under_a_tape(self, rng):
-        emb = self.embedding(rng)
-        with ad.Tape() as tape:
-            first = {v: emb.tangent(v) for v in ("alpha", "beta")}
-            again = {v: emb.tangent(v) for v in ("alpha", "beta")}
-        assert all(first[v] is again[v] for v in first)
-        assert [node._op for node in tape.nodes] == ["log0", "log0"]
-        np.testing.assert_array_equal(first["alpha"].value,
-                                      dg.log0(emb.manifold_alpha, emb.alpha).value)
-        np.testing.assert_array_equal(first["beta"].value,
-                                      dg.log0(emb.manifold_beta, emb.beta).value)
+    def encoders(self):
+        return (Encoder(mf.poincare(3, -1.0), 5, [4, 3], "tanh", np.random.default_rng(0)),
+                Encoder(mf.lorentz(3, -0.5), 5, [4, 3], "tanh", np.random.default_rng(1)))
 
-    def test_each_tape_gets_its_own_node(self, rng):
-        emb = self.embedding(rng)
-        with ad.Tape():
-            old = emb.tangent("alpha")
+    def encoded(self, graph, encoders):
+        a_norm = normalize_adjacency(graph)
+        return encode_views(message(graph.features, a_norm), a_norm, *encoders)
+
+    def test_one_node_per_view_under_a_tape(self, ten_node_graph):
+        # one exp0 per view maps its last tangent to points; no log0 is taken,
+        # and reading a tangent records nothing
+        encoders = self.encoders()
         with ad.Tape() as tape:
-            new = emb.tangent("alpha")
+            emb = self.encoded(ten_node_graph, encoders)
+            recorded = len(tape.nodes)
+            tangents = {v: emb.tangent(v) for v in ("alpha", "beta")}
+        assert len(tape.nodes) == recorded
+        ops = Counter(node._op for node in tape.nodes)
+        assert (ops["exp0"], ops["log0"]) == (2, 0)
+        assert tangents["alpha"] is emb.tangent_alpha and tangents["beta"] is emb.tangent_beta
+        for view, t in tangents.items():
+            man, h = emb.view(view)
+            np.testing.assert_array_equal(h.value, dg.exp0(man, t).value)
+
+    def test_each_tape_gets_its_own_node(self, ten_node_graph):
+        encoders = self.encoders()
+        with ad.Tape():
+            old = self.encoded(ten_node_graph, encoders).tangent("alpha")
+        with ad.Tape() as tape:
+            new = self.encoded(ten_node_graph, encoders).tangent("alpha")
             tape.backward(ad.reduce_sum(new))
-        assert new is not old and tape.nodes[0] is new
-        assert emb.alpha.grad is not None
+        assert new is not old and any(node is new for node in tape.nodes)
+        assert all(p.grad is not None for p in encoders[0].parameters())
+
+    def test_points_alone_take_log0_on_each_read(self, rng):
+        emb = self.embedding(rng)
+        with ad.Tape() as tape:
+            first, again = emb.tangent("alpha"), emb.tangent("alpha")
+        assert [node._op for node in tape.nodes] == ["log0", "log0"]
+        np.testing.assert_array_equal(first.value, again.value)
+        np.testing.assert_array_equal(first.value,
+                                      dg.log0(emb.manifold_alpha, emb.alpha).value)
 
     def test_no_tape_recomputes_and_sees_edits(self, rng):
         emb = self.embedding(rng)

@@ -582,24 +582,25 @@ class TestPairLogProbs:
         assert ops["gather_rows"] == 0
         assert len(tape.nodes) <= 14
 
-    def test_neg_dot_maps_each_view_through_log0_once(self):
-        # Four view tensors (alpha, beta and their transfers), each mapped once;
-        # the transfers start from the views' own tangents, so no log0 repeats.
+    def test_neg_dot_scores_the_carried_tangents(self):
+        # neg_dot scores the tangents the embedding carries, the moved views as
+        # transfer_scale · tangent, so it takes no origin map; built from the
+        # points alone, the views' log0 gives the same loss up to the round trip.
         graph = synthetic_tree(3, 5)
         rng = np.random.default_rng(5)
         man_a, man_b = MODELS
-        ha = ad.parameter(dg.ambient_to_internal(
-            man_a, man_a.random_points(rng, graph.n_nodes, 1.5)))
-        hb = ad.parameter(dg.ambient_to_internal(
-            man_b, man_b.random_points(rng, graph.n_nodes, 1.5)))
+        ta = ad.parameter(man_a.random_tangents0(rng, graph.n_nodes, 1.5))
+        tb = ad.parameter(man_b.random_tangents0(rng, graph.n_nodes, 1.5))
+        ha, hb = dg.exp0(man_a, ta), dg.exp0(man_b, tb)
         plan = build_sample_plan(graph, 5, np.random.default_rng(0))
+        cfg = HpcConfig(num_negatives=5, similarity="neg_dot")
         with Tape() as tape:
-            hpc_loss(DualEmbedding(ha, hb, man_a, man_b), plan,
-                     HpcConfig(num_negatives=5, similarity="neg_dot"))
+            carried = hpc_loss(DualEmbedding(ha, hb, man_a, man_b, ta, tb), plan, cfg)
         ops = Counter(node._op for node in tape.nodes)
-        assert ops["log0"] == 4
-        assert ops["pair_log_probs"] == 4
-        assert len(tape.nodes) <= 16
+        assert (ops["log0"], ops["exp0"], ops["pair_log_probs"]) == (0, 0, 4)
+        assert len(tape.nodes) <= 12
+        from_points = hpc_loss(DualEmbedding(ha, hb, man_a, man_b), plan, cfg)
+        assert carried.item() == pytest.approx(from_points.item(), rel=1e-13, abs=0)
 
 
 # hub 0 with leaves 1-4, path 5-6; node 7 isolated

@@ -8,6 +8,7 @@ import math
 import tempfile
 import weakref
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from conftest import bag_of_words_graph, masked
 from hgcl import autodiff as ad
 from hgcl import data as data_mod
+from hgcl import diffgeo as dg
 from hgcl import encoder as enc_mod
 from hgcl import manifolds as mf
 from hgcl import pipeline as pl
@@ -27,6 +29,9 @@ from hgcl.encoder import DualEmbedding, EncoderError
 from hgcl.hpc import HpcConfig, SamplingError
 from hgcl.pipeline import (HgclModel, Metrics, PipelineError, TrainConfig, cross_entropy,
                            decode, evaluate, export_heatmap, total_loss, train)
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def small_config(**kw):
@@ -347,7 +352,9 @@ class TestFirstLayerInput:
         clamped = feats * np.where(norms > cap, cap / norms, 1.0)
         layer = model.encoder_alpha.layers[0]
         expect = layer.transform(Tensor(np.asarray(a_norm @ clamped)))
-        assert np.array_equal(model.embed(g, a_norm).alpha.value, expect.value)
+        emb = model.embed(g, a_norm)
+        assert np.array_equal(emb.tangent("alpha").value, expect.value)
+        assert np.array_equal(emb.alpha.value, dg.exp0(emb.manifold_alpha, expect).value)
 
     def test_tree_metric_stream_is_unchanged(self):
         # The metric stream perfbench compares, recorded before the CSR route
@@ -510,12 +517,14 @@ def small_datasets(draw):
 
 
 class TestTapeSize:
-    """One training step: the origin maps are one tape node each, and the
-    decoder and the contrastive term share each view's log0."""
+    """One training step on ``synthetic_tree(3, 5)``: each dense encoder
+    layer is one ``affine`` node, each view takes one ``exp0`` and no
+    ``log0``, and the decoder and the contrastive term read the tangent the
+    encoder carries."""
 
     @pytest.mark.parametrize("ablation, n_exp0, n_log0, n_nodes", [
-        ("full", 6, 4, 35),  # 4 encoder exp0 + 2 transfers; 2 encoder + 2 shared log0
-        ("no_hpc", 4, 4, 23),
+        ("full", 4, 0, 23),  # 2 encoder exp0 + 2 transfers
+        ("no_hpc", 2, 0, 11),
     ])
     def test_one_step(self, monkeypatch, ablation, n_exp0, n_log0, n_nodes):
         stage, tangents, before_ce = [None], [], []
@@ -549,12 +558,32 @@ class TestTapeSize:
         [(tape, nodes)] = before_ce
         ops = Counter(node._op for node in nodes)
         assert (ops["exp0"], ops["log0"], len(nodes)) == (n_exp0, n_log0, n_nodes)
+        assert (ops["affine"], ops["tanh"]) == (4, 0)  # 2 layers x 2 views
         readers = {"decode", "hpc_loss"} if ablation == "full" else {"decode"}
         for view in ("alpha", "beta"):
             # the post-step forward records its own decode tangents on a new tape
             seen = [(where, t) for on, where, v, t in tangents if v == view and on is tape]
             assert {where for where, _ in seen} == readers
             assert all(t is seen[0][1] for _, t in seen)
+            assert any(node is seen[0][1] for node in nodes)  # the encoder's own node
+
+    @pytest.mark.parametrize("ablation, n_bytes", [
+        ("full", 697_880),
+        ("no_hpc", 511_432),
+        ("no_dist", 604_696),
+    ])
+    def test_node_output_bytes(self, monkeypatch, ablation, n_bytes):
+        # The bytes of every node output a step's backward reads, cross-entropy
+        # included; the fused nodes' own backward arrays are not counted.
+        seen, real = [], ad.Tape.backward
+
+        def counting(tape, loss):
+            seen.append(sum(node.value.nbytes for node in tape.nodes))
+            return real(tape, loss)
+
+        monkeypatch.setattr(ad.Tape, "backward", counting)
+        train(masked(synthetic_tree(3, 5)), TrainConfig(epochs=1, patience=1, ablation=ablation))
+        assert seen == [n_bytes]
 
 
 class TestSmallRandomGraphs:
@@ -597,6 +626,19 @@ class TestCheckpoint:
         np.testing.assert_array_equal(pl.predictions(res.model, g, a_norm),
                                       pl.predictions(again, g, a_norm))
         assert again.config == res.model.config
+
+    def test_a_checkpoint_written_with_the_origin_round_trip_loads_and_predicts(self):
+        # Written by the encoder whose layers mapped each hidden output through
+        # exp0 and back through log0, from train(tree_graph(), small_config()):
+        # per encoder each layer's W and b, then the decoder's, in the order of
+        # HgclModel.parameters(). The predictions are the ones that version made.
+        g = tree_graph()
+        model = HgclModel.load(DATA / "tree_checkpoint_exp0_log0_layers.npz")
+        assert [p.value.shape for p in model.parameters()] == (
+            [(8, 8), (1, 8), (8, 8), (1, 8)] * 2 + [(16, 2), (1, 2)])
+        assert pl.predictions(model, g).tolist() == [
+            1, 1, 1, 0, 1, 1, 1, 0, 0, 1, 1, 1, 1, 1, 1, 0,
+            0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
 
 
 class TestHeatmap:
