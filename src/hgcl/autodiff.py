@@ -15,6 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator
 
 from .kernels import ARTANH_CLIP, MIN_NORM
 
@@ -286,12 +287,18 @@ def affine(x, w, b, activation: str = "none") -> Tensor:
 
     The forward runs the float ops of ``act(add(matmul(x, w), b))`` in the
     same order, and the backward those of that chain's three backwards, so
-    both agree bit for bit; ``act`` is a key of :data:`ACTIVATIONS`."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.value.shape[1] != w.value.shape[0]:
-        raise AutodiffError(f"affine: {x.value.shape} @ {w.value.shape}")
+    both agree bit for bit; ``act`` is a key of :data:`ACTIVATIONS`. ``x`` may
+    be a constant ``scipy.sparse.linalg.LinearOperator``, such as a product of
+    sparse factors, which gets no gradient: the weight gradient is then
+    ``x.T @ g`` through the factors."""
+    operator = isinstance(x, LinearOperator)
+    x = x if operator else as_tensor(x)
+    xv = x if operator else x.value
+    w, b = as_tensor(w), as_tensor(b)
+    if xv.shape[1] != w.value.shape[0]:
+        raise AutodiffError(f"affine: {xv.shape} @ {w.value.shape}")
     fwd, slope = ACTIVATIONS[activation]
-    z = x.value @ w.value
+    z = xv @ w.value
     if b.value.shape not in ((1, z.shape[1]), z.shape):
         raise AutodiffError(f"affine: bias {b.value.shape} for output {z.shape}")
     z += b.value
@@ -300,14 +307,14 @@ def affine(x, w, b, activation: str = "none") -> Tensor:
     def backward(g):
         if slope is not None:
             g = g * slope(out_value)
-        if x.requires_grad:
+        if not operator and x.requires_grad:
             x.accumulate(g @ w.value.T)
         if w.requires_grad:
-            w.accumulate(x.value.T @ g)
+            w.accumulate(xv.T @ g)
         if b.requires_grad:
             b.accumulate(_unbroadcast(g, b.value.shape))
 
-    return record("affine", out_value, (x, w, b), backward)
+    return record("affine", out_value, (w, b) if operator else (x, w, b), backward)
 
 
 def aggregate(mat, a) -> Tensor:

@@ -4,16 +4,19 @@ Both the CLI (`manifold-test`, `gradcheck`) and the acceptance tests run
 these, so tolerances live here in one place. ``composed_exp0`` and
 ``composed_log0`` are the origin maps as chains of tape primitives: the
 gradient reference of the fused ``diffgeo.exp0``/``diffgeo.log0`` nodes, as
-``hpc.pair_probs`` is for the fused pair pools.
+``hpc.pair_probs`` is for the pool node ``hpc.pool_log_probs``, which the
+registry checks on hand-built CSR pools and on the pools ``hpc_loss`` scores.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import aslinearoperator
 
 from . import autodiff as ad
 from . import data as data_mod
@@ -21,7 +24,7 @@ from . import diffgeo as dg
 from . import manifolds as mf
 from . import pipeline as pl
 from .encoder import Encoder, encode_views, first_message
-from .hpc import HpcConfig, build_sample_plan, hpc_loss, pair_log_probs, pool_log_probs
+from .hpc import HpcConfig, Pool, build_sample_plan, hpc_loss, pool_log_probs
 from .kernels import ARTANH_CLIP, MIN_NORM
 
 CURVATURES = (-0.5, -1.0, -2.0)
@@ -263,6 +266,14 @@ def _primitive_cases(seed: int) -> list[GradCheckCase]:
             cases.append(GradCheckCase(f"primitive:affine[{tag}]", "manifold", 1e-6,
                                        affine_case(activation, track_x)))
 
+    def run_affine_operator():  # x a constant product of CSR factors, as on the CSR route
+        x = aslinearoperator(sp.csr_matrix(g())) * aslinearoperator(sp.csr_matrix(g().T))
+        w, b = ad.parameter(rng.standard_normal((4, 2))), ad.parameter(rng.standard_normal((1, 2)))
+        return ad.grad_check(lambda: ad.reduce_sum(ad.square(ad.affine(x, w, b, "tanh"))),
+                             [w, b])
+    cases.append(GradCheckCase("primitive:affine[tanh:operator-x]", "manifold", 1e-6,
+                               run_affine_operator))
+
     def run_aggregate():
         a = ad.parameter(rng.standard_normal((4, 3)))
         m = rng.standard_normal((5, 4))
@@ -324,9 +335,9 @@ def _geometry_cases(seed: int) -> list[GradCheckCase]:
 
     def run_transfer():
         src, dst = mf.poincare(4, -1.0), mf.lorentz(4, -0.5)
-        h = ad.parameter(src.random_points(rng, 6, 2.0))
+        u = ad.parameter(src.random_tangents0(rng, 6, 2.0))
         return ad.grad_check(
-            lambda: ad.reduce_sum(ad.square(dg.transfer0(src, dst, h))), [h])
+            lambda: ad.reduce_sum(ad.square(dg.transfer0(src, dst, u))), [u])
     cases.append(GradCheckCase("geometry:transfer", "manifold", 1e-4, run_transfer))
     return cases
 
@@ -415,30 +426,40 @@ def _hpc_cases(seed: int) -> list[GradCheckCase]:
         return ad.grad_check(f, enc_a.parameters() + enc_b.parameters())
     cases.append(GradCheckCase("hpc:loss-through-encoder", "hpc", 1e-3, run_through_encoder))
 
-    # The fused pair primitive on its own: unsorted and repeated anchors, a
-    # repeated pair, a positive and a negative pool, and the intra-view case
+    def rows(man, similarity, rng):
+        """7 random rows as the pool node scores them: points, or tangents
+        for neg_dot."""
+        if similarity == "neg_dot":
+            return man.random_tangents0(rng, 7, 1.5)
+        return dg.ambient_to_internal(man, man.random_points(rng, 7, 1.5))
+
+    # The pool node on a hand-built CSR pool, own row i scoring
+    # ids[indptr[i]:indptr[i + 1]]: a repeated candidate, mixed signs with
+    # negatives weighted by 0.5, an empty last row, and the intra-view case
     # where both sides are one tensor.
-    ia = np.array([3, 0, 0, 5, 2, 2, 1, 4])
-    ib = np.array([1, 4, 4, 0, 3, 5, 2, 0])
+    indptr = np.array([0, 4, 6, 9, 11, 14, 16, 16])
+    mixed = Pool(np.array([4, 4, 5, 4, 2, 3, 3, 5, 1, 1, 2, 0, 0, 0, 0, 2])[:, None],
+                 np.array([0, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 1], dtype=bool)[:, None],
+                 indptr, 0.5, anchors=np.repeat(np.arange(7), np.diff(indptr)))
 
     def pair_case(man, similarity, same=False, clamped=False):
         def run():
             rng = np.random.default_rng(seed + 4)
-            own = ad.parameter(dg.ambient_to_internal(man, man.random_points(rng, 6, 1.5)))
-            cand = own if same else ad.parameter(
-                dg.ambient_to_internal(man, man.random_points(rng, 6, 1.5)))
-            # Distances here run 0.37-2.46. Clamped: bias -10 puts sigma on the
+            own = ad.parameter(rows(man, similarity, rng))
+            cand = own if same else ad.parameter(rows(man, similarity, rng))
+            # Distances here run 0.47-2.14. Clamped: bias -10 puts sigma on the
             # lower clamp for pairs past d = 1.28; bias 12 on the upper clamp for
-            # pairs below d = 0.72, scored as positives only, as log(1 - sigma)
-            # next to the upper clamp is too ill-conditioned for central differences.
+            # pairs below d = 0.72, with the negatives weighted 0, as
+            # log(1 - sigma) next to the upper clamp is too ill-conditioned for
+            # central differences.
             low = HpcConfig(bias=-10.0 if clamped else 2.0, temperature=0.7,
                             similarity=similarity)
             high = HpcConfig(bias=12.0, temperature=0.7)
             def f():
-                out = ad.add(pair_log_probs(man, own, ia, cand, ib, low, False),
-                             ad.scalar_mul(pair_log_probs(man, own, ib, cand, ia, low, True), 0.5))
+                out = pool_log_probs(man, own, cand, mixed, low)
                 if clamped:
-                    out = ad.add(out, pair_log_probs(man, own, ia, cand, ib, high, False))
+                    out = ad.add(out, pool_log_probs(man, own, cand,
+                                                     replace(mixed, neg_weight=0.0), high))
                 return out
             return ad.grad_check(f, [own] if same else [own, cand])
         return run
@@ -464,9 +485,8 @@ def _hpc_cases(seed: int) -> list[GradCheckCase]:
     def merged_case(man, similarity, intra, clamped=False, lambda_neg=0.7):
         def run():
             rng = np.random.default_rng(seed + 7)
-            own = ad.parameter(dg.ambient_to_internal(man, man.random_points(rng, 7, 1.5)))
-            cand = own if intra else ad.parameter(
-                dg.ambient_to_internal(man, man.random_points(rng, 7, 1.5)))
+            own = ad.parameter(rows(man, similarity, rng))
+            cand = own if intra else ad.parameter(rows(man, similarity, rng))
             # Clamped: bias -10 puts sigma on the lower clamp past d = 1.28.
             cfg = HpcConfig(lambda_neg=lambda_neg, bias=-10.0 if clamped else 2.0,
                             temperature=0.7, similarity=similarity)

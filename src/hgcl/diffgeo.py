@@ -3,8 +3,11 @@
 The origin maps ``exp0`` and ``log0`` are one tape node each: the forward
 runs the float ops of the composed primitive chain (``checks.composed_exp0``
 / ``checks.composed_log0``, the gradient reference) and the backward is
-closed form. ``dist_rows`` and ``lorentz_time`` are composed from autodiff
-primitives; for training, ``hpc.pair_log_probs`` fuses the distance through
+closed form. ``transfer0`` moves origin tangents of one model to points of
+another as one ``exp0`` node that folds in ``transfer_scale``; it is the
+only cross-view move, used by ``hpc_loss`` and the ``mi_*`` references.
+``dist_rows`` and ``lorentz_time`` are composed from autodiff primitives;
+for training, ``hpc.pool_log_probs`` fuses the distance through
 ``Manifold.pair_dist``, whose forward is bitwise that of ``dist_rows``.
 
 Training-time embeddings are kept in intrinsic (n, dim) coordinates: ball
@@ -42,24 +45,29 @@ def lorentz_time(man: Manifold, h: Tensor) -> Tensor:
     return ad.sqrt(ad.reduce_sum(ad.square(h), axis=1) - 1.0 / man.k)
 
 
-def _radial(op: str, v: Tensor, scale: np.ndarray, col: np.ndarray, slope) -> Tensor:
-    """``v · scale`` as one tape node, for a per-row ``scale`` that depends on
-    ``v`` only through the (n, 1) column ``col``.
+def _radial(op: str, v: Tensor, c: float, x: np.ndarray, scale: np.ndarray,
+            col: np.ndarray, slope) -> Tensor:
+    """``x · scale`` as one tape node on ``v``, where ``x = c · v`` for a
+    constant ``c`` and the per-row ``scale`` depends on ``x`` only through the
+    (n, 1) column ``col``.
 
-    ``slope()`` returns s with d scale / dv = s · v; it runs in the backward
+    ``slope()`` returns s with d scale / dx = s · x; it runs in the backward
     only, so forward-only passes never pay for it. The backward is
-    dL/dv = g · scale + v · (s · rowdot(g, v)). A row whose ``col`` or output
-    is not finite raises :class:`NonFiniteError` naming ``op``: the composed
-    chain raised at its first non-finite intermediate, and a saturated ball
-    map (tanh(inf) / inf = 0) would otherwise hide an overflowed norm.
+    dL/dv = c · (g · scale + x · (s · rowdot(g, x))), with ``x`` recomputed
+    rather than kept. A row whose ``col`` or output is not finite raises
+    :class:`NonFiniteError` naming ``op``: the composed chain raised at its
+    first non-finite intermediate, and a saturated ball map
+    (tanh(inf) / inf = 0) would otherwise hide an overflowed norm.
     """
-    x = v.value
     if not np.all(np.isfinite(col)):
         raise ad.NonFiniteError(f"non-finite values produced by '{op}'")
 
     def backward(g):
+        x = v.value if c == 1.0 else v.value * c
         grad = g * scale
         grad += x * (slope() * np.einsum("ij,ij->i", g, x)[:, None])
+        if c != 1.0:
+            grad *= c
         v.accumulate(grad)
 
     return ad.record(op, x * scale, (v,), backward)
@@ -82,10 +90,16 @@ def exp0(man: Manifold, v: Tensor) -> Tensor:
     scale = f(r) / r with r = sqrt|K| · max(||v||, MIN_NORM) and f = tanh
     (ball) or sinh (hyperboloid); bitwise equal to ``Manifold.exp0``.
     """
+    return _exp0(man, v, 1.0)
+
+
+def _exp0(man: Manifold, v: Tensor, c: float) -> Tensor:
+    """The ``exp0`` node of ``c · v``."""
     sk = man.sqrt_abs_k
     ball = man.kind is Model.POINCARE
     with np.errstate(**_QUIET):
-        norm, live = _row_norm(v.value)
+        x = v.value if c == 1.0 else v.value * c
+        norm, live = _row_norm(x)
         r = norm * sk
         f = np.tanh(r) if ball else np.sinh(r)
 
@@ -93,7 +107,7 @@ def exp0(man: Manifold, v: Tensor) -> Tensor:
             df = 1.0 - f * f if ball else np.cosh(r)
             return (df / r - f / (r * r)) * (sk / norm) * live
 
-        return _radial("exp0", v, f / r, r, slope)
+        return _radial("exp0", v, c, x, f / r, r, slope)
 
 
 def log0(man: Manifold, h: Tensor) -> Tensor:
@@ -117,7 +131,7 @@ def log0(man: Manifold, h: Tensor) -> Tensor:
                 df = np.where(r < ARTANH_CLIP, 1.0 / (1.0 - rc * rc), 0.0)
                 return (df / r - f / (r * r)) * (sk / norm) * live
 
-            return _radial("log0", h, f / r, r, slope)
+            return _radial("log0", h, 1.0, h.value, f / r, r, slope)
 
         t = man.lorentz_time(h.value)[:, None]
         arg = t * sk
@@ -132,7 +146,7 @@ def log0(man: Manifold, h: Tensor) -> Tensor:
             d_theta = (1.0 - scale * np.cosh(theta)) / sinh_floored
             return d_theta * ad.acosh_slope(arg) * (sk / np.maximum(t, MIN_NORM))
 
-        return _radial("log0", h, scale, t, slope)
+        return _radial("log0", h, 1.0, h.value, scale, t, slope)
 
 
 def dist_rows(man: Manifold, a: Tensor, b: Tensor) -> Tensor:
@@ -152,12 +166,12 @@ def dist_rows(man: Manifold, a: Tensor, b: Tensor) -> Tensor:
     return ad.scalar_mul(ad.acosh_clamped(ad.scalar_mul(inner, k)), inv_sk)
 
 
-def transfer0(source: Manifold, target: Manifold, h: Tensor) -> Tensor:
-    """Move rows between manifolds through the shared origin tangent space."""
-    if source == target:
-        return h
-    u = ad.scalar_mul(log0(source, h), transfer_scale(source, target))
-    return exp0(target, u)
+def transfer0(source: Manifold, target: Manifold, u: Tensor) -> Tensor:
+    """Points of ``target`` for the origin tangents ``u`` of ``source``:
+    ``exp0(target, transfer_scale · u)`` as one ``exp0`` node. The scale is
+    1, 2 or 1/2, so ``transfer_scale · u`` and its norm are exact and the node
+    is bitwise ``exp0(target, scalar_mul(u, transfer_scale))``."""
+    return _exp0(target, u, transfer_scale(source, target))
 
 
 def tangent_dot_rows(man_a: Manifold, man_b: Manifold, a: Tensor, b: Tensor) -> Tensor:

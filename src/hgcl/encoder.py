@@ -18,14 +18,16 @@ both views, a constant of the graph, and exact where the round trip through
 tanh/artanh would saturate at large ``|K|``. ``pipeline.train`` computes it
 once per call; every encode takes it in place of the features.
 
-The first layer's product with its weight ``W`` runs one of two ways, chosen
-by :func:`csr_route` from the nonzero counts. Per output column, the dense
-message ``M = a_norm @ X`` costs ``n * d_feat`` multiply-adds in ``M @ W`` (and
-again in the weight gradient ``M.T @ G``); keeping ``X`` as CSR and computing
-``a_norm @ (X @ W)``, with gradient ``X.T @ (a_norm.T @ G)``, costs
-``nnz(X) + nnz(a_norm)``. Wide, sparse bag-of-words features, as in the
-citation graphs, take the CSR route; dense features such as
-``data.synthetic_tree``'s keep the dense message.
+Every layer, the first included, is one ``ad.affine`` node; the first
+layer's message comes in one of two forms, chosen by :func:`csr_route` from
+the nonzero counts. Per output column, the dense message ``M = a_norm @ X``
+costs ``n * d_feat`` multiply-adds in ``M @ W`` (and again in the weight
+gradient ``M.T @ G``); keeping ``X`` as CSR, as the constant
+``LinearOperator`` product ``a_norm · X`` that computes ``a_norm @ (X @ W)``
+with gradient ``X.T @ (a_norm.T @ G)``, costs ``nnz(X) + nnz(a_norm)``. Wide,
+sparse bag-of-words features, as in the citation graphs, take the CSR route;
+dense features such as ``data.synthetic_tree``'s keep the dense message.
+``ACTIVATIONS`` is ``autodiff.ACTIVATIONS``, the one activation table.
 """
 
 from __future__ import annotations
@@ -35,17 +37,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator, aslinearoperator
 
 from . import autodiff as ad
 from . import diffgeo as dg
 from .autodiff import Tensor
 from .manifolds import Manifold
 
-ACTIVATIONS = {
-    "tanh": ad.tanh,
-    "relu": ad.relu,
-    "none": lambda t: t,
-}
+ACTIVATIONS = ad.ACTIVATIONS
+VIEWS = ("alpha", "beta")
 
 
 class EncoderError(RuntimeError):
@@ -88,28 +88,16 @@ def csr_route(x: np.ndarray, a_norm: sp.spmatrix) -> bool:
     return CSR_ROUTE_RATIO * (np.count_nonzero(x) + a_norm.nnz) <= n * d_feat
 
 
-@dataclass(frozen=True)
-class SparseMessage:
-    """The first message ``a_norm @ x`` kept as its two sparse factors, so the
-    first layer multiplies ``a_norm @ (x @ W)``; ``ad.aggregate`` backpropagates
-    each constant factor's transpose, giving ``x.T @ (a_norm.T @ G)``."""
-
-    a_norm: sp.csr_matrix
-    x: sp.csr_matrix
-
-    def times(self, weight: Tensor) -> Tensor:
-        return ad.aggregate(self.a_norm, ad.aggregate(self.x, weight))
-
-
 def first_message(features: np.ndarray, a_norm,
-                  max_norm: float) -> tuple[Tensor | SparseMessage, int]:
+                  max_norm: float) -> tuple[Tensor | LinearOperator, int]:
     """The first layer's untracked input ``aggregate(a_norm, lift_features(...))``
     and the count of clamped feature rows; no parameter enters it. It is a
-    dense Tensor, or a :class:`SparseMessage` where :func:`csr_route` says the
-    factored product is cheaper."""
+    dense Tensor, or, where :func:`csr_route` says the factored product is
+    cheaper, the constant operator ``a_norm · X`` of the two CSR factors,
+    which ``ad.affine`` multiplies as ``a_norm @ (X @ W)``."""
     x, clamped = lift_features(features, max_norm)
     if csr_route(x, a_norm):
-        return SparseMessage(a_norm, sp.csr_matrix(x)), clamped
+        return aslinearoperator(a_norm) * aslinearoperator(sp.csr_matrix(x)), clamped
     return ad.aggregate(a_norm, Tensor(x)), clamped
 
 
@@ -134,13 +122,9 @@ class HgnnLayer:
         """The layer on the previous layer's origin tangents ``t``."""
         return self.transform(ad.aggregate(a_norm, t))
 
-    def transform(self, msg: Tensor | SparseMessage) -> Tensor:
-        """Affine map and activation of an aggregated tangent message: the
-        layer's output tangent. A dense message takes one ``ad.affine`` node;
-        the CSR factors keep their two ``aggregate`` nodes, then add the bias
-        and apply the activation."""
-        if isinstance(msg, SparseMessage):
-            return ACTIVATIONS[self.activation](ad.add(msg.times(self.weight), self.bias))
+    def transform(self, msg: Tensor | LinearOperator) -> Tensor:
+        """Affine map and activation of an aggregated tangent message, one
+        ``ad.affine`` node: the layer's output tangent."""
         return ad.affine(msg, self.weight, self.bias, self.activation)
 
     def parameters(self) -> list[Tensor]:
@@ -162,7 +146,7 @@ class Encoder:
             self.layers.append(HgnnLayer.init(prev, d, act, rng))
             prev = d
 
-    def encode(self, message: Tensor | SparseMessage, a_norm) -> tuple[Tensor, Tensor]:
+    def encode(self, message: Tensor | LinearOperator, a_norm) -> tuple[Tensor, Tensor]:
         """The view of the graph whose first-layer input is ``message``
         (:func:`first_message`), dense or CSR: the last layer's origin tangent
         and its point ``exp0(tangent)``. An error names the layer; the exp0
@@ -203,7 +187,7 @@ class DualEmbedding:
             return self.manifold_alpha, self.alpha
         if view == "beta":
             return self.manifold_beta, self.beta
-        raise ValueError(f"view must be 'alpha' or 'beta', got {view!r}")
+        raise ValueError(f"view must be one of {VIEWS}, got {view!r}")
 
     def tangent(self, view: str) -> Tensor:
         """The origin tangent of one view: the carried one, or ``log0`` of
@@ -220,7 +204,7 @@ class DualEmbedding:
         return pts
 
 
-def encode_views(message: Tensor | SparseMessage, a_norm, encoder_alpha: Encoder,
+def encode_views(message: Tensor | LinearOperator, a_norm, encoder_alpha: Encoder,
                  encoder_beta: Encoder) -> DualEmbedding:
     tangent_alpha, alpha = encoder_alpha.encode(message, a_norm)
     tangent_beta, beta = encoder_beta.encode(message, a_norm)

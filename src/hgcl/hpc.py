@@ -7,26 +7,25 @@ neighbors, drawn independently for the intra-view and inter-view pools.
 Pair similarity is the distance-aware probability ``pair_probs``,
 sigma((b - d)/tau), clamped away from {0, 1} before any log.
 
-Training scores each view with two fused ``pair_log_probs`` tape nodes,
-one per :class:`Pool`, built once per plan for both views: the consistency
-positive with the inter-view negatives, as one (n, m + 1) block
-``[i, neg_inter[i]]`` against the other view (``SamplePlan.inter_pool``),
-and the tolerance pairs with the intra-view negatives, as one CSR against
-the view itself whose row pointer is the adjacency's plus m per row
-(``SamplePlan.intra_pool``). Each pair carries its sign and its weight
-(1 or ``lambda_neg``). A node works through its pairs in blocks of
-``PAIR_CHUNK``, gathers each side of a block once and takes the distance
-and its slopes from ``Manifold.pair_dist``. Its value runs the float ops of
-the composed ``pair_probs`` route, and its backward is closed form: one
-sparse n x n product per side from the pool's row pointer, no n·m x d
-tensors on the tape. ``pair_probs`` stays as the composed reference that
-the per-anchor ``mi_*`` sums and the parity tests run. The cross-view
-positives move each view into the other's model as
-``exp0(target, transfer_scale · tangent)``, one fused ``dg.exp0`` node,
-from the origin tangent the encoder carries (``DualEmbedding.tangent``),
-which the decoder reads too. ``neg_dot`` scores those tangents directly, the
-moved ones as ``transfer_scale · tangent``, so a training step takes no
-``log0``.
+Training scores each view with two ``pair_log_probs`` tape nodes, one per
+:class:`Pool`, built once per plan for both views: the consistency positive
+with the inter-view negatives, as one (n, m + 1) block ``[i, neg_inter[i]]``
+against the other view (``SamplePlan.inter_pool``), and the tolerance pairs
+with the intra-view negatives, as one CSR against the view itself whose row
+pointer is the adjacency's plus m per row (``SamplePlan.intra_pool``). Each
+pair carries its sign and its weight (1 or ``lambda_neg``).
+:func:`pool_log_probs` is that node, and the only fused route: it takes rows
+in scoring form, works through the pairs in blocks of ``PAIR_CHUNK``,
+gathers each side of a block once and takes the distance and its slopes
+from ``Manifold.pair_dist``. Its value runs the float ops of the composed
+``pair_probs`` route, and its backward is closed form: one sparse n x n
+product per side from the pool's row pointer, no n·m x d tensors on the
+tape. ``pair_probs`` stays as the composed reference that the per-anchor
+``mi_*`` sums and the parity tests run. The cross-view positives move each
+view into the other's model with ``dg.transfer0``, one ``exp0`` node, from
+the origin tangent the encoder carries (``DualEmbedding.tangent``), which
+the decoder reads too. ``neg_dot`` scores those tangents directly, the moved
+ones as ``transfer_scale · tangent``, so a training step takes no ``log0``.
 """
 
 from __future__ import annotations
@@ -76,41 +75,25 @@ class HpcConfig:
 
 @dataclass(frozen=True)
 class Pool:
-    """The pairs one ``pair_log_probs`` node scores, with their structure.
+    """The pairs one ``pair_log_probs`` node scores, in anchor order.
 
     Row r of ``ids`` lists the candidates of own row ``anchors[r]``, or of own
     row r when ``anchors`` is None (a block: one row of ``ids`` per own row, no
-    anchor gather). ``negative`` marks the pairs scored as log(1 - D), whose
+    anchor gather). ``indptr`` is the CSR row pointer of the own rows into
+    ``ids.ravel()``. ``negative`` marks the pairs scored as log(1 - D), whose
     logs are weighted by ``neg_weight`` (``lambda_neg`` in ``hpc_loss``); the
-    others weigh 1. ``indptr`` is the CSR row pointer of the own rows into
-    ``ids.ravel()``, known when the anchors are in order; without it the
-    backward's sparse matrix is assembled from the pairs."""
+    others weigh 1."""
 
     ids: np.ndarray  # (rows, c) candidate ids
     negative: np.ndarray  # bool, ids' shape
+    indptr: np.ndarray  # (n_own + 1,)
     neg_weight: float = 1.0
     anchors: np.ndarray | None = None  # (rows,) own row of each row of ids
-    indptr: np.ndarray | None = None
-
-    @classmethod
-    def pairs(cls, ia, ib, negative: bool) -> "Pool":
-        """Flat pairs (ia_p, ib_p) in any order, all positive or all negative."""
-        ia = np.asarray(ia, dtype=np.int64).ravel()
-        ib = np.asarray(ib, dtype=np.int64).ravel()
-        return cls(ib[:, None], np.full((ib.size, 1), negative), anchors=ia)
 
     def blocks(self) -> list[slice]:
         """Consecutive rows of ``ids`` holding about ``PAIR_CHUNK`` pairs each."""
         step = max(1, PAIR_CHUNK // self.ids.shape[1])
         return [slice(lo, lo + step) for lo in range(0, self.ids.shape[0], step)]
-
-    def matrix(self, w: np.ndarray, shape) -> sp.csr_matrix:
-        """Sparse (own, cand) matrix with each pair's w, repeats summed by its
-        products."""
-        if self.indptr is not None:
-            return sp.csr_matrix((w.ravel(), self.ids.ravel(), self.indptr), shape=shape)
-        rows = np.repeat(self.anchors, self.ids.shape[1])
-        return sp.csr_matrix((w.ravel(), (rows, self.ids.ravel())), shape=shape)
 
 
 @dataclass
@@ -140,7 +123,7 @@ class SamplePlan:
         ids = np.concatenate([np.arange(n)[:, None], self.neg_inter[:, :m]], axis=1)
         negative = np.zeros(ids.shape, dtype=bool)
         negative[:, 1:] = True
-        return Pool(ids, negative, lambda_neg, indptr=np.arange(0, ids.size + 1, m + 1))
+        return Pool(ids, negative, np.arange(0, ids.size + 1, m + 1), lambda_neg)
 
     def intra_pool(self, lambda_neg: float) -> Pool:
         """Each node against its neighbors, then its intra negatives, in its
@@ -157,8 +140,8 @@ class SamplePlan:
         ids[neg_slots] = self.neg_intra[:, :m]
         negative = np.zeros(ids.size, dtype=bool)
         negative[neg_slots] = True
-        return Pool(ids[:, None], negative[:, None], lambda_neg,
-                    anchors=np.repeat(np.arange(n), deg + m), indptr=indptr)
+        return Pool(ids[:, None], negative[:, None], indptr, lambda_neg,
+                    anchors=np.repeat(np.arange(n), deg + m))
 
 
 def build_sample_plan(graph, m: int, rng: np.random.Generator) -> SamplePlan:
@@ -228,58 +211,33 @@ def pair_probs(man: Manifold, a: Tensor, b: Tensor, cfg: HpcConfig) -> Tensor:
     return ad.clip(ad.sigmoid(z), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
-def pair_log_probs(man: Manifold, own: Tensor, ia, cand: Tensor, ib, cfg: HpcConfig,
-                   negative: bool) -> Tensor:
-    """Sum over pairs p of log D(own[ia_p], cand[ib_p]), or of log(1 - D) if
-    ``negative``, as one tape node: :func:`pool_log_probs` on flat pairs.
-
-    The value is bitwise that of ``pair_probs`` on gathered rows followed by
-    ``log`` and ``reduce_sum``."""
-    return pool_log_probs(man, own, cand, Pool.pairs(ia, ib, negative), cfg)
-
-
 def pool_log_probs(man: Manifold, own: Tensor, cand: Tensor, pool: Pool,
                    cfg: HpcConfig) -> Tensor:
     """Sum over the pool's pairs of weight · log D(own row, candidate row), or
     log(1 - D) for its negative pairs, as one ``pair_log_probs`` tape node.
 
+    ``own`` and ``cand`` are rows in scoring form: points for ``distance``,
+    origin tangents for ``neg_dot``. The node scores the pool ``PAIR_CHUNK``
+    pairs at a time, forward and backward: each side of a block of pairs is
+    gathered once, and the block's per-pair arrays stay in cache. Its value
+    runs the float ops of ``pair_probs`` on gathered rows followed by ``log``.
     The backward is closed form, through the slopes of
     ``Manifold.pair_dist``, and keeps each masked zero slope of the composed
     route: the probability clamp, acosh at arg <= 1 and the conformal
-    factor's floor. For ``neg_dot`` both views go through ``dg.log0`` on the
-    tape first. ``own is cand`` (the intra-view pools) accumulates both sides
-    into the one tensor."""
-    if cfg.similarity == "neg_dot":
-        own_log = dg.log0(man, own)
-        cand = own_log if cand is own else dg.log0(man, cand)
-        own = own_log
-    t_own = _node_terms(man, own, cfg)
-    return _pool_log_probs(man, own, t_own, cand,
-                           t_own if cand is own else _node_terms(man, cand, cfg), pool, cfg)
-
-
-def _node_terms(man: Manifold, t: Tensor, cfg: HpcConfig) -> np.ndarray | None:
-    return man.node_terms(t.value) if cfg.similarity == "distance" else None
-
-
-def _pool_log_probs(man: Manifold, own: Tensor, tx, cand: Tensor, ty, pool: Pool,
-                    cfg: HpcConfig) -> Tensor:
-    """The node of :func:`pool_log_probs` on rows already in scoring form
-    (points for ``distance``, ``log0`` tangent rows for ``neg_dot``) and
-    their ``node_terms`` tx, ty.
-
-    It scores the pool ``PAIR_CHUNK`` pairs at a time, forward and backward:
-    each side of a block of pairs is gathered once, and the block's per-pair
-    arrays stay in cache."""
+    factor's floor. ``own is cand`` (the intra-view pools) accumulates both
+    sides into the one tensor."""
     same = own is cand
     x, y = own.value, cand.value
+    if cfg.similarity == "distance":
+        tx = man.node_terms(x)
+        ty = tx if same else man.node_terms(y)
     ids, anchors = pool.ids, pool.anchors
     logs = np.empty(ids.shape)
     blocks = []  # (rows, sig, slopes) of each block, for the backward
     for r in pool.blocks():
         own_rows = x[r] if anchors is None else np.take(x, anchors[r], axis=0)
         cand_rows = np.take(y, ids[r].ravel(), axis=0).reshape(-1, ids.shape[1], y.shape[1])
-        if cfg.similarity == "neg_dot":  # x, y are already log0 rows
+        if cfg.similarity == "neg_dot":
             score, slopes = np.einsum("nd,ncd->nc", own_rows, cand_rows) * -1.0, _dot_slopes
         else:
             t_own = tx[r] if anchors is None else np.take(tx, anchors[r])
@@ -306,7 +264,10 @@ def _pool_log_probs(man: Manifold, own: Tensor, tx, cand: Tensor, ty, pool: Pool
             u_rows[r] = np.sum(u, axis=1)
         u_own = u_rows if anchors is None else np.bincount(anchors, u_rows, x.shape[0])
         u_cand = np.bincount(ids.ravel(), v.ravel(), y.shape[0])
-        pairs = pool.matrix(w, (x.shape[0], y.shape[0]))
+        # (own, cand) matrix of the pair weights; a repeated pair's weights sum
+        # in its products.
+        pairs = sp.csr_matrix((w.ravel(), ids.ravel(), pool.indptr),
+                              shape=(x.shape[0], y.shape[0]))
         if same:
             own.accumulate((u_own + u_cand)[:, None] * x + pairs @ y + pairs.T @ x)
             return
@@ -328,10 +289,11 @@ def _dot_slopes(gs):
 # Per-anchor mutual-information terms (evaluation path)
 # ---------------------------------------------------------------------------
 
-def _views(emb: DualEmbedding, view: str):
-    if view == "alpha":
-        return emb.alpha, emb.beta, emb.manifold_alpha, emb.manifold_beta
-    return emb.beta, emb.alpha, emb.manifold_beta, emb.manifold_alpha
+def _points_in(emb: DualEmbedding, view: str, target: Manifold) -> Tensor:
+    """One view's points in ``target``'s model: its own points when it lives
+    there, else ``dg.transfer0`` of its origin tangent."""
+    source, h = emb.view(view)
+    return h if source == target else dg.transfer0(source, target, emb.tangent(view))
 
 
 def _anchor_term(man: Manifold, own: Tensor, i: int, cand: Tensor, pos_ids, neg_ids,
@@ -353,16 +315,16 @@ def _anchor_term(man: Manifold, own: Tensor, i: int, cand: Tensor, pos_ids, neg_
 def mi_consistency(i: int, emb: DualEmbedding, plan: SamplePlan, cfg: HpcConfig,
                    view: str = "alpha") -> float:
     """log D(anchor, transferred same-id node) + lambda_n * sum log(1 - D(negatives))."""
-    own, other, man_own, man_other = _views(emb, view)
-    transferred = dg.transfer0(man_other, man_own, other)
-    return _anchor_term(man_own, own, i, transferred, [i], plan.neg_inter[i], cfg)
+    man_own, own = emb.view(view)
+    moved = _points_in(emb, "beta" if view == "alpha" else "alpha", man_own)
+    return _anchor_term(man_own, own, i, moved, [i], plan.neg_inter[i], cfg)
 
 
 def mi_tolerance(i: int, emb: DualEmbedding, plan: SamplePlan, cfg: HpcConfig,
                  view: str = "alpha") -> float:
     """sum over one-hop neighbors of log D + lambda_n * sum log(1 - D(intra negatives)).
     The neighbors are the plan's pairs anchored at i, in any order."""
-    own, _, man_own, _ = _views(emb, view)
+    man_own, own = emb.view(view)
     nbrs = plan.edge_nbr[plan.edge_anchor == i]
     return _anchor_term(man_own, own, i, own, nbrs, plan.neg_intra[i], cfg)
 
@@ -382,23 +344,21 @@ def hpc_loss(emb: DualEmbedding, plan: SamplePlan, cfg: HpcConfig,
     (``SamplePlan.inter_pool``), and the tolerance positives with the
     intra-view negatives against the view itself (``SamplePlan.intra_pool``,
     skipped without ``include_tolerance``). Each view moves into the other's
-    model as ``exp0(target, transfer_scale · tangent)``, the float ops of
-    ``dg.transfer0``, from the view's origin tangent ``emb.tangent``, which
-    ``decode`` reads as well. ``neg_dot`` scores origin tangents, so it reads
-    the own views' tangents and ``transfer_scale · tangent`` for the moved
-    ones, with no origin map."""
+    model by ``dg.transfer0`` of its origin tangent ``emb.tangent``, which
+    ``decode`` reads as well; a view already in that model is read as it is.
+    ``neg_dot`` scores origin tangents, so it reads the own views' tangents
+    and ``transfer_scale · tangent`` for the moved ones, with no origin map."""
     n = plan.n_nodes
     man_a, man_b = emb.manifold_alpha, emb.manifold_beta
 
     def scored(view: str, target: Manifold) -> Tensor:
-        """One view as the pools of ``target``'s view score it: its origin
-        tangent for ``neg_dot``, its points for ``distance``."""
-        source, h = emb.view(view)
-        neg_dot = cfg.similarity == "neg_dot"
-        if source == target:
-            return emb.tangent(view) if neg_dot else h
-        u = ad.scalar_mul(emb.tangent(view), transfer_scale(source, target))
-        return u if neg_dot else dg.exp0(target, u)
+        """One view as the pools of ``target``'s view score it: its points
+        for ``distance``, its origin tangent for ``neg_dot``."""
+        if cfg.similarity == "distance":
+            return _points_in(emb, view, target)
+        source, _ = emb.view(view)
+        u = emb.tangent(view)
+        return u if source == target else ad.scalar_mul(u, transfer_scale(source, target))
 
     alpha, beta_in_alpha = scored("alpha", man_a), scored("beta", man_a)
     beta, alpha_in_beta = scored("beta", man_b), scored("alpha", man_b)
@@ -407,12 +367,10 @@ def hpc_loss(emb: DualEmbedding, plan: SamplePlan, cfg: HpcConfig,
 
     def view_sum(man: Manifold, own: Tensor, other: Tensor) -> Tensor:
         """Both pools of one view, ``other`` being the other view in its model."""
-        t_own = _node_terms(man, own, cfg)
-        total = _pool_log_probs(man, own, t_own, other, _node_terms(man, other, cfg),
-                                inter, cfg)
+        total = pool_log_probs(man, own, other, inter, cfg)
         if intra is None:
             return total
-        return ad.add(total, _pool_log_probs(man, own, t_own, own, t_own, intra, cfg))
+        return ad.add(total, pool_log_probs(man, own, own, intra, cfg))
 
     total = ad.add(view_sum(man_a, alpha, beta_in_alpha), view_sum(man_b, beta, alpha_in_beta))
     return ad.scalar_mul(total, -1.0 / (2.0 * n))

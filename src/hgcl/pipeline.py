@@ -13,7 +13,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Graph, atomic_open, normalize_adjacency
-from .encoder import DualEmbedding, Encoder, EncoderError, encode_views, first_message
+from .encoder import (VIEWS, DualEmbedding, Encoder, EncoderError, encode_views,
+                      first_message)
 from .hpc import HpcConfig, SamplePlan, build_sample_plan, hpc_loss
 from .manifolds import Manifold, Model
 from .optim import Adam
@@ -393,12 +394,14 @@ def export_heatmap(model: HgclModel, graph: Graph, node_ids, view: str, out_path
                    a_norm=None) -> np.ndarray:
     """Write the pairwise hyperbolic distance matrix of the chosen view's
     embeddings for the given nodes as CSV (ids as headers, labels appended)."""
+    if view not in VIEWS:  # before the forward, which would be wasted
+        raise PipelineError(f"view must be one of {VIEWS}, got {view!r}")
     node_ids = np.asarray(node_ids, dtype=np.int64)
     if node_ids.size and (node_ids.min() < 0 or node_ids.max() >= graph.n_nodes):
         raise PipelineError(f"heatmap node id out of range 0..{graph.n_nodes - 1}")
     a_norm = normalize_adjacency(graph) if a_norm is None else a_norm
     emb = model.embed(graph, a_norm)
-    man = emb.manifold_alpha if view == "alpha" else emb.manifold_beta
+    man, _ = emb.view(view)
     pts = emb.points(view)[node_ids]
     dist = man.pairwise_dist(pts)
     # Same bytes as csv.writer ("\r\n" rows, nothing quoted), one format call per

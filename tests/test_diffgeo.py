@@ -97,16 +97,50 @@ def test_lorentz_time_reconstruction(rng):
 
 def test_transfer0_matches_numpy_route(rng):
     src, dst = mf.poincare(5, -1.0), mf.lorentz(5, -0.5)
-    h = src.random_points(rng, 50, 3.0)
-    out_t = dg.transfer0(src, dst, Tensor(h))
-    out_np = dg.ambient_to_internal(dst, mf.transfer_rows(h, src, dst))
+    u = src.random_tangents0(rng, 50, 3.0)
+    out_t = dg.transfer0(src, dst, Tensor(u))
+    twin = dst.exp0(mf.transfer_scale(src, dst) * u)
+    assert np.array_equal(out_t.value, dg.ambient_to_internal(dst, twin))
+    out_np = dg.ambient_to_internal(dst, mf.transfer_rows(src.exp0(u), src, dst))
     np.testing.assert_allclose(out_t.value, out_np, atol=1e-10)
 
 
 def test_transfer0_same_manifold_is_noop(rng):
+    # The scale is 1, so the move adds nothing to exp0, in value or gradient.
     man = mf.poincare(4, -1.0)
-    h = Tensor(man.random_points(rng, 10, 2.0))
-    assert dg.transfer0(man, man, h) is h
+    u = man.random_tangents0(rng, 10, 2.0)
+    w = Tensor(rng.standard_normal(u.shape))
+    assert mf.transfer_scale(man, man) == 1.0
+    assert transfer_and_grad(lambda t: dg.transfer0(man, man, t), u, w) == \
+        transfer_and_grad(lambda t: dg.exp0(man, t), u, w)
+
+
+def transfer_and_grad(move, u, w):
+    """The value of ``move(u)`` and the gradient of sum(w * move(u)), as bytes."""
+    p = ad.parameter(u.copy())
+    with ad.Tape() as tape:
+        out = move(p)
+        tape.backward(ad.reduce_sum(ad.mul(out, w)))
+    return out.value.tobytes(), p.grad.tobytes()
+
+
+@pytest.mark.parametrize("src, dst", [(mf.poincare(6, -1.3), mf.lorentz(6, -0.7)),
+                                      (mf.lorentz(6, -0.7), mf.poincare(6, -1.3))],
+                         ids=["ball-to-hyperboloid", "hyperboloid-to-ball"])
+def test_transfer0_is_exp0_of_the_scaled_tangent(rng, src, dst):
+    # One node with the scale folded in, bitwise the two-node chain it
+    # replaced, down to a zero row and a row below MIN_NORM.
+    c = mf.transfer_scale(src, dst)
+    assert c in (2.0, 0.5)
+    for trial in range(10):
+        u = src.random_tangents0(rng, 12, 4.0)
+        u[0], u[1] = 0.0, 1e-16
+        w = Tensor(rng.standard_normal(u.shape))
+        assert transfer_and_grad(lambda t: dg.transfer0(src, dst, t), u, w) == \
+            transfer_and_grad(lambda t: dg.exp0(dst, ad.scalar_mul(t, c)), u, w)
+    with ad.Tape() as tape:
+        dg.transfer0(src, dst, ad.parameter(u))
+    assert [node._op for node in tape.nodes] == ["exp0"]
 
 
 @pytest.mark.parametrize("man", MANIFOLDS, ids=lambda m: f"{m.kind.value}{m.k}")
@@ -127,8 +161,8 @@ def test_exp_log_roundtrip_gradient_matches_fd(rng, man):
 
 def test_transfer_gradient_matches_fd(rng):
     src, dst = mf.lorentz(4, -1.5), mf.poincare(4, -1.0)
-    h = ad.parameter(dg.ambient_to_internal(src, src.random_points(rng, 6, 2.0)))
-    err = ad.grad_check(lambda: ad.reduce_sum(ad.square(dg.transfer0(src, dst, h))), [h])
+    u = ad.parameter(src.random_tangents0(rng, 6, 2.0))
+    err = ad.grad_check(lambda: ad.reduce_sum(ad.square(dg.transfer0(src, dst, u))), [u])
     assert err <= 1e-4
 
 

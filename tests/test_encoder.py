@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import LinearOperator
 
 from conftest import bag_of_words_graph
 from hgcl import autodiff as ad
@@ -14,8 +15,8 @@ from hgcl import encoder as enc_mod
 from hgcl import manifolds as mf
 from hgcl.autodiff import Tensor
 from hgcl.data import normalize_adjacency, synthetic_tree
-from hgcl.encoder import (DualEmbedding, Encoder, EncoderError, HgnnLayer, SparseMessage,
-                          csr_route, encode_views, first_message, lift_features)
+from hgcl.encoder import (DualEmbedding, Encoder, EncoderError, HgnnLayer, csr_route,
+                          encode_views, first_message, lift_features)
 from hgcl.pipeline import TrainConfig
 
 MAX_NORM = TrainConfig.max_feature_norm
@@ -124,7 +125,7 @@ class TestCsrRoute:
         words = bag_of_words_graph()
         a_words = normalize_adjacency(words)
         assert csr_route(words.features, a_words)
-        assert isinstance(message(words.features, a_words), SparseMessage)
+        assert isinstance(message(words.features, a_words), LinearOperator)
 
     def test_rule_boundary(self, ten_node_graph):
         a_norm = normalize_adjacency(ten_node_graph)
@@ -141,8 +142,10 @@ class TestCsrRoute:
         feats[4] *= 50.0  # norm 87: the clamp applies before the CSR conversion
         a_norm = normalize_adjacency(g)
         sparse_msg, clamped = first_message(feats, a_norm, MAX_NORM)
-        assert isinstance(sparse_msg, SparseMessage) and clamped == 1
-        assert np.array_equal(sparse_msg.x.toarray(), lift_features(feats, MAX_NORM)[0])
+        assert isinstance(sparse_msg, LinearOperator) and clamped == 1
+        a_factor, x_factor = (op.A for op in sparse_msg.args)
+        assert a_factor is a_norm
+        assert np.array_equal(x_factor.toarray(), lift_features(feats, MAX_NORM)[0])
         monkeypatch.setattr(enc_mod, "csr_route", lambda x, a_norm: False)
         dense_msg, _ = first_message(feats, a_norm, MAX_NORM)
         assert isinstance(dense_msg, Tensor)
@@ -162,6 +165,29 @@ class TestCsrRoute:
         for a, b in zip(got, want):
             assert rel_err(a, b) <= 1e-13
 
+    def test_operator_affine_is_bitwise_the_aggregate_chain(self):
+        # The CSR message as one affine node against the chain it replaced:
+        # aggregate(a_norm, aggregate(X, W)), add the bias, tanh.
+        g = bag_of_words_graph()
+        a_norm = normalize_adjacency(g)
+        msg, _ = first_message(g.features, a_norm, MAX_NORM)
+        a_factor, x_factor = (op.A for op in msg.args)
+        rng = np.random.default_rng(3)
+        w0 = rng.uniform(-0.1, 0.1, (g.features.shape[1], 8))
+        b0, seed = rng.standard_normal((1, 8)), rng.standard_normal((g.n_nodes, 8))
+
+        def value_and_grads(layer):
+            w, b = ad.parameter(w0.copy()), ad.parameter(b0.copy())
+            with ad.Tape() as tape:
+                out = layer(w, b)
+                tape.backward(ad.reduce_sum(ad.mul(out, Tensor(seed))))
+            return out.value, w.grad, b.grad
+
+        fused = value_and_grads(lambda w, b: ad.affine(msg, w, b, "tanh"))
+        chain = value_and_grads(lambda w, b: ad.tanh(
+            ad.add(ad.aggregate(a_factor, ad.aggregate(x_factor, w)), b)))
+        assert all(np.array_equal(f, c) for f, c in zip(fused, chain))
+
     def test_gradcheck_registry_covers_the_csr_route(self, monkeypatch):
         messages, real = [], checks.first_message
 
@@ -173,7 +199,7 @@ class TestCsrRoute:
         monkeypatch.setattr(checks, "first_message", recording)
         names = [c.name for c in checks.gradient_check_cases(scope="encoder")]
         assert "encoder:sparse-first-layer" in names
-        assert [type(m) for m in messages] == [Tensor, SparseMessage, Tensor]
+        assert [isinstance(m, LinearOperator) for m in messages] == [False, True, False]
 
 
 class TestLayerForward:

@@ -14,9 +14,8 @@ from hgcl import manifolds as mf
 from hgcl.autodiff import Tape, Tensor
 from hgcl.data import Graph, synthetic_tree
 from hgcl.encoder import DualEmbedding
-from hgcl.hpc import (HpcConfig, SamplePlan, SamplingError, build_sample_plan, hpc_loss,
-                      mi_consistency, mi_tolerance, pair_log_probs, pair_probs,
-                      pool_log_probs)
+from hgcl.hpc import (HpcConfig, Pool, SamplePlan, SamplingError, build_sample_plan,
+                      hpc_loss, mi_consistency, mi_tolerance, pair_probs, pool_log_probs)
 
 
 def sigmoid(v):
@@ -344,13 +343,13 @@ class TestHpcLoss:
             Tensor(dg.ambient_to_internal(man_b, man_b.random_points(rng, 13, 2.5))),
             man_a, man_b)
         gathered = []  # (candidate rows, of which negative) per pair_log_probs node
-        real_node = hpc_mod._pool_log_probs
+        real_node = hpc_mod.pool_log_probs
 
-        def counting_node(man, own, tx, cand, ty, pool, cfg):
+        def counting_node(man, own, cand, pool, cfg):
             gathered.append((pool.ids.size, int(np.sum(pool.negative))))
-            return real_node(man, own, tx, cand, ty, pool, cfg)
+            return real_node(man, own, cand, pool, cfg)
 
-        monkeypatch.setattr(hpc_mod, "_pool_log_probs", counting_node)
+        monkeypatch.setattr(hpc_mod, "pool_log_probs", counting_node)
         terms = [mi_consistency] + ([mi_tolerance] if include_tolerance else [])
         for lambda_neg in (0.8, 0.0):
             cfg = HpcConfig(num_negatives=3, lambda_neg=lambda_neg, similarity=similarity)
@@ -459,19 +458,57 @@ class TestHpcLoss:
         assert full != no_pos
 
 
-def composed_log_probs(man, own, ia, cand, ib, cfg, negative):
-    """The reference route: gather both sides, score with ``pair_probs``, log, sum."""
-    probs = pair_probs(man, ad.gather_rows(own, ia), ad.gather_rows(cand, ib), cfg)
-    return ad.reduce_sum(ad.log(ad.sub(1.0, probs) if negative else probs))
+def scored_pool(man, own, cand, pool, cfg):
+    """The pool node on rows in scoring form: ``log0`` tangents of the points
+    for ``neg_dot``, as the composed ``pair_probs`` route reads them."""
+    if cfg.similarity == "neg_dot":
+        own_t = dg.log0(man, own)
+        cand = own_t if cand is own else dg.log0(man, cand)
+        own = own_t
+    return pool_log_probs(man, own, cand, pool, cfg)
 
 
-def value_and_grads(route, man, x, y, ia, ib, cfg, negative, same):
+def composed_pool(man, own, cand, pool, cfg):
+    """The reference route of a pool: each pair's rows gathered in the pool's
+    order, scored by ``pair_probs`` and logged, the negatives' logs weighted."""
+    rows = np.repeat(np.arange(pool.ids.shape[0]) if pool.anchors is None else pool.anchors,
+                     pool.ids.shape[1])
+    negative = pool.negative.ravel()
+    probs = pair_probs(man, ad.gather_rows(own, rows), ad.gather_rows(cand, pool.ids.ravel()),
+                       cfg)
+    logs = ad.log(ad.add(ad.mul(probs, np.where(negative, -1.0, 1.0)[:, None]),
+                         negative.astype(float)[:, None]))
+    return ad.reduce_sum(ad.mul(logs, np.where(negative, pool.neg_weight, 1.0)[:, None]))
+
+
+def value_and_grads(route, man, x, y, pool, cfg, same):
     own = ad.parameter(x.copy())
     cand = own if same else ad.parameter(y.copy())
     with Tape() as tape:
-        out = route(man, own, ia, cand, ib, cfg, negative)
+        out = route(man, own, cand, pool, cfg)
         tape.backward(out)
     return out.value, [own.grad] if same else [own.grad, cand.grad]
+
+
+def pool_of(pos, neg=None, neg_weight=1.0):
+    """A hand-built CSR pool in which own row i scores the candidates
+    ``pos[i]`` as positives, then ``neg[i]`` as negatives."""
+    neg = [[] for _ in pos] if neg is None else neg
+    rows = [list(p) + list(q) for p, q in zip(pos, neg)]
+    ids = np.array([j for row in rows for j in row], dtype=np.int64)
+    negative = np.array([k >= len(p) for p, row in zip(pos, rows) for k in range(len(row))],
+                        dtype=bool)
+    deg = np.array([len(row) for row in rows], dtype=np.int64)
+    return Pool(ids[:, None], negative[:, None], np.concatenate([[0], np.cumsum(deg)]),
+                neg_weight, anchors=np.repeat(np.arange(len(rows)), deg))
+
+
+def flat_pool(ia, ib, negative, n):
+    """The pairs (ia_p, ib_p) as a CSR pool over n own rows, in anchor order
+    (a stable sort, so repeated anchors keep their pairs' order)."""
+    rows = [list(np.asarray(ib)[np.asarray(ia) == i]) for i in range(n)]
+    empty = [[] for _ in rows]
+    return pool_of(empty, rows) if negative else pool_of(rows)
 
 
 MODELS = [mf.poincare(4, -1.0), mf.lorentz(4, -0.5)]
@@ -481,6 +518,10 @@ PAIR_IB = np.array([1, 4, 4, 0, 3, 6, 2, 7, 5, 0])
 
 
 class TestPairLogProbs:
+    """The pool node on hand-built CSR pools against the composed route,
+    whose value it matches bit for bit when both take the pairs in the
+    pool's order."""
+
     @pytest.mark.parametrize("negative", [False, True], ids=["pos", "neg"])
     @pytest.mark.parametrize("same", [False, True], ids=["two-tensors", "own-is-cand"])
     @pytest.mark.parametrize("similarity", ["distance", "neg_dot"])
@@ -490,12 +531,29 @@ class TestPairLogProbs:
         x = dg.ambient_to_internal(man, man.random_points(rng, 8, 2.0))
         y = dg.ambient_to_internal(man, man.random_points(rng, 8, 2.0))
         cfg = HpcConfig(bias=1.5, temperature=0.8, similarity=similarity)
-        args = (man, x, y, PAIR_IA, PAIR_IB, cfg, negative, same)
-        fused, fused_grads = value_and_grads(pair_log_probs, *args)
-        ref, ref_grads = value_and_grads(composed_log_probs, *args)
+        args = (man, x, y, flat_pool(PAIR_IA, PAIR_IB, negative, 8), cfg, same)
+        fused, fused_grads = value_and_grads(scored_pool, *args)
+        ref, ref_grads = value_and_grads(composed_pool, *args)
         assert np.array_equal(fused, ref)
         for got, want in zip(fused_grads, ref_grads):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("man", MODELS, ids=lambda m: m.kind.value)
+    def test_mixed_signs_and_an_empty_row(self, man):
+        # One pool holding both signs, weighted negatives and an own row with
+        # no pair, as hpc_loss's merged pools do.
+        rng = np.random.default_rng(8)
+        x = dg.ambient_to_internal(man, man.random_points(rng, 6, 2.0))
+        y = dg.ambient_to_internal(man, man.random_points(rng, 6, 2.0))
+        pool = pool_of([[4, 4], [], [3], [1], [0, 5], [2]],
+                       [[1], [], [0, 5], [2], [3], [4, 4]], neg_weight=0.3)
+        cfg = HpcConfig(bias=1.5, temperature=0.8)
+        for same in (False, True):
+            fused, fused_grads = value_and_grads(pool_log_probs, man, x, y, pool, cfg, same)
+            ref, ref_grads = value_and_grads(composed_pool, man, x, y, pool, cfg, same)
+            assert np.array_equal(fused, ref)
+            for got, want in zip(fused_grads, ref_grads):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("negative", [False, True], ids=["pos", "neg"])
     @pytest.mark.parametrize("man", MODELS, ids=lambda m: m.kind.value)
@@ -510,9 +568,9 @@ class TestPairLogProbs:
         ia, ib = np.array([0, 1, 2, 3, 7, 0, 5]), np.array([0, 1, 2, 3, 0, 6, 5])
         cfg = HpcConfig(bias=2.0, temperature=1.0)
         for same in (False, True):
-            args = (man, x, y, ia, ib, cfg, negative, same)
-            fused, fused_grads = value_and_grads(pair_log_probs, *args)
-            ref, ref_grads = value_and_grads(composed_log_probs, *args)
+            args = (man, x, y, flat_pool(ia, ib, negative, 8), cfg, same)
+            fused, fused_grads = value_and_grads(pool_log_probs, *args)
+            ref, ref_grads = value_and_grads(composed_pool, *args)
             assert np.array_equal(fused, ref)
             # On the hyperboloid the acosh argument rounds to 1 +- 1 ulp at d = 0,
             # and above 1 its clamped slope 1/sqrt(MIN_NORM) ~ 3e7 turns rounding
@@ -520,8 +578,8 @@ class TestPairLogProbs:
             if man.kind is mf.Model.POINCARE:
                 for got, want in zip(fused_grads, ref_grads):
                     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-                only_zero = pair_log_probs(man, Tensor(x), ia[:4], Tensor(y), ib[:4], cfg,
-                                           negative)
+                only_zero = pool_log_probs(man, Tensor(x), Tensor(y),
+                                           flat_pool(ia[:4], ib[:4], negative, 8), cfg)
                 d0 = math.log(1.0 - sigmoid(2.0)) if negative else math.log(sigmoid(2.0))
                 assert only_zero.item() == pytest.approx(4 * d0, abs=1e-15)
 
@@ -536,10 +594,11 @@ class TestPairLogProbs:
         x[2] = x[2] / np.linalg.norm(x[2])
         x[5] = 1.000001 * x[5] / np.linalg.norm(x[5])
         cfg = HpcConfig(bias=2.0, temperature=20.0)
+        pool = flat_pool(PAIR_IA, PAIR_IB, negative, 8)
         for same in (False, True):
-            args = (man, x, x[::-1].copy(), PAIR_IA, PAIR_IB, cfg, negative, same)
-            fused, fused_grads = value_and_grads(pair_log_probs, *args)
-            ref, ref_grads = value_and_grads(composed_log_probs, *args)
+            args = (man, x, x[::-1].copy(), pool, cfg, same)
+            fused, fused_grads = value_and_grads(pool_log_probs, *args)
+            ref, ref_grads = value_and_grads(composed_pool, *args)
             assert np.array_equal(fused, ref)
             for got, want in zip(fused_grads, ref_grads):
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -551,9 +610,9 @@ class TestPairLogProbs:
         empty = np.empty(0, dtype=np.int64)
         cfg = HpcConfig(similarity=similarity)
         for negative in (False, True):
-            args = (man, x, x, empty, empty, cfg, negative, False)
-            fused, fused_grads = value_and_grads(pair_log_probs, *args)
-            ref, ref_grads = value_and_grads(composed_log_probs, *args)
+            args = (man, x, x, flat_pool(empty, empty, negative, 5), cfg, False)
+            fused, fused_grads = value_and_grads(scored_pool, *args)
+            ref, ref_grads = value_and_grads(composed_pool, *args)
             assert fused.shape == (1, 1) and fused[0, 0] == 0.0 and np.array_equal(fused, ref)
             for got, want in zip(fused_grads, ref_grads):
                 assert not np.any(got) and not np.any(want)
@@ -567,7 +626,7 @@ class TestPairLogProbs:
         origin = Tensor(np.zeros((1, 4)))
         for negative in (False, True):
             with pytest.raises(ad.NonFiniteError, match="'pair_log_probs'"):
-                pair_log_probs(man, far, [0], origin, [0], HpcConfig(), negative)
+                pool_log_probs(man, far, origin, flat_pool([0], [0], negative, 1), HpcConfig())
 
     def test_hpc_loss_records_one_node_per_pool(self, ten_node_graph):
         rng = np.random.default_rng(5)
@@ -606,19 +665,6 @@ class TestPairLogProbs:
 # hub 0 with leaves 1-4, path 5-6; node 7 isolated
 POOL_GRAPH = Graph(8, np.array([(0, 1), (0, 2), (0, 3), (0, 4), (5, 6)]),
                    np.zeros((8, 1)), np.zeros(8, dtype=int))
-
-
-def composed_pool(man, own, cand, pool, cfg):
-    """The reference route of a merged pool: each pair's rows gathered, scored
-    by ``pair_probs`` and logged, the negatives' logs weighted."""
-    rows = np.repeat(np.arange(pool.ids.shape[0]) if pool.anchors is None else pool.anchors,
-                     pool.ids.shape[1])
-    negative = pool.negative.ravel()
-    probs = pair_probs(man, ad.gather_rows(own, rows), ad.gather_rows(cand, pool.ids.ravel()),
-                       cfg)
-    logs = ad.log(ad.add(ad.mul(probs, np.where(negative, -1.0, 1.0)[:, None]),
-                         negative.astype(float)[:, None]))
-    return ad.reduce_sum(ad.mul(logs, np.where(negative, pool.neg_weight, 1.0)[:, None]))
 
 
 class TestMergedPools:
@@ -665,7 +711,7 @@ class TestMergedPools:
         x = dg.ambient_to_internal(man, man.random_points(rng, 8, 2.0))
         y = dg.ambient_to_internal(man, man.random_points(rng, 8, 2.0))
         results = []
-        for route in (pool_log_probs, composed_pool):
+        for route in (scored_pool, composed_pool):
             own = ad.parameter(x.copy())
             cand = own if intra else ad.parameter(y.copy())
             with Tape() as tape:

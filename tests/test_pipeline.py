@@ -523,7 +523,7 @@ class TestTapeSize:
     encoder carries."""
 
     @pytest.mark.parametrize("ablation, n_exp0, n_log0, n_nodes", [
-        ("full", 4, 0, 23),  # 2 encoder exp0 + 2 transfers
+        ("full", 4, 0, 21),  # 2 encoder exp0 + 2 transfers
         ("no_hpc", 2, 0, 11),
     ])
     def test_one_step(self, monkeypatch, ablation, n_exp0, n_log0, n_nodes):
@@ -567,8 +567,25 @@ class TestTapeSize:
             assert all(t is seen[0][1] for _, t in seen)
             assert any(node is seen[0][1] for node in nodes)  # the encoder's own node
 
+    def test_csr_route_step(self, monkeypatch):
+        # On CSR features the first layer is one affine node on the operator
+        # a_norm · X, like every dense layer; only the second layers aggregate.
+        before_ce, real_ce = [], pl.cross_entropy
+
+        def counting_ce(*args):
+            before_ce.append(list(ad.Tape.current().nodes))
+            return real_ce(*args)
+
+        monkeypatch.setattr(pl, "cross_entropy", counting_ce)
+        g = masked(bag_of_words_graph())
+        assert enc_mod.csr_route(g.features, normalize_adjacency(g))
+        train(g, small_config(epochs=1, patience=1))
+        ops = Counter(node._op for node in before_ce[0])
+        assert (ops["affine"], ops["aggregate"], ops["tanh"], ops["exp0"]) == (4, 2, 0, 4)
+        assert ops["scalar_mul"] == 1  # the loss scale; the transfers fold theirs in
+
     @pytest.mark.parametrize("ablation, n_bytes", [
-        ("full", 697_880),
+        ("full", 604_696),
         ("no_hpc", 511_432),
         ("no_dist", 604_696),
     ])
@@ -678,6 +695,15 @@ class TestHeatmap:
         res = train(g, small_config())
         with pytest.raises(PipelineError):
             export_heatmap(res.model, g, [0, 9999], "alpha", tmp_path / "x.csv")
+
+    def test_unknown_view_rejected_before_the_forward(self, tmp_path, monkeypatch):
+        g = tree_graph()
+        model = HgclModel(small_config(), g.features.shape[1], g.n_classes)
+        monkeypatch.setattr(HgclModel, "embed", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(PipelineError, match="view must be one of .*'gamma'"):
+            export_heatmap(model, g, [0, 1], "gamma", tmp_path / "x.csv")
+        assert not HgclModel.embed.called
+        assert list(tmp_path.iterdir()) == []
 
     def test_view_selection(self, tmp_path):
         g = tree_graph()
