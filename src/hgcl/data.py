@@ -17,6 +17,7 @@ Node ids must be contiguous 0..n-1; rows may come in any order.
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
 from contextlib import contextmanager
@@ -333,12 +334,19 @@ def split(graph: Graph, fractions=(0.6, 0.2, 0.2), seed: int = 0):
 
 
 def normalize_adjacency(graph: Graph) -> sparse.csr_matrix:
-    """(A + I) with symmetric 1/sqrt(deg_i * deg_j) normalization."""
-    a = graph.csr_adjacency() + sparse.identity(graph.n_nodes, format="csr")
-    deg = np.asarray(a.sum(axis=1)).ravel()
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    d_half = sparse.diags(inv_sqrt)
-    return (d_half @ a @ d_half).tocsr()
+    """(A + I) with symmetric 1/sqrt(deg_i * deg_j) normalization, deg counting
+    the self-loop: the cached adjacency with each diagonal entry inserted into
+    its row's sorted columns."""
+    a = graph.csr_adjacency()
+    n = graph.n_nodes
+    deg = np.diff(a.indptr)
+    keys = np.repeat(np.arange(n, dtype=np.int64), deg) * n + a.indices
+    loops = np.arange(n, dtype=np.int64) * (n + 1)
+    keys = np.insert(keys, np.searchsorted(keys, loops), loops)
+    rows, cols = keys // n, keys % n
+    inv_sqrt = 1.0 / np.sqrt(deg + 1.0)
+    indptr = a.indptr + np.arange(n + 1)
+    return sparse.csr_matrix((inv_sqrt[rows] * inv_sqrt[cols], cols, indptr), shape=(n, n))
 
 
 def synthetic_tree(branching: int, depth: int, d_feat: int = 16, noise: float = 0.1,
@@ -382,10 +390,11 @@ def _largest_component(graph: Graph) -> np.ndarray:
     return np.flatnonzero(comp == np.argmax(sizes))
 
 
-def _distance_matrix(graph: Graph, nodes: np.ndarray) -> np.ndarray:
-    """BFS distances among ``nodes``, int32 as the kernel returns them."""
+def _distance_matrix(graph: Graph, nodes: np.ndarray, sources=None) -> np.ndarray:
+    """BFS distances among ``nodes``, int32 as the kernel returns them: from
+    every node, or from the positions ``sources`` into ``nodes`` alone."""
     sub = graph.csr_adjacency()[nodes][:, nodes].tocsr()
-    return kernels.bfs_all_pairs(sub.indptr, sub.indices, len(nodes))
+    return kernels.bfs_all_pairs(sub.indptr, sub.indices, len(nodes), sources)
 
 
 EXACT_LIMIT = 60
@@ -413,14 +422,24 @@ class DeltaReport(NamedTuple):
     delta: float
     mode: str        # "exact" or "sampled"
     n_nodes: int     # size of the component the delta was computed on
+    sources: int     # BFS sources the quadruples were drawn from (n_nodes unless sampled)
 
 
 def gromov_delta_report(graph: Graph, num_quadruples: int | None = None, seed: int = 0,
                         exact: bool | None = None) -> DeltaReport:
     """Max (S1 - S2)/2 over quadruple pairwise-distance sums, on BFS shortest
-    paths of the largest component, with the mode and component size used.
-    Exact enumeration for n <= 60 (or on request), otherwise a sampled lower
-    bound."""
+    paths of the largest component, with the mode, component size and number
+    of BFS sources used.
+
+    Exact enumeration for n <= 60 (or on request) reads all n^2 distances.
+    Otherwise the delta is a lower bound over ``num_quadruples`` (default
+    50,000) random quadruples. Where the sample size s is below n, the
+    seed's generator first draws s distinct nodes, BFS runs from those alone
+    (an s x n matrix, never n x n) and the quadruples are drawn among them;
+    where s = n, the quadruples are drawn among all n nodes. s is
+    ``min(n, ceil(sqrt(12 * count)))``: each quadruple reads 6 pairs, so the
+    sample's s^2 ordered pairs are about as many as the quadruples read.
+    """
     if num_quadruples is not None and num_quadruples < 1:
         raise DataError(f"num_quadruples must be >= 1, got {num_quadruples}")
     nodes = _largest_component(graph)
@@ -434,13 +453,19 @@ def gromov_delta_report(graph: Graph, num_quadruples: int | None = None, seed: i
             f"exact enumeration is limited to n <= {EXACT_LIMIT} (got {n}); "
             "use sampling (num_quadruples)"
         )
-    d = _distance_matrix(graph, nodes)
     if exact:
-        return DeltaReport(float(kernels.four_point_delta_exact(d)), "exact", n)
+        d = _distance_matrix(graph, nodes)
+        return DeltaReport(float(kernels.four_point_delta_exact(d)), "exact", n, n)
     count = 50_000 if num_quadruples is None else int(num_quadruples)
     rng = np.random.default_rng(seed)
-    quads = sample_quadruples(n, count, rng)
-    return DeltaReport(float(kernels.four_point_delta_quads(d, quads)), "sampled", n)
+    s = min(n, math.isqrt(12 * count - 1) + 1)  # ceil(sqrt(12 * count))
+    if s == n:
+        d = _distance_matrix(graph, nodes)
+    else:
+        picks = rng.choice(n, size=s, replace=False)
+        d = _distance_matrix(graph, nodes, picks)[:, picks]
+    quads = sample_quadruples(s, count, rng)
+    return DeltaReport(float(kernels.four_point_delta_quads(d, quads)), "sampled", n, s)
 
 
 def gromov_delta(graph: Graph, num_quadruples: int | None = None, seed: int = 0,

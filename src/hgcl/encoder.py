@@ -97,8 +97,18 @@ def first_message(features: np.ndarray, a_norm,
     which ``ad.affine`` multiplies as ``a_norm @ (X @ W)``."""
     x, clamped = lift_features(features, max_norm)
     if csr_route(x, a_norm):
-        return aslinearoperator(a_norm) * aslinearoperator(sp.csr_matrix(x)), clamped
+        return aslinearoperator(a_norm) * aslinearoperator(_csr_rows(x)), clamped
     return ad.aggregate(a_norm, Tensor(x)), clamped
+
+
+def _csr_rows(x: np.ndarray) -> sp.csr_matrix:
+    """``sp.csr_matrix(x)`` of a dense matrix, built from the flat indices of
+    its nonzeros: row-major order is CSR order, so row i's entries are those
+    whose flat index lies in [i * d, (i + 1) * d)."""
+    n, d = x.shape
+    flat = np.flatnonzero(x != 0)
+    indptr = np.searchsorted(flat, np.arange(0, n * d + 1, d))
+    return sp.csr_matrix((x.ravel()[flat], flat % d, indptr), shape=(n, d))
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """Numpy graph scans and the package's clamp constants.
 
-All-pairs BFS graph distances and the four-point (Gromov) scans, kept in
-their own module so that the benchmark's tracer can wrap them by name. The
-hyperbolic closed forms live in ``hgcl.manifolds``.
+BFS graph distances (from every node or from a given set of sources) and the
+four-point (Gromov) scans, kept in their own module so that the benchmark's
+tracer can wrap them by name. The hyperbolic closed forms live in
+``hgcl.manifolds``.
 
 ``MIN_NORM`` and ``ARTANH_CLIP`` are the package's clamp constants; every
 other module imports them from here.
@@ -44,10 +45,12 @@ _FRONTIER_MAX_LEVELS = 48  # at most 126: distances are counted in int8
 _FRONTIER_BATCH = 64
 
 
-def bfs_all_pairs(indptr, indices, n):
-    """All-pairs unweighted shortest paths of the undirected graph whose
-    adjacency is the CSR ``(indptr, indices)``: an (n, n) int32 matrix, -1 for
-    unreachable pairs.
+def bfs_all_pairs(indptr, indices, n, sources=None):
+    """Unweighted shortest paths of the undirected graph whose adjacency is
+    the CSR ``(indptr, indices)``, from each of ``sources`` (every node when
+    None) to every node: an (len(sources), n) int32 matrix, -1 for unreachable
+    pairs, row k for ``sources[k]``. Without sources it is the (n, n) all-pairs
+    matrix.
 
     Shallow graphs take a level-synchronous BFS over batches of sources, each
     level one product of the float32 adjacency with a dense n x b frontier
@@ -60,12 +63,17 @@ def bfs_all_pairs(indptr, indices, n):
         raise ValueError(f"indptr has shape {indptr.shape}, expected ({n + 1},)")
     if indices.size and (indices.min() < 0 or indices.max() >= n):
         raise ValueError(f"CSR indices must lie in [0, {n})")
+    sources = np.arange(n) if sources is None else np.asarray(sources, dtype=np.int64).ravel()
+    if sources.size and (sources.min() < 0 or sources.max() >= n):
+        raise ValueError(f"sources must lie in [0, {n})")
     g = csr_matrix((np.ones(len(indices), dtype=np.float32), indices, indptr), shape=(n, n))
     adj = (g + g.T).tocsr()
-    if n == 0 or _level_bound(adj) > _FRONTIER_MAX_LEVELS:
-        d = shortest_path(adj, method="D", unweighted=True, directed=False)
+    if sources.size == 0:
+        return np.empty((0, n), dtype=np.int32)
+    if _level_bound(adj) > _FRONTIER_MAX_LEVELS:
+        d = shortest_path(adj, method="D", unweighted=True, directed=False, indices=sources)
         return np.where(np.isinf(d), -1.0, d).astype(np.int32)
-    return _frontier_all_pairs(adj)
+    return _frontier_bfs(adj, sources)
 
 
 def _level_bound(adj):
@@ -77,16 +85,16 @@ def _level_bound(adj):
     return 2 * int(depth.max())
 
 
-def _frontier_all_pairs(adj):
-    """BFS distances over the symmetric float32 ``adj``, one pass per batch of
-    ``_FRONTIER_BATCH`` sources."""
+def _frontier_bfs(adj, sources):
+    """BFS distances over the symmetric float32 ``adj`` from each of
+    ``sources``, one pass per batch of ``_FRONTIER_BATCH`` sources."""
     n = adj.shape[0]
-    out = np.empty((n, n), dtype=np.int32)
-    for s0 in range(0, n, _FRONTIER_BATCH):
-        b = min(_FRONTIER_BATCH, n - s0)
-        cols = np.arange(b)
+    out = np.empty((sources.size, n), dtype=np.int32)
+    for s0 in range(0, sources.size, _FRONTIER_BATCH):
+        batch = sources[s0:s0 + _FRONTIER_BATCH]
+        b = batch.size
         frontier = np.zeros((n, b), dtype=np.float32)
-        frontier[s0 + cols, cols] = 1.0
+        frontier[batch, np.arange(b)] = 1.0
         unseen = frontier == 0
         # A node still unseen after level k is farther than k from the source,
         # so the number of levels it stays unseen (counting level 0) is its
@@ -103,7 +111,7 @@ def _frontier_all_pairs(adj):
             dist += unseen
             np.copyto(frontier, new)
         dist[unseen] = -1
-        out[:, s0:s0 + b] = dist  # column s of an undirected metric is its row s
+        out[s0:s0 + b] = dist.T
     return out
 
 

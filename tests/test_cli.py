@@ -156,7 +156,7 @@ class TestOtherCommands:
         rc = main(["delta", "--synthetic", "3,3"])
         assert rc == 0
         rec = json.loads(capsys.readouterr().out.strip())
-        assert rec == {"delta": 0.0, "mode": "exact", "n_nodes": 40}
+        assert rec == {"delta": 0.0, "mode": "exact", "n_nodes": 40, "sources": 40}
 
     def test_delta_reports_the_component_it_ran_on(self, tmp_path, capsys):
         from hgcl.data import Graph, gromov_delta, save_graph
@@ -169,7 +169,8 @@ class TestOtherCommands:
             rc = main(["delta", "--data", str(tmp_path / "two")])
         assert rc == 0
         rec = json.loads(capsys.readouterr().out.strip())
-        assert rec == {"delta": gromov_delta(comp, exact=True), "mode": "exact", "n_nodes": 50}
+        assert rec == {"delta": gromov_delta(comp, exact=True), "mode": "exact", "n_nodes": 50,
+                       "sources": 50}
 
     def test_delta_exact_refused_above_limit(self, capsys):
         rc = main(["delta", "--synthetic", "2,6", "--exact"])
@@ -182,6 +183,13 @@ class TestOtherCommands:
         main(["delta", "--synthetic", "2,4", "--samples", "500"])
         sampled = json.loads(capsys.readouterr().out.strip())["delta"]
         assert sampled <= exact
+
+    def test_delta_with_a_sample_covering_every_node_is_unchanged(self, capsys):
+        # 2000 quadruples draw from s = 155 >= n = 121 nodes: every node is a
+        # BFS source and the output is the one read before sources were sampled
+        main(["delta", "--synthetic", "3,4", "--samples", "2000", "--seed", "4"])
+        rec = json.loads(capsys.readouterr().out.strip())
+        assert rec == {"delta": 0.0, "mode": "sampled", "n_nodes": 121, "sources": 121}
 
     def test_gradcheck_scope_listing_and_exit(self, capsys):
         rc = main(["gradcheck", "--scope", "encoder"])

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -514,6 +515,16 @@ def cycle_graph(n):
                  np.zeros((n, 1)), np.zeros(n, dtype=int))
 
 
+def path_with_chords(n, n_edges, rng):
+    """A path over n nodes plus random chords, n_edges edges in all."""
+    edges = {(i, i + 1) for i in range(n - 1)}
+    while len(edges) < n_edges:
+        i, j = sorted(rng.integers(0, n, 2).tolist())
+        if i != j:
+            edges.add((i, j))
+    return Graph(n, np.array(sorted(edges)), np.zeros((n, 1)), np.zeros(n, dtype=int))
+
+
 def four_point_by_hand(dist):
     """Independent enumeration of the four-point condition."""
     n = dist.shape[0]
@@ -555,6 +566,50 @@ class TestGromovDelta:
             exact = gromov_delta(g, exact=True)
             for count in (50, 500, 5000):
                 assert gromov_delta(g, num_quadruples=count, seed=7) <= exact
+
+    def test_sampled_bfs_runs_from_the_sample_alone(self, monkeypatch):
+        from hgcl import kernels
+        calls = []
+        real = kernels.bfs_all_pairs
+
+        def record(indptr, indices, n, sources=None):
+            d = real(indptr, indices, n, sources)
+            calls.append((n, None if sources is None else np.array(sources), d.shape))
+            return d
+
+        monkeypatch.setattr(kernels, "bfs_all_pairs", record)
+        g = synthetic_tree(2, 6, d_feat=4)  # 127 nodes
+        report = data_mod.gromov_delta_report(g, num_quadruples=100, seed=3)
+        s = math.ceil(math.sqrt(12 * 100))  # 35
+        assert report.sources == s and report.mode == "sampled" and report.n_nodes == 127
+        [(n, sources, shape)] = calls
+        assert n == 127 and shape == (s, 127)
+        assert len(set(sources.tolist())) == s and 0 <= sources.min() and sources.max() < n
+        assert report.delta == 0.0  # a tree
+
+    def test_sampled_from_fewer_sources_is_lower_bound_of_exact(self):
+        rng = np.random.default_rng(2)
+        graphs = [cycle_graph(40), synthetic_tree(2, 4, d_feat=4),
+                  path_with_chords(30, 42, rng), path_with_chords(55, 77, rng)]
+        for g in graphs:
+            exact = gromov_delta(g, exact=True)
+            for count, seed in itertools.product((5, 20, 100), range(4)):
+                report = data_mod.gromov_delta_report(g, num_quadruples=count, seed=seed)
+                if report.sources == g.n_nodes:
+                    continue  # the s = n path; pinned below
+                assert report.sources == math.ceil(math.sqrt(12 * count)) < g.n_nodes
+                assert report.delta <= exact
+
+    def test_sample_covering_every_node_keeps_the_stream(self):
+        # count = 201 gives s = ceil(sqrt(2412)) = 50 = n: the quadruples are drawn
+        # among all nodes, from the same generator stream as before BFS sources
+        # were sampled; the values below were read before that
+        g = path_with_chords(50, 70, np.random.default_rng(11))
+        reports = [data_mod.gromov_delta_report(g, num_quadruples=201, seed=s) for s in range(12)]
+        assert {r.sources for r in reports} == {50}
+        assert [r.delta for r in reports] == [2.0, 2.5, 2.5, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.5,
+                                              2.0, 2.0]
+        assert gromov_delta(g, exact=True) == 3.0
 
     def test_sampled_monotone_in_sample_superset(self):
         g = cycle_graph(14)

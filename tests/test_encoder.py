@@ -136,6 +136,18 @@ class TestCsrRoute:
         x.flat[48] = 1.0
         assert not csr_route(x, a_norm)
 
+    def test_csr_factor_is_scipys_conversion_bit_for_bit(self, rng):
+        words = bag_of_words_graph().features
+        scattered = rng.normal(size=(9, 7)) * (rng.random((9, 7)) < 0.3)
+        scattered[2] = 0.0  # an empty row
+        scattered[4, 1] = -0.0  # dropped, as an exact zero
+        for x in (words, np.asfortranarray(words), scattered, np.zeros((3, 4))):
+            ref, got = sparse.csr_matrix(x), enc_mod._csr_rows(x)
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(ref, name), getattr(got, name)
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+
     def test_views_and_gradients_match_the_dense_message(self, monkeypatch):
         g = bag_of_words_graph()
         feats = g.features.copy()

@@ -131,21 +131,44 @@ def test_bfs_matches_a_queue_reference(case):
     np.testing.assert_array_equal(d, bfs_reference(n, edges))
 
 
-@pytest.mark.parametrize("n, edges, frontier", [
-    (1, [], True),
-    (130, [(0, k) for k in range(1, 100)], True),           # three batches, isolated nodes
-    (49, [(k, k + 1) for k in range(24)], True),            # level bound 48
-    (50, [(k, k + 1) for k in range(25)], False),           # level bound 50
-    (120, [(k, k + 1) for k in range(119)], False),
+_STAR = [(0, k) for k in range(1, 100)]
+
+
+@pytest.mark.parametrize("n, edges, frontier, sources", [
+    pytest.param(1, [], True, None, id="1-edges0-True"),
+    # three batches, isolated nodes
+    pytest.param(130, _STAR, True, None, id="130-edges1-True"),
+    # level bound 48
+    pytest.param(49, [(k, k + 1) for k in range(24)], True, None, id="49-edges2-True"),
+    # level bound 50
+    pytest.param(50, [(k, k + 1) for k in range(25)], False, None, id="50-edges3-False"),
+    pytest.param(120, [(k, k + 1) for k in range(119)], False, None, id="120-edges4-False"),
+    # every node as a source, in reverse: three batches, unsorted
+    pytest.param(130, _STAR, True, list(range(129, -1, -1)), id="130-sources-reversed-True"),
+    # isolated sources and a star source whose row is -1 on the isolated nodes
+    pytest.param(130, _STAR, True, [117, 3, 0, 129, 64, 3], id="130-sources-isolated-True"),
+    pytest.param(50, [(k, k + 1) for k in range(25)], False, [40, 7, 25, 0, 49],
+                 id="50-sources-isolated-False"),
 ])
-def test_route_follows_the_level_bound(monkeypatch, n, edges, frontier):
+def test_route_follows_the_level_bound(monkeypatch, n, edges, frontier, sources):
     calls = []
-    real = kernels._frontier_all_pairs
-    monkeypatch.setattr(kernels, "_frontier_all_pairs", lambda adj: calls.append(1) or real(adj))
+    real = kernels._frontier_bfs
+    monkeypatch.setattr(kernels, "_frontier_bfs",
+                        lambda adj, src: calls.append(1) or real(adj, src))
     indptr, indices = one_way_csr(edges, n)
-    d = kernels.bfs_all_pairs(indptr, indices, n)
+    d = kernels.bfs_all_pairs(indptr, indices, n, sources)
     assert bool(calls) == frontier
-    np.testing.assert_array_equal(d, bfs_reference(n, edges))
+    rows = slice(None) if sources is None else sources
+    assert d.dtype == np.int32
+    np.testing.assert_array_equal(d, bfs_reference(n, edges)[rows])
+
+
+def test_bfs_rejects_sources_out_of_range():
+    indptr, indices = one_way_csr([(0, 1)], 3)
+    for sources in ([3], [0, -1]):
+        with pytest.raises(ValueError, match="sources"):
+            kernels.bfs_all_pairs(indptr, indices, 3, sources)
+    assert kernels.bfs_all_pairs(indptr, indices, 3, []).shape == (0, 3)
 
 
 @pytest.mark.parametrize("module, names", [

@@ -25,7 +25,7 @@ from hgcl import manifolds as mf
 from hgcl import pipeline as pl
 from hgcl.autodiff import Tensor
 from hgcl.data import normalize_adjacency, synthetic_tree
-from hgcl.encoder import DualEmbedding, EncoderError
+from hgcl.encoder import VIEWS, DualEmbedding, EncoderError
 from hgcl.hpc import HpcConfig, SamplingError
 from hgcl.pipeline import (HgclModel, Metrics, PipelineError, TrainConfig, cross_entropy,
                            decode, evaluate, export_heatmap, total_loss, train)
@@ -677,18 +677,23 @@ class TestHeatmap:
     def test_csv_bytes_match_csv_writer_and_no_temp_file(self, tmp_path):
         g = tree_graph()
         res = train(g, small_config(epochs=3, patience=3))
-        ids = np.array([4, 0, 7, 3, 12])
         out = tmp_path / "heat.csv"
-        out.write_text("stale contents that must be replaced\n")
-        dist = export_heatmap(res.model, g, ids, "beta", out)
-        ref = io.StringIO(newline="")
-        writer = csv.writer(ref)  # reference: one f-string per cell, csv.writer rows
-        writer.writerow(["id"] + [str(i) for i in ids] + ["label"])
-        for row_i, nid in enumerate(ids):
-            writer.writerow([str(nid)] + [f"{d:.12g}" for d in dist[row_i]]
-                            + [str(int(g.labels[nid]))])
-        assert out.read_bytes() == ref.getvalue().encode()
-        assert [p.name for p in tmp_path.iterdir()] == ["heat.csv"]
+        # 0, 1 and 2 nodes, a repeated id (an off-diagonal cell of one node)
+        for ids in ([4, 0, 7, 3, 12], [], [5], [9, 2], [6, 1, 6, 0]):
+            ids = np.array(ids, dtype=np.int64)
+            for view in VIEWS:
+                out.write_text("stale contents that must be replaced\n")
+                dist = export_heatmap(res.model, g, ids, view, out)
+                assert dist.shape == (len(ids), len(ids))
+                np.testing.assert_array_equal(dist, dist.T)
+                ref = io.StringIO(newline="")
+                writer = csv.writer(ref)  # reference: one f-string per cell, csv.writer rows
+                writer.writerow(["id"] + [str(i) for i in ids] + ["label"])
+                for row_i, nid in enumerate(ids):
+                    writer.writerow([str(nid)] + [f"{d:.12g}" for d in dist[row_i]]
+                                    + [str(int(g.labels[nid]))])
+                assert out.read_bytes() == ref.getvalue().encode()
+                assert [p.name for p in tmp_path.iterdir()] == ["heat.csv"]
 
     def test_unknown_node_id_rejected(self, tmp_path):
         g = tree_graph()
