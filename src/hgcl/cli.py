@@ -54,6 +54,8 @@ HPC_KEYS = _field_parsers(HpcConfig, {"similarity"})
 def _parse_synthetic(spec: str):
     parts = spec.split(",")
     try:
+        if len(parts) > 5:
+            raise ValueError(f"{len(parts)} fields")
         b, h = int(parts[0]), int(parts[1])
         d_feat = int(parts[2]) if len(parts) > 2 else 16
         noise = float(parts[3]) if len(parts) > 3 else 0.1

@@ -30,6 +30,7 @@ from .kernels import ARTANH_CLIP, MIN_NORM
 
 BALL_GUARD = 1e-5  # relative margin kept between renormalized points and the boundary
 MAX_TANGENT_NORM = 16.0  # expmap rejects tangents of larger metric norm
+_PAIRWISE_STRIP = 16  # rows pairwise_dist scores at a time; temporaries hold 16·m·d floats
 
 
 class GeometryError(ValueError):
@@ -174,14 +175,17 @@ class Manifold:
         x, y = _rows(x), _rows(y)
         if x.shape != y.shape:
             raise GeometryError(f"dist needs equal shapes, got {x.shape} vs {y.shape}")
+        (xs, tx), (ys, ty) = self._pair_inputs(x), self._pair_inputs(y)
+        d = self.pair_dist(xs, tx, ys[:, None], ty[:, None])[0][:, 0]
+        # Identical rows are 0 apart; far from the origin <x,x>_L cancels and misses it.
+        return np.where(np.all(x == y, axis=1), 0.0, d)
+
+    def _pair_inputs(self, x):
+        """``pair_dist``'s rows and node terms of ambient rows x: the ball rows
+        and their ``node_terms``, or the hyperboloid's spatial block and time."""
         if self.kind is Model.POINCARE:
-            return self.pair_dist(x, self.node_terms(x), y[:, None, :],
-                                  self.node_terms(y)[:, None])[0][:, 0]
-        d = self.pair_dist(x[:, 1:], x[:, 0], y[:, None, 1:], y[:, None, 0])[0][:, 0]
-        # <x,x>_L cancels catastrophically far from the origin; identical
-        # rows must still give an exact zero.
-        same = np.all(x == y, axis=1)
-        return np.where(same, 0.0, d) if np.any(same) else d
+            return x, self.node_terms(x)
+        return x[:, 1:], x[:, 0]
 
     def node_terms(self, x) -> np.ndarray:
         """Per-row term of ``pair_dist`` for intrinsic rows x, shape (n,):
@@ -238,24 +242,19 @@ class Manifold:
 
         return np.arccosh(np.maximum(arg, 1.0)) * inv_sk, slopes
 
-    def pairwise_dist(self, x, y=None):
-        """(rows of x, rows of y) distance matrix; zero diagonal for x alone."""
-        x = _coerce(x)
-        y = x if y is None else _coerce(y)
-        xs, ys = _rows(x), _rows(y)
-        k = self.k
-        if self.kind is Model.POINCARE:
-            x2 = np.sum(xs * xs, axis=1)
-            y2 = np.sum(ys * ys, axis=1)
-            d2 = np.maximum(x2[:, None] + y2[None, :] - 2.0 * (xs @ ys.T), 0.0)
-            a = np.maximum(1.0 + k * x2, MIN_NORM)
-            b = np.maximum(1.0 + k * y2, MIN_NORM)
-            arg = 1.0 - 2.0 * k * d2 / (a[:, None] * b[None, :])
-        else:
-            arg = k * (xs[:, 1:] @ ys[:, 1:].T - np.outer(xs[:, 0], ys[:, 0]))
-        d = np.arccosh(np.maximum(arg, 1.0)) / np.sqrt(-k)
-        if x is y:
-            np.fill_diagonal(d, 0.0)
+    def pairwise_dist(self, x):
+        """Symmetric distance matrix of the rows of x, [i, j] = ``dist(x[i], x[j])``:
+        a strip of rows is scored against the rows from it on, and mirrored."""
+        x = _rows(x)
+        xs, tx = self._pair_inputs(x)
+        d = np.empty((len(x), len(x)))
+        for lo in range(0, len(x), _PAIRWISE_STRIP):
+            hi = lo + _PAIRWISE_STRIP
+            d[lo:hi, lo:] = self.pair_dist(xs[lo:hi], tx[lo:hi], xs[None, lo:], tx[None, lo:])[0]
+            d[lo:, lo:hi] = d[lo:hi, lo:].T
+        # As in dist, identical rows (the diagonal among them) are exactly 0 apart.
+        _, group = np.unique(x, axis=0, return_inverse=True)
+        d[group[:, None] == group] = 0.0
         return d
 
     def exp0(self, v):

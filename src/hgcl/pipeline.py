@@ -401,9 +401,8 @@ def export_heatmap(model: HgclModel, graph: Graph, node_ids, view: str, out_path
     """Write the pairwise hyperbolic distance matrix of the chosen view's
     embeddings for the given nodes as CSV (ids as headers, labels appended).
 
-    The matrix is made symmetric from its upper triangle (the diagonal kept)
-    and returned; the CSV holds the same values. Each upper-triangle distance
-    is formatted once, and the mirrored cell reuses its text."""
+    The matrix is returned; the CSV holds the same values. Each upper-triangle
+    distance is formatted once, and the mirrored cell reuses its text."""
     if view not in VIEWS:  # before the forward, which would be wasted
         raise PipelineError(f"view must be one of {VIEWS}, got {view!r}")
     node_ids = np.asarray(node_ids, dtype=np.int64)
@@ -416,7 +415,6 @@ def export_heatmap(model: HgclModel, graph: Graph, node_ids, view: str, out_path
     dist = man.pairwise_dist(pts)
     m = len(node_ids)
     upper = np.triu(np.ones((m, m), dtype=bool), 1)
-    dist.T[upper] = dist[upper]
     k = int(upper.sum())
     # Every CSV cell is formatted into one 22-byte slot: 21 bytes hold the
     # widest "%.12g" of a double (19 characters) and the widest int64 id or

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hgcl import checks
 from hgcl import data as data_mod
 
 
@@ -45,11 +46,8 @@ def path5():
 
 @pytest.fixture
 def ten_node_graph():
-    rng = np.random.default_rng(7)
-    edges = [(i, i + 1) for i in range(9)] + [(0, 5), (2, 7)]
-    feats = rng.standard_normal((10, 5))
-    labels = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])
-    return data_mod.Graph(10, np.array(edges), feats, labels)
+    """The gradient-check registry's ten-node graph (seed 7)."""
+    return checks._ten_node_graph()
 
 
 def masked(graph, fractions=(0.6, 0.2, 0.2), seed=0):

@@ -284,6 +284,14 @@ class TestExitCodes:
         rc = main(["train", "--out", str(tmp_path / "o")])
         assert rc == 1
 
+    def test_synthetic_spec_with_extra_fields_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["train", "--synthetic", "3,5,16,0.1,0,9", "--out", str(out)] + FAST_TRAIN)
+        assert rc == 1
+        assert "--synthetic wants 'b,h[,d_feat[,noise[,seed]]]', got '3,5,16,0.1,0,9'" \
+            in capsys.readouterr().err
+        assert not list(out.glob("metrics_seed*"))
+
     def test_out_of_range_option_is_exit_2_before_any_output(self, tmp_path, capsys):
         out = tmp_path / "run"
         rc = main(["train", "--synthetic", "2,3,8,0.2", "--out", str(out),

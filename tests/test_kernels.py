@@ -21,13 +21,26 @@ def _csr(edges, n):
     return a.indptr.astype(np.int64), a.indices.astype(np.int64)
 
 
-def test_identical_row_shortcircuit():
+@pytest.mark.parametrize("m", [0, 1, 15, 16, 17, 40])
+@pytest.mark.parametrize("kind", ["poincare", "lorentz"])
+def test_identical_row_shortcircuit(kind, m):
+    """Identical rows score an exact 0, and every strip of ``pairwise_dist``,
+    the last and partial ones too, holds ``dist`` of its pairs."""
     rng = np.random.default_rng(3)
-    man = mf.lorentz(7, -1.3)
-    hyp = man.exp0(rng.uniform(-2.0, 2.0, (64, 7)))
-    assert np.max(man.dist(hyp, hyp.copy())) == 0.0
+    man = getattr(mf, kind)(7, -1.3)
+    hyp = man.exp0(rng.uniform(-2.0, 2.0, (m, 7)))
+    dup = m // 2
+    if m >= 2:
+        hyp[dup] = hyp[0]  # one row duplicated
+    assert np.max(man.dist(hyp, hyp.copy()), initial=0.0) == 0.0
     d = man.pairwise_dist(hyp)
-    assert np.max(np.abs(np.diag(d))) == 0.0
+    assert d.shape == (m, m)
+    assert np.array_equal(d, d.T)
+    assert np.all(np.diag(d) == 0.0)
+    i, j = np.nonzero(~np.eye(m, dtype=bool))
+    assert np.array_equal(d[i, j], man.dist(hyp[i], hyp[j]))
+    if m >= 2:
+        assert d[0, dup] == 0.0
 
 
 def test_exact_delta_matches_every_quadruple():
