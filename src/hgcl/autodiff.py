@@ -5,7 +5,8 @@ onto the innermost active :class:`Tape` (a thread-local stack) whenever some
 input requires grad; with no tape active they are plain forward evaluation,
 which is what inference and finite-difference probes use. Broadcasting is
 limited to scalar, ``(n, 1)``-column and ``(1, d)``-row operands against an
-``(n, d)`` matrix.
+``(n, d)`` matrix. Ops are called by name (``sub(a, b)``): :class:`Tensor`
+has no arithmetic operators, so every node on a tape is an explicit call.
 """
 
 from __future__ import annotations
@@ -114,34 +115,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, op={self._op}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x) -> Tensor:

@@ -195,10 +195,9 @@ def _read_lines(d: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             line = line.strip()
             if not line:
                 continue
-            parts = line.split()
             try:
-                i, j = int(parts[0]), int(parts[1])
-            except (ValueError, IndexError):
+                i, j = map(int, line.split())
+            except ValueError:
                 raise DataError(f"edges.txt line {ln}: expected two integer ids, got {line!r}")
             _check_int64("edges.txt", ln, i, j)
             pairs.append((i, j))
@@ -226,11 +225,11 @@ def _read_lines(d: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             line = line.strip()
             if not line:
                 continue
-            parts = line.split(",")
             try:
-                nid, lab = int(parts[0]), int(parts[1])
-            except (ValueError, IndexError):
-                raise DataError(f"labels.csv line {ln}: malformed row {line!r}")
+                nid, lab = map(int, line.split(","))
+            except ValueError:
+                raise DataError(f"labels.csv line {ln}: expected two integer fields "
+                                f"(id,label), got {line!r}")
             _check_int64("labels.csv", ln, nid, lab)
             if nid in label_rows:
                 raise DataError(f"labels.csv line {ln}: duplicate id {nid}")

@@ -42,7 +42,7 @@ def ambient_to_internal(man: Manifold, x: np.ndarray) -> np.ndarray:
 
 def lorentz_time(man: Manifold, h: Tensor) -> Tensor:
     """Time coordinate of spatial rows as an (n, 1) column."""
-    return ad.sqrt(ad.reduce_sum(ad.square(h), axis=1) - 1.0 / man.k)
+    return ad.sqrt(ad.sub(ad.reduce_sum(ad.square(h), axis=1), 1.0 / man.k))
 
 
 def _radial(op: str, v: Tensor, c: float, x: np.ndarray, scale: np.ndarray,

@@ -111,67 +111,44 @@ def _csr_rows(x: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((x.ravel()[flat], flat % d, indptr), shape=(n, d))
 
 
-@dataclass
-class HgnnLayer:
-    """One graph convolution in the origin tangent space: tangents in,
-    tangents out, so it needs no manifold."""
-
-    weight: Tensor
-    bias: Tensor
-    activation: str = "tanh"
-
-    @classmethod
-    def init(cls, d_in: int, d_out: int, activation: str,
-             rng: np.random.Generator) -> "HgnnLayer":
-        s = 1.0 / np.sqrt(d_in)
-        weight = ad.parameter(rng.uniform(-s, s, size=(d_in, d_out)))
-        bias = ad.parameter(np.zeros((1, d_out)))
-        return cls(weight, bias, activation)
-
-    def forward(self, t: Tensor, a_norm) -> Tensor:
-        """The layer on the previous layer's origin tangents ``t``."""
-        return self.transform(ad.aggregate(a_norm, t))
-
-    def transform(self, msg: Tensor | LinearOperator) -> Tensor:
-        """Affine map and activation of an aggregated tangent message, one
-        ``ad.affine`` node: the layer's output tangent."""
-        return ad.affine(msg, self.weight, self.bias, self.activation)
-
-    def parameters(self) -> list[Tensor]:
-        return [self.weight, self.bias]
-
-
 class Encoder:
-    """Stack of HgnnLayers producing one hyperbolic view of the graph."""
+    """One hyperbolic view of the graph: a stack of graph convolutions in the
+    origin tangent space, each a weight pair ``(W, b)``, kept in one list in
+    layer order, ``[W0, b0, W1, b1, ...]``."""
 
     def __init__(self, manifold: Manifold, d_in: int, dims: list[int],
                  activation: str, rng: np.random.Generator):
         if activation not in ACTIVATIONS:
             raise EncoderError(f"unknown activation {activation!r}")
         self.manifold = dataclasses.replace(manifold, dim=dims[-1])
-        self.layers: list[HgnnLayer] = []
-        prev = d_in
-        for i, d in enumerate(dims):
-            act = activation if i < len(dims) - 1 else "none"
-            self.layers.append(HgnnLayer.init(prev, d, act, rng))
-            prev = d
+        self._activation = activation
+        self._params: list[Tensor] = []
+        for d_prev, d in zip([d_in, *dims[:-1]], dims):
+            s = 1.0 / np.sqrt(d_prev)
+            self._params += [ad.parameter(rng.uniform(-s, s, size=(d_prev, d))),
+                             ad.parameter(np.zeros((1, d)))]
 
     def encode(self, message: Tensor | LinearOperator, a_norm) -> tuple[Tensor, Tensor]:
         """The view of the graph whose first-layer input is ``message``
         (:func:`first_message`), dense or CSR: the last layer's origin tangent
-        and its point ``exp0(tangent)``. An error names the layer; the exp0
-        counts as the last layer's."""
-        last = len(self.layers) - 1
-        for i, layer in enumerate(self.layers):
+        and its point ``exp0(tangent)``. Layer 0 takes ``message``, each later
+        layer ``aggregate(a_norm, t)`` of the previous tangent; each is one
+        ``ad.affine`` node, the last without activation. An error names the
+        layer; the exp0 counts as the last layer's."""
+        last = len(self._params) // 2 - 1
+        t = message
+        for i in range(last + 1):
+            w, b = self._params[2 * i:2 * i + 2]
             try:
-                t = layer.transform(message) if i == 0 else layer.forward(t, a_norm)
+                msg = t if i == 0 else ad.aggregate(a_norm, t)
+                t = ad.affine(msg, w, b, self._activation if i < last else "none")
                 if i == last:
                     return t, dg.exp0(self.manifold, t)
             except ad.NonFiniteError as exc:
                 raise EncoderError(f"layer {i}: {exc}") from exc
 
     def parameters(self) -> list[Tensor]:
-        return [p for layer in self.layers for p in layer.parameters()]
+        return list(self._params)
 
 
 @dataclass

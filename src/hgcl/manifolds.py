@@ -28,7 +28,6 @@ import numpy as np
 from .autodiff import acosh_slope
 from .kernels import ARTANH_CLIP, MIN_NORM
 
-BALL_GUARD = 1e-5  # relative margin kept between renormalized points and the boundary
 MAX_TANGENT_NORM = 16.0  # expmap rejects tangents of larger metric norm
 _PAIRWISE_STRIP = 16  # rows pairwise_dist scores at a time; temporaries hold 16·m·d floats
 
@@ -115,7 +114,7 @@ class Manifold:
     def origin_rows(self, n: int) -> np.ndarray:
         return np.tile(self.origin, (n, 1))
 
-    # -- validation and projection ------------------------------------------
+    # -- validation ----------------------------------------------------------
 
     def check_points(self, x, atol: float = 1e-6) -> None:
         """Raise GeometryError unless every row satisfies the model constraint.
@@ -150,17 +149,6 @@ class Manifold:
                 )
             if np.any(x[:, 0] <= 0):
                 raise GeometryError("Lorentz point(s) not on the upper sheet")
-
-    def project(self, x) -> np.ndarray:
-        """Snap rows back onto the manifold (boundary guard / sheet repair)."""
-        x = np.atleast_2d(_coerce(x)).copy()
-        if self.kind is Model.POINCARE:
-            max_norm = (1.0 - BALL_GUARD) * self.ball_radius
-            norms = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
-            fac = np.where(norms > max_norm, max_norm / np.maximum(norms, MIN_NORM), 1.0)
-            return x * fac
-        x[:, 0] = self.lorentz_time(x[:, 1:])
-        return x
 
     def lorentz_time(self, spatial) -> np.ndarray:
         """Time coordinate sqrt(|s|^2 - 1/K) of spatial rows s, shape (n,); the
@@ -328,7 +316,8 @@ class Manifold:
         nv = np.sqrt(np.maximum(lorentz_inner_rows(v, v), 0.0))[:, None]
         theta = np.maximum(sk * nv, MIN_NORM)
         out = np.cosh(theta) * x + np.sinh(theta) / theta * v
-        return self.project(out)
+        out[:, 0] = self.lorentz_time(out[:, 1:])  # back onto the upper sheet
+        return out
 
     def logmap(self, x, y):
         """Log map at base rows x toward rows y; exact zero when x == y."""

@@ -44,6 +44,22 @@ class TestTensorBasics:
         with pytest.raises(AutodiffError, match=r"^aggregate: \(3, 2\) @ \(3, 4\)$"):
             ad.aggregate(sparse.csr_matrix((3, 2)), Tensor(np.zeros((3, 4))))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: Tape().backward(Tensor(np.ones((2, 1)))),
+         "backward needs a scalar loss, got shape (2, 1)"),
+        (lambda: Tensor(np.ones((1, 2))).item(), "item() on shape (1, 2)"),
+        (lambda: ad.sqrt(Tensor([[4.0, -1.0]])), "sqrt: negative input"),
+        (lambda: ad.row_dot(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))),
+         "row_dot: incompatible shapes (2, 3) and (3, 2)"),
+        (lambda: ad.gather_rows(Tensor(np.ones((3, 2))), [0, 3]),
+         "gather_rows: index out of range"),
+    ], ids=["backward-non-scalar", "item-non-scalar", "sqrt-negative", "row-dot-shapes",
+            "gather-rows-range"])
+    def test_named_errors(self, call, message):
+        with pytest.raises(AutodiffError) as info:
+            call()
+        assert info.type is AutodiffError and str(info.value) == message
+
     def test_ops_outside_tape_do_not_record(self):
         p = ad.parameter(np.ones((2, 2)))
         out = ad.tanh(p)

@@ -334,6 +334,28 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not list(out.glob("metrics_seed*"))
 
+    @pytest.mark.parametrize("argv, message, usage", [
+        (["train", "--synthetic", "2,3"], "error: the following arguments are required: --out",
+         True),
+        (["train", "--synthetic", "2,3", "--out", "run", "--seeds", ","],
+         "error: --seeds must name at least one seed", False),
+    ], ids=["argparse", "seeds-empty"])
+    def test_usage_error_is_exit_1_with_the_fault_on_stderr(self, tmp_path, capsys,
+                                                            monkeypatch, argv, message, usage):
+        def no_training(*args):
+            raise AssertionError("training ran")
+
+        monkeypatch.setattr(pl, "train", no_training)
+        monkeypatch.chdir(tmp_path)
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse exits through Parser.error
+            rc = exc.code
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("usage: hgcl train") == usage
+        assert err.rstrip("\n").endswith(message)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_delta_samples_below_one_is_exit_2_before_any_bfs(self, capsys, monkeypatch,
                                                                samples):

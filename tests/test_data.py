@@ -44,6 +44,20 @@ class TestLoadGraph:
         with pytest.raises(DataError, match="line 2"):
             load_graph(d)
 
+    @pytest.mark.parametrize("name, line, message", [
+        ("edges.txt", "0 1 7", "expected two integer ids"),
+        ("labels.csv", "0,0,9", "expected two integer fields"),
+    ])
+    def test_extra_field_names_file_and_line(self, tmp_path, name, line, message):
+        # a third field is not dropped: the line is rejected
+        files = {"edges.txt": "1 2\n0 1\n", "features.csv": "0,1.0\n1,2.0\n2,3.0\n",
+                 "labels.csv": "1,1\n0,0\n2,0\n"}
+        files[name] = files[name].replace(line[:3], line)
+        for fname, text in files.items():
+            (tmp_path / fname).write_text(text)
+        with pytest.raises(DataError, match=f"^{name} line 2: {message}.*{line!r}$"):
+            load_graph(tmp_path)
+
     def test_id_gap_rejected(self, tmp_path):
         d = tmp_path / "gap"
         d.mkdir()
@@ -239,6 +253,38 @@ class TestLoaderFastPath:
         assert g.features.tolist() == [[1e-300, 3.0], [-2.5, 7.0], [0.25, -0.0]]
         assert np.signbit(g.features[2, 1])
         assert g.labels.tolist() == [0, 1, 0] and g.n_edges == 0
+
+
+def write_dataset(d, features="0,1.0\n1,2.0\n2,3.0\n", splits=None):
+    (d / "edges.txt").write_text("0 1\n1 2\n")
+    (d / "features.csv").write_text(features)
+    (d / "labels.csv").write_text("0,0\n1,1\n2,0\n")
+    if splits is not None:
+        (d / "splits.json").write_text(json.dumps(splits))
+    return d
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda d: Graph(3, [], np.ones((2, 1)), [0, 0, 0]),
+     "features/labels row count does not match n_nodes"),
+    (lambda d: Graph(3, [], np.ones((3, 1)), [0, 0]),
+     "features/labels row count does not match n_nodes"),
+    (lambda d: Graph(3, [], np.ones((3, 1)), [0, 0, 0], np.ones(2, dtype=bool)),
+     "mask length mismatch"),
+    (lambda d: load_graph(write_dataset(d, splits={"train": [0, 3], "val": [], "test": []})),
+     "splits.json: train id out of range"),
+    (lambda d: load_graph(write_dataset(d, features="0,1.0\n0,2.0\n1,3.0\n")),
+     "features.csv line 2: duplicate id 0"),
+    (lambda d: split(Graph(3, [], np.ones((3, 1)), [0, 0, 0]), (0.5, 0.5, 0.0)),
+     "class 0 has too few nodes for the requested fractions"),
+    (lambda d: data_mod.sample_quadruples(3, 1, np.random.default_rng(0)),
+     "need at least 4 nodes to form a quadruple"),
+], ids=["features-rows", "labels-rows", "mask-length", "splits-id-range",
+        "features-duplicate-id", "split-too-few", "quadruples-too-few"])
+def test_named_data_errors(tmp_path, call, message):
+    with pytest.raises(DataError) as info:
+        call(tmp_path)
+    assert info.type is DataError and str(info.value) == message
 
 
 class TestAtomicOpen:

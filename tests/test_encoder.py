@@ -15,8 +15,8 @@ from hgcl import encoder as enc_mod
 from hgcl import manifolds as mf
 from hgcl.autodiff import Tensor
 from hgcl.data import normalize_adjacency, synthetic_tree
-from hgcl.encoder import (DualEmbedding, Encoder, EncoderError, HgnnLayer, csr_route,
-                          encode_views, first_message, lift_features)
+from hgcl.encoder import (DualEmbedding, Encoder, EncoderError, csr_route, encode_views,
+                          first_message, lift_features)
 from hgcl.pipeline import TrainConfig
 
 MAX_NORM = TrainConfig.max_feature_norm
@@ -214,13 +214,20 @@ class TestCsrRoute:
         assert [isinstance(m, LinearOperator) for m in messages] == [False, True, False]
 
 
+def identity_encoder(man, n_layers):
+    """An encoder of ``n_layers`` 4x4 identity layers without activation."""
+    enc = Encoder(man, 4, [4] * n_layers, "none", np.random.default_rng(0))
+    for w in enc.parameters()[0::2]:
+        w.value[:] = np.eye(4)
+    return enc
+
+
 class TestLayerForward:
     def test_identity_configuration_is_identity(self, rng):
         man = mf.poincare(4, -1.0)
-        layer = HgnnLayer(Tensor(np.eye(4)), Tensor(np.zeros((1, 4))), "none")
         h = Tensor(man.random_points(rng, 12, 2.0))
-        out = layer.forward(h, sparse.identity(12, format="csr"))
-        np.testing.assert_allclose(out.value, h.value, atol=1e-9)
+        tangent, _ = identity_encoder(man, 2).encode(h, sparse.identity(12, format="csr"))
+        np.testing.assert_allclose(tangent.value, h.value, atol=1e-9)
 
     def test_common_point_is_fixed_under_row_stochastic_aggregation(self, rng, ten_node_graph):
         # any aggregation whose rows sum to 1 leaves a shared tangent fixed
@@ -229,8 +236,7 @@ class TestLayerForward:
         a_row = sparse.csr_matrix(a / a.sum(axis=1, keepdims=True))
         p = man.random_points(rng, 1, 1.5)
         h = Tensor(np.repeat(dg.ambient_to_internal(man, p), 10, axis=0))
-        layer = HgnnLayer(Tensor(np.eye(4)), Tensor(np.zeros((1, 4))), "none")
-        out = layer.forward(h, a_row).value
+        out = identity_encoder(man, 2).encode(h, a_row)[0].value
         spread = np.max(np.abs(out - out[0]))
         assert spread <= 1e-9
 

@@ -188,7 +188,7 @@ def test_bfs_rejects_sources_out_of_range():
     (kernels, {"MIN_NORM", "ARTANH_CLIP", "backend_name", "bfs_all_pairs",
                "four_point_delta_exact", "four_point_delta_quads"}),
     # The numpy geometry is the row API alone: no single-point wrappers.
-    (mf, {"MIN_NORM", "ARTANH_CLIP", "BALL_GUARD", "MAX_TANGENT_NORM", "GeometryError",
+    (mf, {"MIN_NORM", "ARTANH_CLIP", "MAX_TANGENT_NORM", "GeometryError",
           "Model", "Manifold",
           "poincare", "lorentz", "lorentz_inner", "lorentz_inner_rows", "mobius_add_rows",
           "gyration_rows", "to_lorentz_rows", "to_poincare_rows", "transfer_rows",

@@ -388,3 +388,18 @@ def test_property_suites_zero_trials_run_nothing():
     results = checks.manifold_property_suites(trials=0, seed=0)
     assert [r.trials for r in results] == [0] * 7
     assert all(r.ok and r.max_dev == 0.0 for r in results)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: mf.lorentz_inner(np.ones((2, 1)), np.ones((2, 1))),
+     "Lorentz vectors need ambient dimension >= 2"),
+    (lambda: hyp(4).check_points(np.zeros((1, 4))), "expected ambient dimension 5, got 4"),
+    (lambda: ball(4).check_points([[0.0, np.nan, 0.0, 0.0]]), "non-finite coordinates"),
+    (lambda: ball(2, -4.0).conformal_factor([[0.5, 0.0]]),
+     "conformal factor undefined at or past the boundary"),
+], ids=["lorentz-inner-width", "check-points-width", "check-points-non-finite",
+        "conformal-factor-boundary"])
+def test_named_geometry_errors(call, message):
+    with pytest.raises(GeometryError) as info:
+        call()
+    assert info.type is GeometryError and str(info.value) == message

@@ -94,6 +94,25 @@ class TestConfig:
         assert small_config().effective_hpc().similarity == "distance"
 
 
+def load_edited_state(edit):
+    model = HgclModel(small_config(), 8, 2)
+    model.load_state_arrays(edit(model.state_arrays()))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: small_config(eval_metric="auc"), "unknown eval_metric 'auc'"),
+    (lambda: small_config(checkpoint="first"), "checkpoint must be 'best' or 'last', got 'first'"),
+    (lambda: load_edited_state(lambda arrays: arrays[:-1]),
+     "checkpoint parameter count mismatch"),
+    (lambda: load_edited_state(lambda arrays: [np.zeros((1, 1))] + arrays[1:]),
+     "checkpoint shape mismatch"),
+], ids=["eval-metric", "checkpoint", "state-count", "state-shape"])
+def test_named_pipeline_errors(call, message):
+    with pytest.raises(PipelineError) as info:
+        call()
+    assert info.type is PipelineError and str(info.value) == message
+
+
 class TestDecode:
     def test_origin_embeddings_give_bias_logits(self):
         man_a, man_b = mf.poincare(4, -1.0), mf.lorentz(4, -0.5)
@@ -350,8 +369,8 @@ class TestFirstLayerInput:
         cap = model.config.max_feature_norm
         norms = np.sqrt(np.sum(feats * feats, axis=1, keepdims=True))
         clamped = feats * np.where(norms > cap, cap / norms, 1.0)
-        layer = model.encoder_alpha.layers[0]
-        expect = layer.transform(Tensor(np.asarray(a_norm @ clamped)))
+        w, b = model.encoder_alpha.parameters()
+        expect = ad.affine(Tensor(np.asarray(a_norm @ clamped)), w, b)
         emb = model.embed(g, a_norm)
         assert np.array_equal(emb.tangent("alpha").value, expect.value)
         assert np.array_equal(emb.alpha.value, dg.exp0(emb.manifold_alpha, expect).value)
@@ -643,6 +662,15 @@ class TestCheckpoint:
         np.testing.assert_array_equal(pl.predictions(res.model, g, a_norm),
                                       pl.predictions(again, g, a_norm))
         assert again.config == res.model.config
+
+    def test_bare_name_gets_the_npz_suffix(self, tmp_path):
+        g = tree_graph()
+        model = HgclModel(small_config(), g.features.shape[1], g.n_classes)
+        model.save(tmp_path / "model")
+        assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+        again = HgclModel.load(tmp_path / "model.npz")
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(again.state_arrays(), model.state_arrays()))
 
     def test_a_checkpoint_written_with_the_origin_round_trip_loads_and_predicts(self):
         # Written by the encoder whose layers mapped each hidden output through
