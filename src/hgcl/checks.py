@@ -1,11 +1,11 @@
 """Randomized property suites and the named gradient-check registry.
 
 Both the CLI (`manifold-test`, `gradcheck`) and the acceptance tests run
-these, so tolerances live here in one place. ``composed_exp0`` and
-``composed_log0`` are the origin maps as chains of tape primitives: the
-gradient reference of the fused ``diffgeo.exp0``/``diffgeo.log0`` nodes, as
-``hpc.pair_probs`` is for the pool node ``hpc.pool_log_probs``, which the
-registry checks on hand-built CSR pools and on the pools ``hpc_loss`` scores.
+these, so tolerances live here in one place. ``composed_exp0`` is the origin
+exp map as a chain of tape primitives: the gradient reference of the fused
+``diffgeo.exp0`` node, as ``hpc.pair_probs`` is for the pool node
+``hpc.pool_log_probs``, which the registry checks on hand-built CSR pools and
+on the pools ``hpc_loss`` scores. ``diffgeo.log0`` is itself such a chain.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import manifolds as mf
 from . import pipeline as pl
 from .encoder import Encoder, encode_views, first_message
 from .hpc import HpcConfig, Pool, build_sample_plan, hpc_loss, pool_log_probs
-from .kernels import ARTANH_CLIP, MIN_NORM
+from .kernels import MIN_NORM
 
 CURVATURES = (-0.5, -1.0, -2.0)
 DIMS = (2, 8, 16)
@@ -146,7 +146,7 @@ def manifold_property_suites(trials: int = 1000, seed: int = 0) -> list[Property
 
 
 # ---------------------------------------------------------------------------
-# Composed origin maps (gradient reference of the fused ones)
+# Composed exp0 (gradient reference of the fused node)
 # ---------------------------------------------------------------------------
 
 def composed_exp0(man: mf.Manifold, v: ad.Tensor) -> ad.Tensor:
@@ -154,16 +154,6 @@ def composed_exp0(man: mf.Manifold, v: ad.Tensor) -> ad.Tensor:
     r = ad.scalar_mul(ad.row_norm(v), man.sqrt_abs_k)
     f = ad.tanh(r) if man.kind is mf.Model.POINCARE else ad.sinh(r)
     return ad.mul(v, ad.div(f, r))
-
-
-def composed_log0(man: mf.Manifold, h: ad.Tensor) -> ad.Tensor:
-    """``diffgeo.log0`` as a chain of tape primitives."""
-    sk = man.sqrt_abs_k
-    if man.kind is mf.Model.POINCARE:
-        r = ad.scalar_mul(ad.row_norm(h), sk)
-        return ad.mul(h, ad.div(ad.artanh_clamped(r), r))
-    theta = ad.acosh_clamped(ad.scalar_mul(dg.lorentz_time(man, h), sk))
-    return ad.mul(h, ad.div(theta, ad.clip(ad.sinh(theta), MIN_NORM, np.inf)))
 
 
 def fused_vs_composed(fused, composed, x: np.ndarray, rng) -> float:
@@ -307,31 +297,15 @@ def _geometry_cases(seed: int) -> list[GradCheckCase]:
         cases.append(GradCheckCase(f"geometry:exp0/log0[{tag}]", "manifold", 1e-4, run_roundtrip))
 
         # Fused map vs composed chain, with the clamp-active rows: a zero row
-        # and one below MIN_NORM (the norm floor), for log0 on the ball a row
-        # at and one past ARTANH_CLIP, on the hyperboloid the origin and a row
-        # whose acosh argument rounds to <= 1 (the acosh clamp, sinh floor).
+        # and one below MIN_NORM (the norm floor).
         def run_fused_exp0(man=man):
             v = man.random_tangents0(rng_fused, 6, 3.0)
             v[0], v[1] = 0.0, 1e-16
             return fused_vs_composed(lambda t: dg.exp0(man, t),
                                      lambda t: composed_exp0(man, t), v, rng_fused)
 
-        def run_fused_log0(man=man):
-            h = dg.ambient_to_internal(man, man.random_points(rng_fused, 6, 3.0))
-            h[0], h[1] = 0.0, 1e-16
-            if man.kind is mf.Model.POINCARE:
-                unit = h[2] / np.sqrt(np.sum(h[2] * h[2]))
-                h[3] = unit * (ARTANH_CLIP / man.sqrt_abs_k)
-                h[4] = unit * (1.0 / man.sqrt_abs_k)
-            else:
-                h[1] = 1e-9
-            return fused_vs_composed(lambda t: dg.log0(man, t),
-                                     lambda t: composed_log0(man, t), h, rng_fused)
-
         cases.append(GradCheckCase(f"geometry:fused-exp0[{tag}]", "manifold", 1e-12,
                                    run_fused_exp0))
-        cases.append(GradCheckCase(f"geometry:fused-log0[{tag}]", "manifold", 1e-12,
-                                   run_fused_log0))
 
     def run_transfer():
         src, dst = mf.poincare(4, -1.0), mf.lorentz(4, -0.5)

@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 import warnings
@@ -62,7 +63,16 @@ def _parse_synthetic(spec: str):
         seed = int(parts[4]) if len(parts) > 4 else 0
     except (ValueError, IndexError):
         raise CliError(f"--synthetic wants 'b,h[,d_feat[,noise[,seed]]]', got {spec!r}")
+    if not 0.0 <= noise < math.inf or seed < 0:
+        raise CliError(f"--synthetic wants a finite noise >= 0 and a seed >= 0, got {spec!r}")
     return {"branching": b, "depth": h, "d_feat": d_feat, "noise": noise, "seed": seed}
+
+
+def _seed(text: str) -> int:
+    """The argparse type of ``--seed``: a non-negative integer."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"wants a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _parse_seeds(spec: str) -> list[int]:
@@ -153,10 +163,10 @@ def _build_config(args, seed: int) -> pl.TrainConfig:
 def cmd_train(args) -> int:
     t_start = time.time()
     seeds = _parse_seeds(args.seeds)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     base = _build_config(args, seeds[0])
     graph, source = _load_dataset(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     per_seed = []
     for seed in seeds:
@@ -300,19 +310,19 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("gradcheck", help="finite-difference checks of the gradient engine")
     p.add_argument("--scope", choices=["manifold", "encoder", "hpc", "all"], default="all")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("manifold-test", help="randomized geometric property suites")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=cmd_manifold_test)
 
     p = sub.add_parser("delta", help="four-point hyperbolicity of a graph")
     _add_dataset_flags(p)
     p.add_argument("--exact", action="store_true", help="force exhaustive enumeration")
     p.add_argument("--samples", type=int, default=None, help="sampled quadruples")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=cmd_delta)
 
     p = sub.add_parser("heatmap", help="pairwise embedding-distance CSV for plotting")

@@ -9,7 +9,8 @@ On-disk format (one directory per dataset):
   every :class:`Graph`;
 * ``features.csv`` - node id, then the feature values, comma-separated;
 * ``labels.csv``   - node id, integer label >= 0, one line per id;
-* ``splits.json``  - optional ``{"train": [...], "val": [...], "test": [...]}``.
+* ``splits.json``  - optional ``{"train": [...], "val": [...], "test": [...]}``,
+  lists of integer ids.
 
 Node ids must be contiguous 0..n-1; rows may come in any order.
 """
@@ -138,7 +139,10 @@ def load_graph(directory, split_fractions=(0.6, 0.2, 0.2), split_seed: int = 0) 
         masks = {}
         for name in ("train", "val", "test"):
             m = np.zeros(n, dtype=bool)
-            idx = np.asarray(spl.get(name, []), dtype=np.int64)
+            ids = spl.get(name, [])
+            if type(ids) is not list or not set(map(type, ids)) <= {int}:
+                raise DataError(f"splits.json: {name} must be a list of integer ids")
+            idx = np.asarray(ids, dtype=np.int64)
             if idx.size and (idx.min() < 0 or idx.max() >= n):
                 raise DataError(f"splits.json: {name} id out of range")
             m[idx] = True

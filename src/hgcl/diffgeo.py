@@ -1,13 +1,14 @@
 """Hyperbolic maps on the tape.
 
-The origin maps ``exp0`` and ``log0`` are one tape node each: the forward
-runs the float ops of the composed primitive chain (``checks.composed_exp0``
-/ ``checks.composed_log0``, the gradient reference) and the backward is
-closed form. ``transfer0`` moves origin tangents of one model to points of
-another as one ``exp0`` node that folds in ``transfer_scale``; it is the
-only cross-view move, used by ``hpc_loss`` and the ``mi_*`` references.
-``dist_rows`` and ``lorentz_time`` are composed from autodiff primitives;
-for training, ``hpc.pool_log_probs`` fuses the distance through
+``exp0``, the origin map a training step takes, is one tape node: the
+forward runs the float ops of the composed primitive chain
+(``checks.composed_exp0``, the gradient reference) and the backward is
+closed form. ``log0``, which no training step takes, is such a chain of
+autodiff primitives itself. ``transfer0`` moves origin tangents of one model
+to points of another as one ``exp0`` node that folds in ``transfer_scale``;
+it is the only cross-view move, used by ``hpc_loss`` and the ``mi_*``
+references. ``dist_rows`` and ``lorentz_time`` are composed from autodiff
+primitives; for training, ``hpc.pool_log_probs`` fuses the distance through
 ``Manifold.pair_dist``, whose forward is bitwise that of ``dist_rows``.
 
 Training-time embeddings are kept in intrinsic (n, dim) coordinates: ball
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .kernels import ARTANH_CLIP, MIN_NORM
+from .kernels import MIN_NORM
 from .manifolds import Manifold, Model, transfer_scale
 
 
@@ -45,42 +46,7 @@ def lorentz_time(man: Manifold, h: Tensor) -> Tensor:
     return ad.sqrt(ad.sub(ad.reduce_sum(ad.square(h), axis=1), 1.0 / man.k))
 
 
-def _radial(op: str, v: Tensor, c: float, x: np.ndarray, scale: np.ndarray,
-            col: np.ndarray, slope) -> Tensor:
-    """``x · scale`` as one tape node on ``v``, where ``x = c · v`` for a
-    constant ``c`` and the per-row ``scale`` depends on ``x`` only through the
-    (n, 1) column ``col``.
-
-    ``slope()`` returns s with d scale / dx = s · x; it runs in the backward
-    only, so forward-only passes never pay for it. The backward is
-    dL/dv = c · (g · scale + x · (s · rowdot(g, x))), with ``x`` recomputed
-    rather than kept. A row whose ``col`` or output is not finite raises
-    :class:`NonFiniteError` naming ``op``: the composed chain raised at its
-    first non-finite intermediate, and a saturated ball map
-    (tanh(inf) / inf = 0) would otherwise hide an overflowed norm.
-    """
-    if not np.all(np.isfinite(col)):
-        raise ad.NonFiniteError(f"non-finite values produced by '{op}'")
-
-    def backward(g):
-        x = v.value if c == 1.0 else v.value * c
-        grad = g * scale
-        grad += x * (slope() * np.einsum("ij,ij->i", g, x)[:, None])
-        if c != 1.0:
-            grad *= c
-        v.accumulate(grad)
-
-    return ad.record(op, x * scale, (v,), backward)
-
-
-def _row_norm(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """max(||x||, MIN_NORM) per row as an (n, 1) column, and where the floor is
-    inactive: the rows whose norm has a nonzero slope."""
-    raw = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
-    return np.maximum(raw, MIN_NORM), raw > MIN_NORM
-
-
-# An overflowing row raises NonFiniteError by name in _radial, not a warning.
+# An overflowing row raises NonFiniteError by name, not a warning.
 _QUIET = dict(over="ignore", invalid="ignore")
 
 
@@ -94,59 +60,53 @@ def exp0(man: Manifold, v: Tensor) -> Tensor:
 
 
 def _exp0(man: Manifold, v: Tensor, c: float) -> Tensor:
-    """The ``exp0`` node of ``c · v``."""
+    """The ``exp0`` node of ``x = c · v``: ``x · scale`` with the per-row
+    ``scale = f(r) / r``.
+
+    With d scale / dx = s · x, the backward is
+    dL/dv = c · (g · scale + x · (s · rowdot(g, x))), with ``x`` recomputed
+    rather than kept. A row whose ``r`` is not finite raises
+    :class:`NonFiniteError` naming ``exp0``: the composed chain raised at its
+    first non-finite intermediate, and a saturated ball map
+    (tanh(inf) / inf = 0) would otherwise hide an overflowed norm.
+    """
     sk = man.sqrt_abs_k
     ball = man.kind is Model.POINCARE
     with np.errstate(**_QUIET):
         x = v.value if c == 1.0 else v.value * c
-        norm, live = _row_norm(x)
+        norm = np.maximum(np.sqrt(np.sum(x * x, axis=1, keepdims=True)), MIN_NORM)
         r = norm * sk
+        if not np.all(np.isfinite(r)):
+            raise ad.NonFiniteError("non-finite values produced by 'exp0'")
         f = np.tanh(r) if ball else np.sinh(r)
+        scale = f / r
 
-        def slope():
+        def backward(g):
+            x = v.value if c == 1.0 else v.value * c
             df = 1.0 - f * f if ball else np.cosh(r)
-            return (df / r - f / (r * r)) * (sk / norm) * live
+            # zero on the rows where the MIN_NORM floor is active
+            slope = (df / r - f / (r * r)) * (sk / norm) * (norm > MIN_NORM)
+            grad = g * scale
+            grad += x * (slope * np.einsum("ij,ij->i", g, x)[:, None])
+            if c != 1.0:
+                grad *= c
+            v.accumulate(grad)
 
-        return _radial("exp0", v, c, x, f / r, r, slope)
+        return ad.record("exp0", x * scale, (v,), backward)
 
 
 def log0(man: Manifold, h: Tensor) -> Tensor:
-    """Log map at the origin, back to intrinsic tangent coordinates, one tape
-    node; bitwise equal to ``Manifold.log0`` of the ambient rows.
-
-    Ball: scale = artanh(clip(r)) / r with r = sqrt|K| · max(||h||, MIN_NORM),
-    zero artanh slope from ``ARTANH_CLIP`` on. Hyperboloid: scale =
-    theta / max(sinh theta, MIN_NORM) with theta = acosh(max(sqrt|K| · t, 1))
-    for the time coordinate t, zero slope where the acosh clamp is active.
-    """
+    """Log map at the origin, back to intrinsic tangent coordinates, as a
+    chain of tape primitives; bitwise equal to ``Manifold.log0`` of the
+    ambient rows. An overflowing row raises :class:`NonFiniteError` naming the
+    first primitive that overflowed."""
     sk = man.sqrt_abs_k
     with np.errstate(**_QUIET):
         if man.kind is Model.POINCARE:
-            norm, live = _row_norm(h.value)
-            r = norm * sk
-            rc = np.clip(r, -ARTANH_CLIP, ARTANH_CLIP)
-            f = np.arctanh(rc)
-
-            def slope():
-                df = np.where(r < ARTANH_CLIP, 1.0 / (1.0 - rc * rc), 0.0)
-                return (df / r - f / (r * r)) * (sk / norm) * live
-
-            return _radial("log0", h, 1.0, h.value, f / r, r, slope)
-
-        t = man.lorentz_time(h.value)[:, None]
-        arg = t * sk
-        theta = np.arccosh(np.maximum(arg, 1.0))
-        sinh_floored = np.maximum(np.sinh(theta), MIN_NORM)
-        scale = theta / sinh_floored
-
-        def slope():
-            # d scale / d theta needs no sinh-floor mask: acosh returns no value
-            # in (0, 2e-8), so the floor is active only at theta = 0, where the
-            # cosh term it would drop is 0.
-            d_theta = (1.0 - scale * np.cosh(theta)) / sinh_floored
-            return d_theta * ad.acosh_slope(arg) * (sk / np.maximum(t, MIN_NORM))
-
-        return _radial("log0", h, 1.0, h.value, scale, t, slope)
+            r = ad.scalar_mul(ad.row_norm(h), sk)
+            return ad.mul(h, ad.div(ad.artanh_clamped(r), r))
+        theta = ad.acosh_clamped(ad.scalar_mul(lorentz_time(man, h), sk))
+        return ad.mul(h, ad.div(theta, ad.clip(ad.sinh(theta), MIN_NORM, np.inf)))
 
 
 def dist_rows(man: Manifold, a: Tensor, b: Tensor) -> Tensor:
@@ -174,6 +134,6 @@ def transfer0(source: Manifold, target: Manifold, u: Tensor) -> Tensor:
     return _exp0(target, u, transfer_scale(source, target))
 
 
-def tangent_dot_rows(man_a: Manifold, man_b: Manifold, a: Tensor, b: Tensor) -> Tensor:
+def tangent_dot_rows(man: Manifold, a: Tensor, b: Tensor) -> Tensor:
     """Inner product of origin-tangent coordinates, (n, 1); the 'w/o dis' similarity."""
-    return ad.row_dot(log0(man_a, a), log0(man_b, b))
+    return ad.row_dot(log0(man, a), log0(man, b))

@@ -206,7 +206,7 @@ def pair_probs(man: Manifold, a: Tensor, b: Tensor, cfg: HpcConfig) -> Tensor:
     if cfg.similarity == "distance":
         score = dg.dist_rows(man, a, b)
     else:
-        score = ad.scalar_mul(dg.tangent_dot_rows(man, man, a, b), -1.0)
+        score = ad.scalar_mul(dg.tangent_dot_rows(man, a, b), -1.0)
     z = ad.scalar_mul(ad.sub(cfg.bias, score), 1.0 / cfg.temperature)
     return ad.clip(ad.sigmoid(z), PROB_CLAMP, 1.0 - PROB_CLAMP)
 

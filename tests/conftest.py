@@ -26,6 +26,21 @@ def lift_calls(monkeypatch):
 
 
 @pytest.fixture
+def log0_calls(monkeypatch):
+    """The manifolds passed to ``hgcl.diffgeo.log0``, one per call."""
+    import hgcl.diffgeo as dg
+    calls = []
+    real = dg.log0
+
+    def counting(man, h):
+        calls.append(man)
+        return real(man, h)
+
+    monkeypatch.setattr(dg, "log0", counting)
+    return calls
+
+
+@pytest.fixture
 def triangle_dir(tmp_path):
     d = tmp_path / "triangle"
     d.mkdir()

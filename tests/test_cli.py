@@ -356,6 +356,34 @@ class TestExitCodes:
         assert err.rstrip("\n").endswith(message)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, message", [
+        (["gradcheck", "--seed", "-1"], "argument --seed: wants a non-negative integer, got '-1'"),
+        (["manifold-test", "--seed", "-1"],
+         "argument --seed: wants a non-negative integer, got '-1'"),
+        (["delta", "--synthetic", "3,3", "--seed", "-1"],
+         "argument --seed: wants a non-negative integer, got '-1'"),
+        (["delta", "--synthetic", "3,3,16,0.1,-1"],
+         "--synthetic wants a finite noise >= 0 and a seed >= 0, got '3,3,16,0.1,-1'"),
+        (["delta", "--synthetic", "3,3,16,-1"],
+         "--synthetic wants a finite noise >= 0 and a seed >= 0, got '3,3,16,-1'"),
+        (["delta", "--synthetic", "3,3,16,nan"],
+         "--synthetic wants a finite noise >= 0 and a seed >= 0, got '3,3,16,nan'"),
+        (["train", "--synthetic", "3,3,16,-1", "--out", "run"],
+         "--synthetic wants a finite noise >= 0 and a seed >= 0, got '3,3,16,-1'"),
+    ], ids=["gradcheck-seed", "manifold-test-seed", "delta-seed", "synthetic-seed",
+            "synthetic-noise", "synthetic-nan-noise", "train-synthetic-noise"])
+    def test_negative_seed_or_bad_noise_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                       argv, message):
+        monkeypatch.chdir(tmp_path)
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse exits through Parser.error
+            rc = exc.code
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.rstrip("\n").endswith(message)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_delta_samples_below_one_is_exit_2_before_any_bfs(self, capsys, monkeypatch,
                                                                samples):

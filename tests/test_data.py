@@ -287,6 +287,15 @@ def test_named_data_errors(tmp_path, call, message):
     assert info.type is DataError and str(info.value) == message
 
 
+@pytest.mark.parametrize("train", [[0.9, 1.5, 2.2], True, "0,1", [0, True]],
+                         ids=["floats", "bool", "string", "bool-in-list"])
+def test_splits_json_ids_must_be_integers(tmp_path, train):
+    # Each once loaded as some other nodes, or failed with numpy's text.
+    with pytest.raises(DataError) as info:
+        load_graph(write_dataset(tmp_path, splits={"train": train, "val": [], "test": []}))
+    assert str(info.value) == "splits.json: train must be a list of integer ids"
+
+
 class TestAtomicOpen:
     def test_failed_write_keeps_the_previous_file_and_no_temp(self, tmp_path):
         target = tmp_path / "out.csv"

@@ -359,7 +359,7 @@ class TestSharedTangent:
         a_norm = normalize_adjacency(graph)
         return encode_views(message(graph.features, a_norm), a_norm, *encoders)
 
-    def test_one_node_per_view_under_a_tape(self, ten_node_graph):
+    def test_one_node_per_view_under_a_tape(self, ten_node_graph, log0_calls):
         # one exp0 per view maps its last tangent to points; no log0 is taken,
         # and reading a tangent records nothing
         encoders = self.encoders()
@@ -369,7 +369,7 @@ class TestSharedTangent:
             tangents = {v: emb.tangent(v) for v in ("alpha", "beta")}
         assert len(tape.nodes) == recorded
         ops = Counter(node._op for node in tape.nodes)
-        assert (ops["exp0"], ops["log0"]) == (2, 0)
+        assert (ops["exp0"], len(log0_calls)) == (2, 0)
         assert tangents["alpha"] is emb.tangent_alpha and tangents["beta"] is emb.tangent_beta
         for view, t in tangents.items():
             man, h = emb.view(view)
@@ -385,11 +385,11 @@ class TestSharedTangent:
         assert new is not old and any(node is new for node in tape.nodes)
         assert all(p.grad is not None for p in encoders[0].parameters())
 
-    def test_points_alone_take_log0_on_each_read(self, rng):
+    def test_points_alone_take_log0_on_each_read(self, rng, log0_calls):
         emb = self.embedding(rng)
-        with ad.Tape() as tape:
+        with ad.Tape():
             first, again = emb.tangent("alpha"), emb.tangent("alpha")
-        assert [node._op for node in tape.nodes] == ["log0", "log0"]
+        assert len(log0_calls) == 2
         np.testing.assert_array_equal(first.value, again.value)
         np.testing.assert_array_equal(first.value,
                                       dg.log0(emb.manifold_alpha, emb.alpha).value)
