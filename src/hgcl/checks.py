@@ -410,13 +410,14 @@ def _hpc_cases(seed: int) -> list[GradCheckCase]:
     # The pool node on a hand-built CSR pool, own row i scoring
     # ids[indptr[i]:indptr[i + 1]]: a repeated candidate, mixed signs with
     # negatives weighted by 0.5, an empty last row, and the intra-view case
-    # where both sides are one tensor.
+    # where both sides are one tensor; then the same pool with its positives
+    # weighted by 2, as the intra pool weighs each edge it scores once.
     indptr = np.array([0, 4, 6, 9, 11, 14, 16, 16])
     mixed = Pool(np.array([4, 4, 5, 4, 2, 3, 3, 5, 1, 1, 2, 0, 0, 0, 0, 2])[:, None],
                  np.array([0, 0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 1], dtype=bool)[:, None],
                  indptr, 0.5, anchors=np.repeat(np.arange(7), np.diff(indptr)))
 
-    def pair_case(man, similarity, same=False, clamped=False):
+    def pair_case(man, similarity, same=False, clamped=False, pool=mixed):
         def run():
             rng = np.random.default_rng(seed + 4)
             own = ad.parameter(rows(man, similarity, rng))
@@ -430,10 +431,10 @@ def _hpc_cases(seed: int) -> list[GradCheckCase]:
                             similarity=similarity)
             high = HpcConfig(bias=12.0, temperature=0.7)
             def f():
-                out = pool_log_probs(man, own, cand, mixed, low)
+                out = pool_log_probs(man, own, cand, pool, low)
                 if clamped:
                     out = ad.add(out, pool_log_probs(man, own, cand,
-                                                     replace(mixed, neg_weight=0.0), high))
+                                                     replace(pool, neg_weight=0.0), high))
                 return out
             return ad.grad_check(f, [own] if same else [own, cand])
         return run
@@ -446,6 +447,11 @@ def _hpc_cases(seed: int) -> list[GradCheckCase]:
                                            pair_case(man, similarity, same)))
         cases.append(GradCheckCase(f"hpc:pair_log_probs[{man.kind.value}:clamp-active]",
                                    "hpc", 1e-6, pair_case(man, "distance", clamped=True)))
+        for same in (False, True):
+            tag = f"{man.kind.value}:pos-weight-2{':own-is-cand' if same else ''}"
+            cases.append(GradCheckCase(f"hpc:pair_log_probs[{tag}]", "hpc", 1e-6,
+                                       pair_case(man, "distance", same,
+                                                 pool=replace(mixed, pos_weight=2.0))))
 
     # The merged pools that hpc_loss scores: the inter block [i, inter
     # negatives] against a second tensor and the intra CSR (neighbors, then

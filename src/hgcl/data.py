@@ -57,6 +57,8 @@ class Graph:
     val_mask: np.ndarray | None = None
     test_mask: np.ndarray | None = None
     _csr: sparse.csr_matrix | None = field(default=None, init=False, repr=False, compare=False)
+    # hpc.plan_frame's constants by negatives per anchor, built on first use
+    plan_frames: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
@@ -135,14 +137,23 @@ def load_graph(directory, split_fractions=(0.6, 0.2, 0.2), split_seed: int = 0) 
     split_file = d / "splits.json"
     if split_file.exists():
         with open(split_file) as fh:
-            spl = json.load(fh)
+            try:
+                spl = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+                raise DataError(f"splits.json: not valid JSON ({exc})") from None
+        if type(spl) is not dict:
+            raise DataError("splits.json: the top level must be an object of "
+                            "train/val/test id lists")
         masks = {}
         for name in ("train", "val", "test"):
             m = np.zeros(n, dtype=bool)
             ids = spl.get(name, [])
             if type(ids) is not list or not set(map(type, ids)) <= {int}:
                 raise DataError(f"splits.json: {name} must be a list of integer ids")
-            idx = np.asarray(ids, dtype=np.int64)
+            try:
+                idx = np.asarray(ids, dtype=np.int64)
+            except OverflowError:  # an id past int64
+                raise DataError(f"splits.json: {name} id out of range") from None
             if idx.size and (idx.min() < 0 or idx.max() >= n):
                 raise DataError(f"splits.json: {name} id out of range")
             m[idx] = True

@@ -11,27 +11,35 @@ Training scores each view with two ``pair_log_probs`` tape nodes, one per
 :class:`Pool`, built once per plan for both views: the consistency positive
 with the inter-view negatives, as one (n, m + 1) block ``[i, neg_inter[i]]``
 against the other view (``SamplePlan.inter_pool``), and the tolerance pairs
-with the intra-view negatives, as one CSR against the view itself whose row
-pointer is the adjacency's plus m per row (``SamplePlan.intra_pool``). Each
-pair carries its sign and its weight (1 or ``lambda_neg``).
-:func:`pool_log_probs` is that node, and the only fused route: it takes rows
+with the intra-view negatives, as one CSR against the view itself
+(``SamplePlan.intra_pool``). The intra pool holds each edge once, from its
+lower end, at weight 2: the distance and the ``neg_dot`` score are
+symmetric bit for bit, so the loss is that of both directions up to the
+order of its sums. Each pair carries its sign and its weight (1 or 2 for
+positives, ``lambda_neg`` for negatives). What a plan reads of the graph,
+the pools' layout included, is built once per graph and m (:func:`plan_frame`);
+an epoch only draws the negative ids and writes them into the layout.
+:func:`pool_log_probs` is the node, and the only fused route: it takes rows
 in scoring form, works through the pairs in blocks of ``PAIR_CHUNK``,
 gathers each side of a block once and takes the distance and its slopes
-from ``Manifold.pair_dist``. Its value runs the float ops of the composed
-``pair_probs`` route, and its backward is closed form: one sparse n x n
-product per side from the pool's row pointer, no n·m x d tensors on the
-tape. ``pair_probs`` stays as the composed reference that the per-anchor
-``mi_*`` sums and the parity tests run. The cross-view positives move each
-view into the other's model with ``dg.transfer0``, one ``exp0`` node, from
-the origin tangent the encoder carries (``DualEmbedding.tangent``), which
-the decoder reads too. ``neg_dot`` scores those tangents directly, the moved
-ones as ``transfer_scale · tangent``, so a training step takes no ``log0``.
+from ``Manifold.pair_dist``; ``hpc_loss`` computes each scored view's node
+terms once and hands them to both nodes that read it. The node's value
+runs the float ops of the composed ``pair_probs`` route, and its backward
+is closed form: one sparse n x n product per side from the pool's row
+pointer, no n·m x d tensors on the tape. ``pair_probs`` stays as the
+composed reference that the per-anchor ``mi_*`` sums and the parity tests
+run. The cross-view positives move each view into the other's model with
+``dg.transfer0``, one ``exp0`` node, from the origin tangent the encoder
+carries (``DualEmbedding.tangent``), which the decoder reads too.
+``neg_dot`` scores those tangents directly, and the pool node multiplies a
+moved view's dot products by ``transfer_scale``, so a ``neg_dot`` step
+takes no ``log0`` and records no scaled copy of a view.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -82,13 +90,15 @@ class Pool:
     anchor gather). ``indptr`` is the CSR row pointer of the own rows into
     ``ids.ravel()``. ``negative`` marks the pairs scored as log(1 - D), whose
     logs are weighted by ``neg_weight`` (``lambda_neg`` in ``hpc_loss``); the
-    others weigh 1."""
+    others, scored as log D, by ``pos_weight`` (2 where each pair stands for
+    itself and its reverse)."""
 
     ids: np.ndarray  # (rows, c) candidate ids
     negative: np.ndarray  # bool, ids' shape
     indptr: np.ndarray  # (n_own + 1,)
     neg_weight: float = 1.0
     anchors: np.ndarray | None = None  # (rows,) own row of each row of ids
+    pos_weight: float = 1.0
 
     def blocks(self) -> list[slice]:
         """Consecutive rows of ``ids`` holding about ``PAIR_CHUNK`` pairs each."""
@@ -96,16 +106,56 @@ class Pool:
         return [slice(lo, lo + step) for lo in range(0, self.ids.shape[0], step)]
 
 
+@dataclass(frozen=True)
+class PoolLayout:
+    """What the two pools of a plan with m negatives per row keep from plan
+    to plan: everything but the negative ids.
+
+    The inter pool is the (n, m + 1) block ``[i, neg_inter[i]]``. The intra
+    pool is a CSR whose row i holds the neighbors j > i of i, then its m
+    intra negatives. Each undirected edge is scored once, from its lower
+    end, and weighs 2: ``Manifold.pair_dist`` and the ``neg_dot`` score are
+    symmetric bit for bit, and a pool whose two sides are one tensor sends
+    each pair's gradient to both ends."""
+
+    inter_negative: np.ndarray  # (n, m + 1)
+    inter_indptr: np.ndarray
+    intra_ids: np.ndarray  # (pairs,) the upper-half neighbors; negative slots unset
+    intra_negative: np.ndarray  # (pairs,) the last m slots of each row
+    intra_indptr: np.ndarray
+    intra_anchors: np.ndarray  # (pairs,)
+
+    @classmethod
+    def build(cls, edge_anchor: np.ndarray, edge_nbr: np.ndarray, n: int, m: int) -> "PoolLayout":
+        inter_negative = np.zeros((n, m + 1), dtype=bool)
+        inter_negative[:, 1:] = True
+        upper = edge_nbr > edge_anchor
+        anchor, nbr = edge_anchor[upper], edge_nbr[upper]
+        deg = np.bincount(anchor, minlength=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(deg + m, out=indptr[1:])
+        ids = np.empty(indptr[-1], dtype=np.int64)
+        ids[np.arange(anchor.size) + m * anchor] = nbr
+        negative = np.zeros(ids.size, dtype=bool)
+        negative[(indptr[1:, None] - m) + np.arange(m)] = True
+        return cls(inter_negative, np.arange(0, n * (m + 1) + 1, m + 1),
+                   ids, negative, indptr, np.repeat(np.arange(n), deg + m))
+
+
 @dataclass
 class SamplePlan:
     """One epoch of contrastive ids: m negatives per anchor for each pool, and
     the tolerance positives as flat (anchor, neighbor) pairs in anchor order
-    (the CSR's)."""
+    (the CSR's), each edge in both directions.
+
+    ``layouts`` caches the :class:`PoolLayout` of these pairs by negatives
+    per row; the plans ``build_sample_plan`` draws for one graph share it."""
 
     neg_intra: np.ndarray  # (n, m)
     neg_inter: np.ndarray  # (n, m)
     edge_anchor: np.ndarray  # flattened (anchor, neighbor) pairs, both directions
     edge_nbr: np.ndarray
+    layouts: dict[int, PoolLayout] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -115,42 +165,57 @@ class SamplePlan:
     def num_negatives(self) -> int:
         return self.neg_intra.shape[1]
 
+    def _layout(self, lambda_neg: float) -> tuple[PoolLayout, int]:
+        """The pools' layout and their negatives per row: none when
+        ``lambda_neg`` is 0."""
+        m = self.num_negatives if lambda_neg > 0.0 else 0
+        if m not in self.layouts:
+            self.layouts[m] = PoolLayout.build(self.edge_anchor, self.edge_nbr, self.n_nodes, m)
+        return self.layouts[m], m
+
     def inter_pool(self, lambda_neg: float) -> Pool:
         """Each node against [itself, its inter negatives] in the other view:
         one (n, m + 1) block, the negatives dropped when ``lambda_neg`` is 0."""
-        m = self.num_negatives if lambda_neg > 0.0 else 0
-        n = self.n_nodes
-        ids = np.concatenate([np.arange(n)[:, None], self.neg_inter[:, :m]], axis=1)
-        negative = np.zeros(ids.shape, dtype=bool)
-        negative[:, 1:] = True
-        return Pool(ids, negative, np.arange(0, ids.size + 1, m + 1), lambda_neg)
+        layout, m = self._layout(lambda_neg)
+        ids = np.concatenate([np.arange(self.n_nodes)[:, None], self.neg_inter[:, :m]], axis=1)
+        return Pool(ids, layout.inter_negative, layout.inter_indptr, lambda_neg)
 
     def intra_pool(self, lambda_neg: float) -> Pool:
-        """Each node against its neighbors, then its intra negatives, in its
-        own view: one CSR whose row pointer is the adjacency's plus m per
-        row, the negatives dropped when ``lambda_neg`` is 0."""
-        m = self.num_negatives if lambda_neg > 0.0 else 0
-        n = self.n_nodes
-        deg = np.bincount(self.edge_anchor, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg + m, out=indptr[1:])
-        ids = np.empty(indptr[-1], dtype=np.int64)
-        ids[np.arange(self.edge_nbr.size) + m * self.edge_anchor] = self.edge_nbr
-        neg_slots = (indptr[1:, None] - m) + np.arange(m)
-        ids[neg_slots] = self.neg_intra[:, :m]
-        negative = np.zeros(ids.size, dtype=bool)
-        negative[neg_slots] = True
-        return Pool(ids[:, None], negative[:, None], indptr, lambda_neg,
-                    anchors=np.repeat(np.arange(n), deg + m))
+        """Each node against its neighbors above it, at weight 2, then its
+        intra negatives, in its own view: one CSR whose rows are the upper
+        half of the adjacency's plus m slots each, the negatives dropped when
+        ``lambda_neg`` is 0."""
+        layout, m = self._layout(lambda_neg)
+        ids = layout.intra_ids.copy()
+        ids[layout.intra_negative] = self.neg_intra[:, :m].ravel()  # row by row
+        return Pool(ids[:, None], layout.intra_negative[:, None], layout.intra_indptr,
+                    lambda_neg, anchors=layout.intra_anchors, pos_weight=2.0)
 
 
-def build_sample_plan(graph, m: int, rng: np.random.Generator) -> SamplePlan:
-    """Draw m intra-view and m inter-view negatives per anchor, excluding the
-    anchor and its one-hop neighborhood, uniformly without replacement.
+@dataclass(frozen=True)
+class PlanFrame:
+    """What ``build_sample_plan`` reads of a graph for m negatives per anchor,
+    none of which changes from epoch to epoch: the (anchor, neighbor) pairs,
+    each anchor's negative pool size, and the keys that map a rank in that
+    pool to a node id. Built by :func:`plan_frame`."""
 
-    O(n*m) array passes: every pool is checked up front, ranks are drawn with
-    a vectorised Floyd step, and one ``searchsorted`` maps ranks to node ids.
-    """
+    edge_anchor: np.ndarray
+    edge_nbr: np.ndarray
+    pool: np.ndarray  # (n,) nodes that are neither the anchor nor its neighbors
+    start: np.ndarray  # (n,) offset of each anchor's excluded ids in rank_keys
+    rank_keys: np.ndarray
+    row_keys: np.ndarray  # (n, 1)
+    layouts: dict[int, PoolLayout] = field(default_factory=dict, repr=False, compare=False)
+
+
+def plan_frame(graph, m: int) -> PlanFrame:
+    """The graph's :class:`PlanFrame` for m negatives per anchor, built on
+    first use and cached on the graph, like its CSR adjacency. Raises
+    ``SamplingError`` naming the first anchor whose pool holds fewer than m
+    nodes, and how many are short."""
+    frame = graph.plan_frames.get(m)
+    if frame is not None:
+        return frame
     n = graph.n_nodes
     adj = graph.csr_adjacency()
     deg = np.diff(adj.indptr).astype(np.int64)
@@ -163,7 +228,6 @@ def build_sample_plan(graph, m: int, rng: np.random.Generator) -> SamplePlan:
     stride = n + 1
     keys = np.sort(np.concatenate([np.arange(n, dtype=np.int64) * (stride + 1),
                                    edge_anchor * stride + edge_nbr]))
-    seg_row = keys // stride
     excluded = deg + 1  # the anchor and its neighbors
     start = np.cumsum(excluded) - excluded
     pool = n - excluded
@@ -178,8 +242,23 @@ def build_sample_plan(graph, m: int, rng: np.random.Generator) -> SamplePlan:
         raise SamplingError(msg)
     # The k-th excluded id e_k of a segment skips every rank r >= e_k - k, so
     # rank r maps to r + #{k : e_k - k <= r}.
-    rank_keys = keys - np.arange(keys.size) + start[seg_row]
+    rank_keys = keys - np.arange(keys.size) + start[keys // stride]
     row_keys = np.arange(n, dtype=np.int64)[:, None] * stride
+    frame = PlanFrame(edge_anchor, edge_nbr, pool, start, rank_keys, row_keys)
+    graph.plan_frames[m] = frame
+    return frame
+
+
+def build_sample_plan(graph, m: int, rng: np.random.Generator) -> SamplePlan:
+    """Draw m intra-view and m inter-view negatives per anchor, excluding the
+    anchor and its one-hop neighborhood, uniformly without replacement.
+
+    O(n*m) array passes on the graph's cached :func:`plan_frame`: ranks are
+    drawn with a vectorised Floyd step, and one ``searchsorted`` maps ranks
+    to node ids.
+    """
+    frame = plan_frame(graph, m)
+    n, pool, start = graph.n_nodes, frame.pool, frame.start
 
     def draw() -> np.ndarray:
         """(n, m) sorted ids: m distinct uniform ranks in [0, pool_i) per row
@@ -191,10 +270,11 @@ def build_sample_plan(graph, m: int, rng: np.random.Generator) -> SamplePlan:
             seen = np.any(ranks[:, :k] == pick[:, None], axis=1)
             ranks[:, k] = np.where(seen, top, pick)
         ranks.sort(axis=1)
-        skipped = np.searchsorted(rank_keys, row_keys + ranks, side="right") - start[:, None]
+        skipped = (np.searchsorted(frame.rank_keys, frame.row_keys + ranks, side="right")
+                   - start[:, None])
         return ranks + skipped
 
-    return SamplePlan(draw(), draw(), edge_anchor, edge_nbr)
+    return SamplePlan(draw(), draw(), frame.edge_anchor, frame.edge_nbr, frame.layouts)
 
 
 # ---------------------------------------------------------------------------
@@ -211,17 +291,22 @@ def pair_probs(man: Manifold, a: Tensor, b: Tensor, cfg: HpcConfig) -> Tensor:
     return ad.clip(ad.sigmoid(z), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
-def pool_log_probs(man: Manifold, own: Tensor, cand: Tensor, pool: Pool,
-                   cfg: HpcConfig) -> Tensor:
+def pool_log_probs(man: Manifold, own: Tensor, cand: Tensor, pool: Pool, cfg: HpcConfig,
+                   terms: tuple[np.ndarray, np.ndarray] | None = None,
+                   cand_scale: float = 1.0) -> Tensor:
     """Sum over the pool's pairs of weight · log D(own row, candidate row), or
     log(1 - D) for its negative pairs, as one ``pair_log_probs`` tape node.
 
     ``own`` and ``cand`` are rows in scoring form: points for ``distance``,
-    origin tangents for ``neg_dot``. The node scores the pool ``PAIR_CHUNK``
-    pairs at a time, forward and backward: each side of a block of pairs is
-    gathered once, and the block's per-pair arrays stay in cache. Its value
-    runs the float ops of ``pair_probs`` on gathered rows followed by ``log``.
-    The backward is closed form, through the slopes of
+    origin tangents for ``neg_dot``. ``terms`` are the ``Manifold.node_terms``
+    of own and cand, read for ``distance`` and computed here when not given; for
+    ``neg_dot``, ``cand_scale`` multiplies the candidate rows, so the node
+    scores a moved view from its own tangent (the scale is a power of 2, so
+    the bits are those of scaling the rows). The node scores the pool
+    ``PAIR_CHUNK`` pairs at a time, forward and backward: each side of a
+    block of pairs is gathered once, and the block's per-pair arrays stay in
+    cache. Its value runs the float ops of ``pair_probs`` on gathered rows
+    followed by ``log``. The backward is closed form, through the slopes of
     ``Manifold.pair_dist``, and keeps each masked zero slope of the composed
     route: the probability clamp, acosh at arg <= 1 and the conformal
     factor's floor. ``own is cand`` (the intra-view pools) accumulates both
@@ -229,8 +314,10 @@ def pool_log_probs(man: Manifold, own: Tensor, cand: Tensor, pool: Pool,
     same = own is cand
     x, y = own.value, cand.value
     if cfg.similarity == "distance":
-        tx = man.node_terms(x)
-        ty = tx if same else man.node_terms(y)
+        if terms is None:
+            tx = man.node_terms(x)
+            terms = tx, tx if same else man.node_terms(y)
+        tx, ty = terms
     ids, anchors = pool.ids, pool.anchors
     logs = np.empty(ids.shape)
     blocks = []  # (rows, sig, slopes) of each block, for the backward
@@ -238,7 +325,8 @@ def pool_log_probs(man: Manifold, own: Tensor, cand: Tensor, pool: Pool,
         own_rows = x[r] if anchors is None else np.take(x, anchors[r], axis=0)
         cand_rows = np.take(y, ids[r].ravel(), axis=0).reshape(-1, ids.shape[1], y.shape[1])
         if cfg.similarity == "neg_dot":
-            score, slopes = np.einsum("nd,ncd->nc", own_rows, cand_rows) * -1.0, _dot_slopes
+            score = np.einsum("nd,ncd->nc", own_rows, cand_rows) * -cand_scale
+            slopes = _dot_slopes(cand_scale)
         else:
             t_own = tx[r] if anchors is None else np.take(tx, anchors[r])
             score, slopes = man.pair_dist(own_rows, t_own, cand_rows, np.take(ty, ids[r]))
@@ -248,7 +336,7 @@ def pool_log_probs(man: Manifold, own: Tensor, cand: Tensor, pool: Pool,
         prob = np.clip(sig, PROB_CLAMP, 1.0 - PROB_CLAMP)
         negative = pool.negative[r]
         logs[r] = (np.log(np.where(negative, 1.0 - prob, prob))
-                   * np.where(negative, pool.neg_weight, 1.0))
+                   * np.where(negative, pool.neg_weight, pool.pos_weight))
         blocks.append((r, sig, slopes))
 
     def backward(g):
@@ -258,7 +346,7 @@ def pool_log_probs(man: Manifold, own: Tensor, cand: Tensor, pool: Pool,
             # dL/dscore: d log(sig) and d log(1 - sig) times sigma' = sig(1 - sig),
             # times dz/dscore = -1/tau; zero where the probability is clamped.
             live = (sig >= PROB_CLAMP) & (sig <= 1.0 - PROB_CLAMP)
-            gs = np.where(pool.negative[r], pool.neg_weight * sig, sig - 1.0)
+            gs = np.where(pool.negative[r], pool.neg_weight * sig, pool.pos_weight * (sig - 1.0))
             gs *= live * scale
             w[r], u, v[r] = slopes(gs)
             u_rows[r] = np.sum(u, axis=1)
@@ -280,9 +368,11 @@ def pool_log_probs(man: Manifold, own: Tensor, cand: Tensor, pool: Pool,
                      (own,) if same else (own, cand), backward)
 
 
-def _dot_slopes(gs):
-    """``slopes`` of the ``neg_dot`` score -x·y: pair weight -1, no node weight."""
-    return -gs, np.zeros_like(gs), np.zeros_like(gs)
+def _dot_slopes(cand_scale: float):
+    """``slopes`` of the ``neg_dot`` score -s·x·y: pair weight -s, no node weight."""
+    def slopes(gs):
+        return gs * -cand_scale, np.zeros_like(gs), np.zeros_like(gs)
+    return slopes
 
 
 # ---------------------------------------------------------------------------
@@ -341,36 +431,40 @@ def hpc_loss(emb: DualEmbedding, plan: SamplePlan, cfg: HpcConfig,
     Each view is two ``pair_log_probs`` nodes over the plan's two pools,
     built once for both views: the consistency positive with the inter-view
     negatives against the other view moved into this one's model
-    (``SamplePlan.inter_pool``), and the tolerance positives with the
-    intra-view negatives against the view itself (``SamplePlan.intra_pool``,
-    skipped without ``include_tolerance``). Each view moves into the other's
-    model by ``dg.transfer0`` of its origin tangent ``emb.tangent``, which
-    ``decode`` reads as well; a view already in that model is read as it is.
-    ``neg_dot`` scores origin tangents, so it reads the own views' tangents
-    and ``transfer_scale · tangent`` for the moved ones, with no origin map."""
+    (``SamplePlan.inter_pool``), and the tolerance positives, each edge once
+    at weight 2, with the intra-view negatives against the view itself
+    (``SamplePlan.intra_pool``, skipped without ``include_tolerance``). Each
+    view moves into the other's model by ``dg.transfer0`` of its origin
+    tangent ``emb.tangent``, which ``decode`` reads as well; a view already in
+    that model is read as it is. The node terms of each scored tensor are
+    computed once, for both pools that read it. ``neg_dot`` scores origin
+    tangents, with no origin map: the pool node multiplies a moved view's
+    tangent by ``transfer_scale`` as it scores it."""
     n = plan.n_nodes
     man_a, man_b = emb.manifold_alpha, emb.manifold_beta
 
-    def scored(view: str, target: Manifold) -> Tensor:
-        """One view as the pools of ``target``'s view score it: its points
-        for ``distance``, its origin tangent for ``neg_dot``."""
+    def scored(view: str, target: Manifold) -> tuple[Tensor, np.ndarray | None, float]:
+        """One view as the pools of ``target``'s view score it: its points and
+        their node terms for ``distance``; for ``neg_dot``, its origin tangent
+        and the scale that moves it into ``target``'s model."""
         if cfg.similarity == "distance":
-            return _points_in(emb, view, target)
+            h = _points_in(emb, view, target)
+            return h, target.node_terms(h.value), 1.0
         source, _ = emb.view(view)
-        u = emb.tangent(view)
-        return u if source == target else ad.scalar_mul(u, transfer_scale(source, target))
+        return emb.tangent(view), None, transfer_scale(source, target)
 
     alpha, beta_in_alpha = scored("alpha", man_a), scored("beta", man_a)
     beta, alpha_in_beta = scored("beta", man_b), scored("alpha", man_b)
     inter = plan.inter_pool(cfg.lambda_neg)
     intra = plan.intra_pool(cfg.lambda_neg) if include_tolerance else None
 
-    def view_sum(man: Manifold, own: Tensor, other: Tensor) -> Tensor:
+    def view_sum(man: Manifold, own, other) -> Tensor:
         """Both pools of one view, ``other`` being the other view in its model."""
-        total = pool_log_probs(man, own, other, inter, cfg)
+        (x, tx, _), (y, ty, scale) = own, other
+        total = pool_log_probs(man, x, y, inter, cfg, (tx, ty), scale)
         if intra is None:
             return total
-        return ad.add(total, pool_log_probs(man, own, own, intra, cfg))
+        return ad.add(total, pool_log_probs(man, x, x, intra, cfg, (tx, tx)))
 
     total = ad.add(view_sum(man_a, alpha, beta_in_alpha), view_sum(man_b, beta, alpha_in_beta))
     return ad.scalar_mul(total, -1.0 / (2.0 * n))

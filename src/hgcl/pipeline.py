@@ -15,7 +15,7 @@ from .autodiff import Tensor
 from .data import Graph, atomic_open, normalize_adjacency
 from .encoder import (VIEWS, DualEmbedding, Encoder, EncoderError, encode_views,
                       first_message)
-from .hpc import HpcConfig, SamplePlan, build_sample_plan, hpc_loss
+from .hpc import HpcConfig, SamplePlan, build_sample_plan, hpc_loss, plan_frame
 from .manifolds import Manifold, Model
 from .optim import Adam
 
@@ -298,15 +298,16 @@ def train(graph: Graph, config: TrainConfig) -> TrainResult:
                        ("test", graph.test_mask)):
         if mask is None or not mask.any():  # would fail after training has started
             raise PipelineError(f"the {name} mask is empty; training needs nodes in all three")
+    use_hpc = config.ablation != "no_hpc" and config.lambda_contrast > 0.0
+    include_tolerance = config.ablation != "no_pos"
+    hpc_cfg = config.effective_hpc()
+    if use_hpc:  # a negative pool short of m fails here, not at epoch 0
+        plan_frame(graph, hpc_cfg.num_negatives)
     model = HgclModel(config, graph.features.shape[1], graph.n_classes)
     a_norm = normalize_adjacency(graph)
     message, _ = first_message(graph.features, a_norm, config.max_feature_norm)
     opt = Adam(model.parameters(), lr=config.lr, clip_norm=config.grad_clip)
     neg_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(4)[3])
-
-    use_hpc = config.ablation != "no_hpc" and config.lambda_contrast > 0.0
-    include_tolerance = config.ablation != "no_pos"
-    hpc_cfg = config.effective_hpc()
 
     def forward() -> tuple[ad.Tape, DualEmbedding, Tensor]:
         """Taped forward of the current weights."""

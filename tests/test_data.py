@@ -296,6 +296,22 @@ def test_splits_json_ids_must_be_integers(tmp_path, train):
     assert str(info.value) == "splits.json: train must be a list of integer ids"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[[0, 1], [2], []]", "splits.json: the top level must be an object of train/val/test "
+                          "id lists"),
+    ('{"train": [0, 1, 100000000000000000000], "val": [], "test": []}',
+     "splits.json: train id out of range"),
+    ('{"train": [0, 1], "val": [2]', "splits.json: not valid JSON (Expecting ',' delimiter: "
+                                     "line 1 column 29 (char 28))"),
+], ids=["top-level-list", "id-past-int64", "not-json"])
+def test_malformed_splits_json_is_named(tmp_path, text, message):
+    # Each once escaped as AttributeError, OverflowError or JSONDecodeError.
+    (write_dataset(tmp_path) / "splits.json").write_text(text)
+    with pytest.raises(DataError) as info:
+        load_graph(tmp_path)
+    assert info.type is DataError and str(info.value) == message
+
+
 class TestAtomicOpen:
     def test_failed_write_keeps_the_previous_file_and_no_temp(self, tmp_path):
         target = tmp_path / "out.csv"

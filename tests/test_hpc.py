@@ -133,6 +133,23 @@ class TestSamplePlan:
         assert np.array_equal(a.neg_intra, b.neg_intra)
         assert np.array_equal(a.neg_inter, b.neg_inter)
 
+    def test_later_draws_keep_the_rng_stream(self):
+        # One generator across three plans: the second and third draw what the
+        # sampler drew when every plan rebuilt its graph constants.
+        g = Graph(8, np.array([(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6)]),
+                  np.zeros((8, 1)), np.zeros(8, dtype=int))
+        rng = np.random.default_rng(11)
+        plans = [build_sample_plan(g, 3, rng) for _ in range(3)]
+        assert plans[1].neg_intra.tolist() == [[2, 5, 6], [3, 4, 6], [5, 6, 7], [1, 4, 7],
+                                               [1, 2, 3], [0, 1, 2], [1, 2, 3], [1, 4, 6]]
+        assert plans[1].neg_inter.tolist() == [[4, 5, 6], [3, 5, 7], [0, 6, 7], [1, 6, 7],
+                                               [2, 6, 7], [1, 2, 7], [3, 4, 7], [0, 1, 2]]
+        assert plans[2].neg_intra.tolist() == [[2, 6, 7], [3, 4, 6], [0, 4, 7], [1, 4, 5],
+                                               [0, 1, 6], [0, 1, 3], [0, 3, 4], [1, 3, 5]]
+        assert plans[2].neg_inter.tolist() == [[4, 5, 7], [3, 5, 7], [0, 6, 7], [1, 5, 7],
+                                               [0, 2, 6], [0, 1, 7], [0, 1, 3], [0, 1, 3]]
+        assert g.plan_frames[3] is hpc_mod.plan_frame(g, 3)  # built once, on the first plan
+
     def test_empirical_uniformity_three_sigma(self, path5):
         # anchor 2 of the path: pool = {0, 4}, m=1 -> Bernoulli(1/2)
         counts = {0: 0, 4: 0}
@@ -345,9 +362,9 @@ class TestHpcLoss:
         gathered = []  # (candidate rows, of which negative) per pair_log_probs node
         real_node = hpc_mod.pool_log_probs
 
-        def counting_node(man, own, cand, pool, cfg):
+        def counting_node(man, own, cand, pool, cfg, *args):
             gathered.append((pool.ids.size, int(np.sum(pool.negative))))
-            return real_node(man, own, cand, pool, cfg)
+            return real_node(man, own, cand, pool, cfg, *args)
 
         monkeypatch.setattr(hpc_mod, "pool_log_probs", counting_node)
         terms = [mi_consistency] + ([mi_tolerance] if include_tolerance else [])
@@ -361,7 +378,7 @@ class TestHpcLoss:
             m = 3 if lambda_neg > 0 else 0  # lambda_neg = 0 gathers no negative row
             per_view = [(13 * (1 + m), 13 * m)]
             if include_tolerance:
-                per_view.append((2 * len(edges) + 13 * m, 13 * m))
+                per_view.append((len(edges) + 13 * m, 13 * m))  # each edge once
             assert gathered == per_view * 2
 
     def test_infimum_closed_form_on_clique_pair(self):
@@ -470,7 +487,7 @@ def scored_pool(man, own, cand, pool, cfg):
 
 def composed_pool(man, own, cand, pool, cfg):
     """The reference route of a pool: each pair's rows gathered in the pool's
-    order, scored by ``pair_probs`` and logged, the negatives' logs weighted."""
+    order, scored by ``pair_probs`` and logged, the logs weighted by sign."""
     rows = np.repeat(np.arange(pool.ids.shape[0]) if pool.anchors is None else pool.anchors,
                      pool.ids.shape[1])
     negative = pool.negative.ravel()
@@ -478,7 +495,8 @@ def composed_pool(man, own, cand, pool, cfg):
                        cfg)
     logs = ad.log(ad.add(ad.mul(probs, np.where(negative, -1.0, 1.0)[:, None]),
                          negative.astype(float)[:, None]))
-    return ad.reduce_sum(ad.mul(logs, np.where(negative, pool.neg_weight, 1.0)[:, None]))
+    weights = np.where(negative, pool.neg_weight, pool.pos_weight)
+    return ad.reduce_sum(ad.mul(logs, weights[:, None]))
 
 
 def value_and_grads(route, man, x, y, pool, cfg, same):
@@ -687,20 +705,46 @@ class TestMergedPools:
         plan = build_sample_plan(POOL_GRAPH, 2, np.random.default_rng(0))
         csr = POOL_GRAPH.csr_adjacency()
         pool = plan.intra_pool(0.3)
-        assert np.array_equal(pool.indptr, csr.indptr + 2 * np.arange(9))
-        for i in range(8):
+        assert (pool.pos_weight, pool.neg_weight) == (2.0, 0.3)
+        upper = [csr.indices[csr.indptr[i]:csr.indptr[i + 1]] for i in range(8)]
+        upper = [nbrs[nbrs > i] for i, nbrs in enumerate(upper)]
+        assert np.array_equal(np.diff(pool.indptr), [len(nbrs) + 2 for nbrs in upper])
+        for i, nbrs in enumerate(upper):
             row = slice(pool.indptr[i], pool.indptr[i + 1])
-            nbrs = csr.indices[csr.indptr[i]:csr.indptr[i + 1]]
             assert np.array_equal(pool.ids[row, 0], np.concatenate([nbrs, plan.neg_intra[i]]))
             assert np.array_equal(pool.negative[row, 0], np.arange(len(nbrs) + 2) >= len(nbrs))
             assert np.all(pool.anchors[row] == i)
+
+    @pytest.mark.parametrize("graph", [POOL_GRAPH, synthetic_tree(3, 4)], ids=["pool", "tree"])
+    def test_intra_pool_scores_each_edge_once_at_weight_two(self, graph):
+        plan = build_sample_plan(graph, 2, np.random.default_rng(3))
+        for lambda_neg in (0.3, 0.0):
+            pool = plan.intra_pool(lambda_neg)
+            pos = ~pool.negative[:, 0]
+            pairs = np.column_stack([pool.anchors[pos], pool.ids[pos, 0]])
+            assert pool.pos_weight == 2.0
+            assert np.array_equal(pairs, graph.edges)  # (min, max), each edge once, sorted
+
+    def test_intra_negative_slots_hold_the_plans_negatives(self):
+        # Each row's last m slots are its intra negatives, in the plan's order,
+        # as they were when the pool held both directions of every edge.
+        plan = build_sample_plan(POOL_GRAPH, 2, np.random.default_rng(0))
+        pool = plan.intra_pool(0.3)
+        ends = pool.indptr[1:, None] - 2 + np.arange(2)
+        assert np.array_equal(pool.ids[ends, 0], plan.neg_intra)
+        assert pool.negative[ends, 0].all() and pool.negative.sum() == plan.neg_intra.size
+        again = build_sample_plan(POOL_GRAPH, 2, np.random.default_rng(1)).intra_pool(0.3)
+        assert np.array_equal(again.indptr, pool.indptr)  # the layout is per graph
+        assert np.array_equal(again.ids[~again.negative], pool.ids[~pool.negative])
 
     def test_lambda_zero_pools_hold_no_negatives(self):
         plan = build_sample_plan(POOL_GRAPH, 2, np.random.default_rng(0))
         inter, intra = plan.inter_pool(0.0), plan.intra_pool(0.0)
         assert np.array_equal(inter.ids, np.arange(8)[:, None]) and not np.any(inter.negative)
-        assert np.array_equal(intra.ids[:, 0], plan.edge_nbr) and not np.any(intra.negative)
-        assert np.array_equal(intra.indptr, POOL_GRAPH.csr_adjacency().indptr)
+        upper = plan.edge_nbr > plan.edge_anchor
+        assert np.array_equal(intra.ids[:, 0], plan.edge_nbr[upper]) and not np.any(intra.negative)
+        assert np.array_equal(intra.indptr, np.concatenate(
+            [[0], np.cumsum(np.bincount(plan.edge_anchor[upper], minlength=8))]))
 
     @pytest.mark.parametrize("intra", [False, True], ids=["inter-block", "intra-csr"])
     @pytest.mark.parametrize("similarity", ["distance", "neg_dot"])

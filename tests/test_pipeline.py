@@ -424,6 +424,16 @@ class TestFirstLayerInput:
                 run()
         assert not (tmp_path / "h.csv").exists()
 
+    def test_short_negative_pool_named_before_any_forward(self, monkeypatch):
+        n = 12  # a star: hub 0 has no non-neighbour, so no m=5 negatives
+        g = masked(data_mod.Graph(n, np.array([(0, j) for j in range(1, n)]),
+                                  np.random.default_rng(0).standard_normal((n, 4)),
+                                  np.arange(n) % 2))
+        monkeypatch.setattr(pl, "encode_views", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(SamplingError, match="^anchor 0: negative pool has 0 nodes < m=5; "
+                                                "1 of 12 anchors are short$"):
+            train(g, small_config(epochs=2, patience=2))
+
 
 class TestOneForwardPerWeightState:
     """``train`` forwards each weight state once, on a tape: the forward after
@@ -544,6 +554,7 @@ class TestTapeSize:
     @pytest.mark.parametrize("ablation, n_exp0, n_log0, n_nodes", [
         ("full", 4, 0, 21),  # 2 encoder exp0 + 2 transfers
         ("no_hpc", 2, 0, 11),
+        ("no_dist", 2, 0, 19),  # the pool nodes scale the moved tangents themselves
     ])
     def test_one_step(self, monkeypatch, log0_calls, ablation, n_exp0, n_log0, n_nodes):
         stage, tangents, before_ce = [None], [], []
@@ -578,7 +589,7 @@ class TestTapeSize:
         ops = Counter(node._op for node in nodes)
         assert (ops["exp0"], len(log0_calls), len(nodes)) == (n_exp0, n_log0, n_nodes)
         assert (ops["affine"], ops["tanh"]) == (4, 0)  # 2 layers x 2 views
-        readers = {"decode", "hpc_loss"} if ablation == "full" else {"decode"}
+        readers = {"decode", "hpc_loss"} if ablation != "no_hpc" else {"decode"}
         for view in ("alpha", "beta"):
             # the post-step forward records its own decode tangents on a new tape
             seen = [(where, t) for on, where, v, t in tangents if v == view and on is tape]
@@ -606,7 +617,7 @@ class TestTapeSize:
     @pytest.mark.parametrize("ablation, n_bytes", [
         ("full", 604_696),
         ("no_hpc", 511_432),
-        ("no_dist", 604_696),
+        ("no_dist", 511_512),
     ])
     def test_node_output_bytes(self, monkeypatch, ablation, n_bytes):
         # The bytes of every node output a step's backward reads, cross-entropy
