@@ -136,8 +136,14 @@ def _build_config(args, seed: int) -> pl.TrainConfig:
     values = {}
     hpc_values = {}
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                file_cfg = json.load(fh)
+        except (OSError, ValueError) as exc:  # unreadable, or not JSON
+            raise CliError(f"--config {args.config}: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise CliError(f"--config {args.config}: wants a JSON object of flat keys, "
+                           f"got a {type(file_cfg).__name__}")
         for key, raw in file_cfg.items():
             if key in CONFIG_KEYS:
                 values[key] = _config_value(key, raw, CONFIG_KEYS[key])

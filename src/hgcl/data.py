@@ -57,7 +57,8 @@ class Graph:
     val_mask: np.ndarray | None = None
     test_mask: np.ndarray | None = None
     _csr: sparse.csr_matrix | None = field(default=None, init=False, repr=False, compare=False)
-    # hpc.plan_frame's constants by negatives per anchor, built on first use
+    # hpc.plan_frame's PlanFrame (sampler keys and pool skeletons) by negatives
+    # per anchor, built on first use
     plan_frames: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

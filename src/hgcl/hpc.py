@@ -16,9 +16,11 @@ with the intra-view negatives, as one CSR against the view itself
 lower end, at weight 2: the distance and the ``neg_dot`` score are
 symmetric bit for bit, so the loss is that of both directions up to the
 order of its sums. Each pair carries its sign and its weight (1 or 2 for
-positives, ``lambda_neg`` for negatives). What a plan reads of the graph,
-the pools' layout included, is built once per graph and m (:func:`plan_frame`);
-an epoch only draws the negative ids and writes them into the layout.
+positives, ``lambda_neg`` for negatives). What a plan reads of its pairs is
+one :class:`PlanFrame`, the two pools' skeletons included, built once per
+graph and m (:func:`plan_frame`), or from its own pairs by a plan made by
+hand; an epoch only draws the negative ids and writes them into copies of
+the skeletons.
 :func:`pool_log_probs` is the node, and the only fused route: it takes rows
 in scoring form, works through the pairs in blocks of ``PAIR_CHUNK``,
 gathers each side of a block once and takes the distance and its slopes
@@ -39,7 +41,7 @@ takes no ``log0`` and records no scaled copy of a view.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -91,7 +93,9 @@ class Pool:
     ``ids.ravel()``. ``negative`` marks the pairs scored as log(1 - D), whose
     logs are weighted by ``neg_weight`` (``lambda_neg`` in ``hpc_loss``); the
     others, scored as log D, by ``pos_weight`` (2 where each pair stands for
-    itself and its reverse)."""
+    itself and its reverse). A :class:`PlanFrame` holds each pool as a
+    skeleton whose negative ids are not yet written, which :meth:`filled`
+    completes."""
 
     ids: np.ndarray  # (rows, c) candidate ids
     negative: np.ndarray  # bool, ids' shape
@@ -105,57 +109,90 @@ class Pool:
         step = max(1, PAIR_CHUNK // self.ids.shape[1])
         return [slice(lo, lo + step) for lo in range(0, self.ids.shape[0], step)]
 
+    def filled(self, negatives: np.ndarray, lambda_neg: float) -> "Pool":
+        """This skeleton with the (n_own, m) ``negatives`` written into its
+        negative slots, row by row, and weighted by ``lambda_neg``; with its
+        positives alone when ``lambda_neg`` is 0."""
+        if lambda_neg > 0.0:
+            ids = self.ids.copy()
+            ids[self.negative] = negatives.ravel()
+            return replace(self, ids=ids, neg_weight=lambda_neg)
+        keep = ~self.negative
+        return Pool(self.ids[keep][:, None], self.negative[keep][:, None],
+                    self.indptr - negatives.shape[1] * np.arange(self.indptr.size), 0.0,
+                    None if self.anchors is None else self.anchors[keep.ravel()],
+                    self.pos_weight)
+
 
 @dataclass(frozen=True)
-class PoolLayout:
-    """What the two pools of a plan with m negatives per row keep from plan
-    to plan: everything but the negative ids.
+class PlanFrame:
+    """What a plan with m negatives per anchor reads of its (anchor, neighbor)
+    pairs, none of which changes from epoch to epoch: the pairs in (anchor,
+    neighbor) order, each anchor's negative pool size, the keys that map a
+    rank in that pool to a node id, and the two pools' skeletons: ``inter``,
+    the (n, m + 1) block ``[i, ·]``, and ``intra``, the CSR whose row i holds
+    the neighbors j > i of i at weight 2, then m negative slots. Built by
+    :meth:`build`; :func:`plan_frame` caches a graph's."""
 
-    The inter pool is the (n, m + 1) block ``[i, neg_inter[i]]``. The intra
-    pool is a CSR whose row i holds the neighbors j > i of i, then its m
-    intra negatives. Each undirected edge is scored once, from its lower
-    end, and weighs 2: ``Manifold.pair_dist`` and the ``neg_dot`` score are
-    symmetric bit for bit, and a pool whose two sides are one tensor sends
-    each pair's gradient to both ends."""
-
-    inter_negative: np.ndarray  # (n, m + 1)
-    inter_indptr: np.ndarray
-    intra_ids: np.ndarray  # (pairs,) the upper-half neighbors; negative slots unset
-    intra_negative: np.ndarray  # (pairs,) the last m slots of each row
-    intra_indptr: np.ndarray
-    intra_anchors: np.ndarray  # (pairs,)
+    edge_anchor: np.ndarray
+    edge_nbr: np.ndarray
+    pool: np.ndarray  # (n,) nodes that are neither the anchor nor its neighbors
+    start: np.ndarray  # (n,) offset of each anchor's excluded ids in rank_keys
+    rank_keys: np.ndarray
+    row_keys: np.ndarray  # (n, 1)
+    inter: Pool  # negative ids not yet written
+    intra: Pool
 
     @classmethod
-    def build(cls, edge_anchor: np.ndarray, edge_nbr: np.ndarray, n: int, m: int) -> "PoolLayout":
-        inter_negative = np.zeros((n, m + 1), dtype=bool)
-        inter_negative[:, 1:] = True
+    def build(cls, edge_anchor: np.ndarray, edge_nbr: np.ndarray, n: int, m: int) -> "PlanFrame":
+        # Key i*(n+1) + j orders the pairs by (anchor, neighbor). With the
+        # anchors' own keys i*(n+2), it lists the excluded set of anchor i,
+        # {i} + neighbors, as one sorted segment of a flat array.
+        stride = n + 1
+        pair_keys = np.sort(np.asarray(edge_anchor, dtype=np.int64) * stride + edge_nbr)
+        edge_anchor, edge_nbr = np.divmod(pair_keys, stride)
+        keys = np.sort(np.concatenate([np.arange(n, dtype=np.int64) * (stride + 1), pair_keys]))
+        excluded = np.bincount(edge_anchor, minlength=n) + 1  # the anchor and its neighbors
+        start = np.cumsum(excluded) - excluded
+        # The k-th excluded id e_k of a segment skips every rank r >= e_k - k, so
+        # rank r maps to r + #{k : e_k - k <= r}; a graph's canonical edges keep
+        # the keys unique.
+        rank_keys = keys - np.arange(keys.size) + start[keys // stride]
+
+        inter = Pool(np.pad(np.arange(n)[:, None], ((0, 0), (0, m))),
+                     np.tile(np.arange(m + 1) > 0, (n, 1)), np.arange(0, n * (m + 1) + 1, m + 1))
         upper = edge_nbr > edge_anchor
-        anchor, nbr = edge_anchor[upper], edge_nbr[upper]
-        deg = np.bincount(anchor, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg + m, out=indptr[1:])
-        ids = np.empty(indptr[-1], dtype=np.int64)
-        ids[np.arange(anchor.size) + m * anchor] = nbr
-        negative = np.zeros(ids.size, dtype=bool)
-        negative[(indptr[1:, None] - m) + np.arange(m)] = True
-        return cls(inter_negative, np.arange(0, n * (m + 1) + 1, m + 1),
-                   ids, negative, indptr, np.repeat(np.arange(n), deg + m))
+        deg = np.bincount(edge_anchor[upper], minlength=n)
+        indptr = np.concatenate([[0], np.cumsum(deg + m)])
+        anchors = np.repeat(np.arange(n), deg + m)
+        negative = np.arange(anchors.size) >= indptr[1:][anchors] - m  # each row's last m
+        ids = np.zeros(anchors.size, dtype=np.int64)
+        ids[~negative] = edge_nbr[upper]
+        intra = Pool(ids[:, None], negative[:, None], indptr, anchors=anchors, pos_weight=2.0)
+        return cls(edge_anchor, edge_nbr, n - excluded, start, rank_keys,
+                   np.arange(n, dtype=np.int64)[:, None] * stride, inter, intra)
 
 
 @dataclass
 class SamplePlan:
     """One epoch of contrastive ids: m negatives per anchor for each pool, and
-    the tolerance positives as flat (anchor, neighbor) pairs in anchor order
-    (the CSR's), each edge in both directions.
+    the tolerance positives as flat (anchor, neighbor) pairs, each edge in
+    both directions.
 
-    ``layouts`` caches the :class:`PoolLayout` of these pairs by negatives
-    per row; the plans ``build_sample_plan`` draws for one graph share it."""
+    ``frame`` is the :class:`PlanFrame` of these pairs: ``build_sample_plan``
+    passes its graph's, shared by every plan of that graph, and a plan made
+    by hand builds its own, so its pairs may come in any order."""
 
     neg_intra: np.ndarray  # (n, m)
     neg_inter: np.ndarray  # (n, m)
     edge_anchor: np.ndarray  # flattened (anchor, neighbor) pairs, both directions
     edge_nbr: np.ndarray
-    layouts: dict[int, PoolLayout] = field(default_factory=dict, repr=False, compare=False)
+    frame: PlanFrame | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.frame is None:
+            self.frame = PlanFrame.build(self.edge_anchor, self.edge_nbr,
+                                         self.n_nodes, self.num_negatives)
 
     @property
     def n_nodes(self) -> int:
@@ -165,47 +202,17 @@ class SamplePlan:
     def num_negatives(self) -> int:
         return self.neg_intra.shape[1]
 
-    def _layout(self, lambda_neg: float) -> tuple[PoolLayout, int]:
-        """The pools' layout and their negatives per row: none when
-        ``lambda_neg`` is 0."""
-        m = self.num_negatives if lambda_neg > 0.0 else 0
-        if m not in self.layouts:
-            self.layouts[m] = PoolLayout.build(self.edge_anchor, self.edge_nbr, self.n_nodes, m)
-        return self.layouts[m], m
-
     def inter_pool(self, lambda_neg: float) -> Pool:
         """Each node against [itself, its inter negatives] in the other view:
         one (n, m + 1) block, the negatives dropped when ``lambda_neg`` is 0."""
-        layout, m = self._layout(lambda_neg)
-        ids = np.concatenate([np.arange(self.n_nodes)[:, None], self.neg_inter[:, :m]], axis=1)
-        return Pool(ids, layout.inter_negative, layout.inter_indptr, lambda_neg)
+        return self.frame.inter.filled(self.neg_inter, lambda_neg)
 
     def intra_pool(self, lambda_neg: float) -> Pool:
         """Each node against its neighbors above it, at weight 2, then its
         intra negatives, in its own view: one CSR whose rows are the upper
         half of the adjacency's plus m slots each, the negatives dropped when
         ``lambda_neg`` is 0."""
-        layout, m = self._layout(lambda_neg)
-        ids = layout.intra_ids.copy()
-        ids[layout.intra_negative] = self.neg_intra[:, :m].ravel()  # row by row
-        return Pool(ids[:, None], layout.intra_negative[:, None], layout.intra_indptr,
-                    lambda_neg, anchors=layout.intra_anchors, pos_weight=2.0)
-
-
-@dataclass(frozen=True)
-class PlanFrame:
-    """What ``build_sample_plan`` reads of a graph for m negatives per anchor,
-    none of which changes from epoch to epoch: the (anchor, neighbor) pairs,
-    each anchor's negative pool size, and the keys that map a rank in that
-    pool to a node id. Built by :func:`plan_frame`."""
-
-    edge_anchor: np.ndarray
-    edge_nbr: np.ndarray
-    pool: np.ndarray  # (n,) nodes that are neither the anchor nor its neighbors
-    start: np.ndarray  # (n,) offset of each anchor's excluded ids in rank_keys
-    rank_keys: np.ndarray
-    row_keys: np.ndarray  # (n, 1)
-    layouts: dict[int, PoolLayout] = field(default_factory=dict, repr=False, compare=False)
+        return self.frame.intra.filled(self.neg_intra, lambda_neg)
 
 
 def plan_frame(graph, m: int) -> PlanFrame:
@@ -216,35 +223,17 @@ def plan_frame(graph, m: int) -> PlanFrame:
     frame = graph.plan_frames.get(m)
     if frame is not None:
         return frame
-    n = graph.n_nodes
-    adj = graph.csr_adjacency()
-    deg = np.diff(adj.indptr).astype(np.int64)
-    edge_anchor = np.repeat(np.arange(n, dtype=np.int64), deg)
-    edge_nbr = adj.indices.astype(np.int64)
-
-    # Excluded set of anchor i = {i} + neighbors, sorted, as a CSR segment.
-    # Key i*(n+1) + e keeps the segments apart in one flat sorted array; the
-    # graph's edges are canonical (no self-loops or repeats), so keys are unique.
-    stride = n + 1
-    keys = np.sort(np.concatenate([np.arange(n, dtype=np.int64) * (stride + 1),
-                                   edge_anchor * stride + edge_nbr]))
-    excluded = deg + 1  # the anchor and its neighbors
-    start = np.cumsum(excluded) - excluded
-    pool = n - excluded
-    short = np.flatnonzero(pool < m)
+    n, adj = graph.n_nodes, graph.csr_adjacency()
+    frame = PlanFrame.build(np.repeat(np.arange(n), np.diff(adj.indptr)), adj.indices, n, m)
+    short = np.flatnonzero(frame.pool < m)
     if short.size:
         i = int(short[0])
-        msg = (f"anchor {i}: negative pool has {int(pool[i])} nodes < m={m}"
+        msg = (f"anchor {i}: negative pool has {int(frame.pool[i])} nodes < m={m}"
                f"; {short.size} of {n} anchors are short")
         if short.size > 1:
             others = ", ".join(str(int(j)) for j in short[1:9])
             msg += f" (others: {others}{', ...' if short.size > 9 else ''})"
         raise SamplingError(msg)
-    # The k-th excluded id e_k of a segment skips every rank r >= e_k - k, so
-    # rank r maps to r + #{k : e_k - k <= r}.
-    rank_keys = keys - np.arange(keys.size) + start[keys // stride]
-    row_keys = np.arange(n, dtype=np.int64)[:, None] * stride
-    frame = PlanFrame(edge_anchor, edge_nbr, pool, start, rank_keys, row_keys)
     graph.plan_frames[m] = frame
     return frame
 
@@ -274,7 +263,7 @@ def build_sample_plan(graph, m: int, rng: np.random.Generator) -> SamplePlan:
                    - start[:, None])
         return ranks + skipped
 
-    return SamplePlan(draw(), draw(), frame.edge_anchor, frame.edge_nbr, frame.layouts)
+    return SamplePlan(draw(), draw(), frame.edge_anchor, frame.edge_nbr, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -429,17 +418,13 @@ def hpc_loss(emb: DualEmbedding, plan: SamplePlan, cfg: HpcConfig,
     + tolerance(alpha) + tolerance(beta)], differentiable in both views.
 
     Each view is two ``pair_log_probs`` nodes over the plan's two pools,
-    built once for both views: the consistency positive with the inter-view
-    negatives against the other view moved into this one's model
-    (``SamplePlan.inter_pool``), and the tolerance positives, each edge once
-    at weight 2, with the intra-view negatives against the view itself
-    (``SamplePlan.intra_pool``, skipped without ``include_tolerance``). Each
-    view moves into the other's model by ``dg.transfer0`` of its origin
-    tangent ``emb.tangent``, which ``decode`` reads as well; a view already in
-    that model is read as it is. The node terms of each scored tensor are
-    computed once, for both pools that read it. ``neg_dot`` scores origin
-    tangents, with no origin map: the pool node multiplies a moved view's
-    tangent by ``transfer_scale`` as it scores it."""
+    built once for both views: ``SamplePlan.inter_pool`` against the other
+    view moved into this one's model by ``dg.transfer0`` of its origin
+    tangent (read as it is when it already lives there), and
+    ``SamplePlan.intra_pool`` against the view itself (skipped without
+    ``include_tolerance``). The node terms of each scored tensor are computed
+    once, for both pools that read it. ``neg_dot`` scores origin tangents:
+    the pool node multiplies a moved view's by ``transfer_scale``."""
     n = plan.n_nodes
     man_a, man_b = emb.manifold_alpha, emb.manifold_beta
 

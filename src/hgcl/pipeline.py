@@ -13,7 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import Graph, atomic_open, normalize_adjacency
-from .encoder import (VIEWS, DualEmbedding, Encoder, EncoderError, encode_views,
+from .encoder import (ACTIVATIONS, VIEWS, DualEmbedding, Encoder, EncoderError, encode_views,
                       first_message)
 from .hpc import HpcConfig, SamplePlan, build_sample_plan, hpc_loss, plan_frame
 from .manifolds import Manifold, Model
@@ -68,6 +68,16 @@ class TrainConfig:
             raise PipelineError(f"unknown eval_metric {self.eval_metric!r}")
         if self.checkpoint not in ("best", "last"):
             raise PipelineError(f"checkpoint must be 'best' or 'last', got {self.checkpoint!r}")
+        kinds = tuple(kind.value for kind in Model)
+        for name in ("kind_alpha", "kind_beta"):
+            if getattr(self, name) not in kinds:
+                raise PipelineError(f"{name} must be one of {kinds}, got {getattr(self, name)!r}")
+        for name in ("curvature_alpha", "curvature_beta"):
+            if not -math.inf < getattr(self, name) < 0:
+                raise PipelineError(f"{name} must be finite and < 0, got {getattr(self, name)}")
+        if self.activation not in ACTIVATIONS:
+            raise PipelineError(f"activation must be one of {tuple(ACTIVATIONS)}, "
+                                f"got {self.activation!r}")
 
     def manifold_alpha(self) -> Manifold:
         return Manifold(Model(self.kind_alpha), self.curvature_alpha, self.embed_dim)

@@ -91,6 +91,19 @@ class TestTrainCommand:
                    "--config", str(cfg_file)])
         assert rc == 1
 
+    @pytest.mark.parametrize("text", ["{", "[1, 2]", None],
+                             ids=["not-json", "top-level-list", "missing"])
+    def test_unreadable_config_file_is_usage_error(self, tmp_path, capsys, text):
+        cfg_file = tmp_path / "cfg.json"
+        if text is not None:
+            cfg_file.write_text(text)
+        out = tmp_path / "run"
+        rc = main(["train", "--synthetic", "2,3,8,0.2", "--out", str(out),
+                   "--config", str(cfg_file)] + FAST_TRAIN)
+        assert rc == 1
+        assert f"error: --config {cfg_file}: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dataset_dir_mode(self, tmp_path, triangle_dir):
         out = tmp_path / "run"
         rc = main(["train", "--data", str(triangle_dir), "--out", str(out),
@@ -306,6 +319,9 @@ class TestExitCodes:
         ("--bias", "nan", "bias must be finite"),
         ("--temperature", "inf", "temperature must be finite"),
         ("--lambda-neg", "nan", "lambda_neg must be finite"),
+        ("--kind-alpha", "foo", "kind_alpha must be one of ('poincare', 'lorentz'), got 'foo'"),
+        ("--curvature-beta", "0.5", "curvature_beta must be finite and < 0, got 0.5"),
+        ("--activation", "sigmoid", "activation must be one of ('tanh', 'relu', 'none')"),
     ])
     def test_value_that_breaks_training_is_exit_2_before_any_output(self, tmp_path, capsys,
                                                                       flag, value, message):

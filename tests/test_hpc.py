@@ -347,6 +347,30 @@ class TestHpcLoss:
         assert hpc_loss(emb, plan, cfg).item() == pytest.approx(expected, abs=1e-10)
 
     @pytest.mark.parametrize("similarity", ["distance", "neg_dot"])
+    def test_hand_built_pairs_in_any_order(self, rng, similarity):
+        # The shuffled pairs of test_tolerance_reads_unsorted_hand_built_pairs:
+        # a plan made by hand orders its own pairs, so it scores what the plan
+        # with sorted pairs scores.
+        man_a, man_b = mf.poincare(2, -1.0), mf.lorentz(2, -0.5)
+        emb = DualEmbedding(
+            Tensor(dg.ambient_to_internal(man_a, man_a.random_points(rng, 6, 2.0))),
+            Tensor(dg.ambient_to_internal(man_b, man_b.random_points(rng, 6, 2.0))),
+            man_a, man_b)
+        cfg = HpcConfig(lambda_neg=0.3, num_negatives=2, similarity=similarity)
+        nbrs = {0: [1, 2, 5], 1: [0], 2: [0, 3], 3: [2], 4: [], 5: [0]}
+        negs = np.array([[3, 4], [2, 3], [1, 5], [0, 1], [0, 1], [1, 2]])
+        anchor = np.array([i for i in nbrs for _ in nbrs[i]])
+        nbr = np.array([j for i in nbrs for j in nbrs[i]])
+        order = np.random.default_rng(7).permutation(anchor.size)
+        shuffled = SamplePlan(negs, negs.copy(), anchor[order], nbr[order])
+        got = hpc_loss(emb, shuffled, cfg).item()
+        assert got == hpc_loss(emb, SamplePlan(negs, negs.copy(), anchor, nbr), cfg).item()
+        total = math.fsum(term(i, emb, shuffled, cfg, view)
+                          for term in (mi_consistency, mi_tolerance)
+                          for view in ("alpha", "beta") for i in range(6))
+        assert got == pytest.approx(-total / (2 * 6), abs=1e-10)
+
+    @pytest.mark.parametrize("similarity", ["distance", "neg_dot"])
     @pytest.mark.parametrize("include_tolerance", [True, False])
     def test_matches_mi_sums_with_hub_isolated_node_and_two_components(
             self, rng, monkeypatch, similarity, include_tolerance):
