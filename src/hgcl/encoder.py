@@ -42,7 +42,7 @@ from scipy.sparse.linalg import LinearOperator, aslinearoperator
 from . import autodiff as ad
 from . import diffgeo as dg
 from .autodiff import Tensor
-from .manifolds import Manifold
+from .manifolds import GeometryError, Manifold
 
 ACTIVATIONS = ad.ACTIVATIONS
 VIEWS = ("alpha", "beta")
@@ -184,10 +184,16 @@ class DualEmbedding:
         return dg.log0(man, h) if t is None else t
 
     def points(self, view: str) -> np.ndarray:
-        """Materialize one view as validated ambient point rows."""
+        """Materialize one view as validated ambient point rows. A row the
+        view's model cannot represent raises ``GeometryError`` naming the
+        view and the first 8 such rows (node ids)."""
         man, t = self.view(view)
         pts = dg.internal_to_ambient(man, t.value)
-        man.check_points(pts)
+        try:
+            man.check_points(pts)
+        except GeometryError as exc:  # a row fault: the width is the model's
+            ids = ", ".join(str(i) for i in exc.rows[:8]) + (", ..." if exc.rows.size > 8 else "")
+            raise GeometryError(f"view {view!r}: {exc}; node ids {ids}", exc.rows) from exc
         return pts
 
 

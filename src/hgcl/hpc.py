@@ -181,7 +181,10 @@ class SamplePlan:
 
     ``frame`` is the :class:`PlanFrame` of these pairs: ``build_sample_plan``
     passes its graph's, shared by every plan of that graph, and a plan made
-    by hand builds its own, so its pairs may come in any order."""
+    by hand builds its own, so its pairs may come in any order. The intra
+    pool scores each edge once, from its lower end, at weight 2, so a plan
+    made by hand must list every pair in both directions and no self-pair;
+    it raises ``SamplingError`` naming the first pair that breaks this."""
 
     neg_intra: np.ndarray  # (n, m)
     neg_inter: np.ndarray  # (n, m)
@@ -191,6 +194,20 @@ class SamplePlan:
 
     def __post_init__(self):
         if self.frame is None:
+            anchor = np.asarray(self.edge_anchor, dtype=np.int64)
+            nbr = np.asarray(self.edge_nbr, dtype=np.int64)
+            if anchor.size:
+                stride = int(max(anchor.max(), nbr.max())) + 1
+                keys = np.sort(anchor * stride + nbr)
+                back = nbr * stride + anchor
+                found = keys[np.minimum(np.searchsorted(keys, back), keys.size - 1)] == back
+                bad = np.flatnonzero((anchor == nbr) | ~found)
+                if bad.size:
+                    i, j = int(anchor[bad[0]]), int(nbr[bad[0]])
+                    why = "is a self-pair" if i == j else f"has no reverse ({j}, {i})"
+                    raise SamplingError(f"hand-made pair ({i}, {j}) {why}; a plan made by "
+                                        f"hand lists each edge in both directions and no "
+                                        f"self-pair")
             self.frame = PlanFrame.build(self.edge_anchor, self.edge_nbr,
                                          self.n_nodes, self.num_negatives)
 

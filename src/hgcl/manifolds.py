@@ -33,7 +33,13 @@ _PAIRWISE_STRIP = 16  # rows pairwise_dist scores at a time; temporaries hold 16
 
 
 class GeometryError(ValueError):
-    """Invalid point, tangent, or manifold combination."""
+    """Invalid point, tangent, or manifold combination. ``rows`` holds the
+    indices of the offending rows when :meth:`Manifold.check_points` found
+    them, else None."""
+
+    def __init__(self, message: str, rows: np.ndarray | None = None):
+        super().__init__(message)
+        self.rows = rows
 
 
 class Model(enum.Enum):
@@ -128,15 +134,16 @@ class Manifold:
             raise GeometryError(
                 f"expected ambient dimension {self.ambient_dim}, got {x.shape[1]}"
             )
-        if not np.all(np.isfinite(x)):
-            raise GeometryError("non-finite coordinates")
+        bad = ~np.all(np.isfinite(x), axis=1)
+        if np.any(bad):
+            raise GeometryError("non-finite coordinates", np.flatnonzero(bad))
         if self.kind is Model.POINCARE:
             sq = np.sum(x * x, axis=1)
             bad = sq >= -1.0 / self.k
             if np.any(bad):
                 raise GeometryError(
                     f"{int(bad.sum())} point(s) outside the open ball of radius "
-                    f"{self.ball_radius:g}"
+                    f"{self.ball_radius:g}", np.flatnonzero(bad)
                 )
         else:
             res = self.k * lorentz_inner_rows(x, x) - 1.0
@@ -145,10 +152,12 @@ class Manifold:
             if np.any(bad):
                 raise GeometryError(
                     f"{int(bad.sum())} point(s) off the hyperboloid "
-                    f"(max residual {np.max(np.abs(res)):.3e})"
+                    f"(max residual {np.max(np.abs(res)):.3e})", np.flatnonzero(bad)
                 )
-            if np.any(x[:, 0] <= 0):
-                raise GeometryError("Lorentz point(s) not on the upper sheet")
+            bad = x[:, 0] <= 0
+            if np.any(bad):
+                raise GeometryError("Lorentz point(s) not on the upper sheet",
+                                    np.flatnonzero(bad))
 
     def lorentz_time(self, spatial) -> np.ndarray:
         """Time coordinate sqrt(|s|^2 - 1/K) of spatial rows s, shape (n,); the

@@ -294,6 +294,22 @@ class TestEncodeViews:
         emb.manifold_alpha.check_points(emb.points("alpha"))
         emb.manifold_beta.check_points(emb.points("beta"))
 
+    def test_points_name_the_view_and_the_rows_a_ball_cannot_hold(self):
+        # At K = -1000 the ball's radius is 0.0316; exp0 of a unit tangent
+        # rounds onto the boundary, which the open ball excludes.
+        ball, hyp = mf.poincare(2, -1000.0), mf.lorentz(2, -1.0)
+        tangent = np.full((20, 2), 1e-3)
+        far = [1, 4, 5, 6, 9, 11, 12, 15, 17, 18]
+        tangent[far] = 1.0
+        emb = DualEmbedding(dg.exp0(ball, Tensor(tangent)), dg.exp0(hyp, Tensor(tangent)),
+                            ball, hyp, Tensor(tangent), Tensor(tangent))
+        with pytest.raises(mf.GeometryError) as info:
+            emb.points("alpha")
+        assert str(info.value) == ("view 'alpha': 10 point(s) outside the open ball of radius "
+                                   "0.0316228; node ids 1, 4, 5, 6, 9, 11, 12, 15, ...")
+        assert info.value.rows.tolist() == far
+        assert emb.points("beta").shape == (20, 3)
+
     def test_independent_inits_give_different_views(self, ten_node_graph):
         a_norm = normalize_adjacency(ten_node_graph)
         ss = np.random.SeedSequence(0).spawn(2)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -345,6 +346,19 @@ class TestHpcLoss:
             for i in range(7))
         expected = -total / (2 * 7)
         assert hpc_loss(emb, plan, cfg).item() == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("anchor, nbr, named", [
+        ([1], [0], "(1, 0) has no reverse (0, 1)"),
+        ([2], [2], "(2, 2) is a self-pair"),
+        ([0, 1, 3, 2, 2], [1, 0, 2, 3, 2], "(2, 2) is a self-pair"),
+        ([0, 3, 1, 2], [1, 2, 0, 1], "(3, 2) has no reverse (2, 3)"),
+    ], ids=["one-way", "self", "self-after-both-ways", "first-of-two-one-way"])
+    def test_hand_built_pairs_must_come_both_ways(self, anchor, nbr, named):
+        # The intra pool keeps each edge from its lower end at weight 2, so a
+        # one-way pair or a self-pair would be scored unlike the mi_* sums.
+        negs = np.array([[2], [3], [0], [1]])
+        with pytest.raises(SamplingError, match=f"^hand-made pair {re.escape(named)};"):
+            SamplePlan(negs, negs.copy(), np.array(anchor), np.array(nbr))
 
     @pytest.mark.parametrize("similarity", ["distance", "neg_dot"])
     def test_hand_built_pairs_in_any_order(self, rng, similarity):

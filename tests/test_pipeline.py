@@ -697,6 +697,68 @@ class TestCheckpoint:
             0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]
 
 
+def g12_text(values) -> bytes:
+    """``pl._format_g12`` of ``values``, spaces removed as the CSV does."""
+    values = np.asarray(values, dtype=np.float64)
+    out = np.zeros((values.size, 22), dtype=np.uint8)
+    pl._format_g12(values, out)
+    return out.tobytes().translate(None, b" ")
+
+
+def g12_reference(values) -> bytes:
+    return b"".join(b"%-21.12g," % v for v in values).translate(None, b" ")
+
+
+def listed_g12_edges() -> list[float]:
+    powers = [10.0 ** k for k in range(-5, 13)] + [float(f"1e{k}") for k in range(-5, 13)]
+    # Decimals with a 5 in the 13th significant digit: the doubles nearest
+    # them sit within one rounding of a 12-digit tie.
+    ties = [float("9.9999999999995"), float("0.0001234567890125"),
+            float("99999999999.99995"), float("0.00099999999999995"),
+            float("1.0000000000005"), float("12345678901.25")]
+    ties += [float(f"{d}5e{e}") for d in (100000000000, 314159265358, 999999999999)
+             for e in range(-17, 0)]
+    near = powers + ties
+    return ([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+             -1.5, 1e-4 / 2, 1e11 * 3]
+            + near + [np.nextafter(v, 0.0) for v in near] + [np.nextafter(v, math.inf)
+                                                            for v in near])
+
+
+class TestFormatG12:
+    """The heatmap's array formatter against ``%-21.12g``: the same bytes
+    once the padding spaces are removed."""
+
+    def test_listed_edges(self):
+        values = listed_g12_edges()
+        assert g12_text(values) == g12_reference(values)
+
+    @pytest.mark.parametrize("shift", [-0.5, 0.5])
+    def test_exponent_estimate_is_corrected_both_ways(self, monkeypatch, shift):
+        # A log10 that rounds the other way near a power of ten gives an
+        # exponent one too low or too high; shifting it by half a decade
+        # does that to every value.
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda v: log10(v) + shift)
+        values = listed_g12_edges() + np.geomspace(1e-4, 1e11, 400).tolist()
+        assert g12_text(values) == g12_reference(values)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.one_of(st.floats(), st.floats(1e-4, 1e11), st.floats(0.0, 50.0)),
+                    min_size=1, max_size=40))
+    def test_any_doubles(self, values):
+        assert g12_text(values) == g12_reference(values)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(10**11, 10**12 - 1), st.integers(-16, -1), st.integers(-2, 2))
+    def test_near_ties(self, digits, exp, ulps):
+        # the double nearest digits.5 * 10**exp, and its neighbours
+        v = float(f"{digits}5e{exp}")
+        for _ in range(abs(ulps)):
+            v = np.nextafter(v, math.copysign(math.inf, ulps))
+        assert g12_text([v]) == g12_reference([v])
+
+
 class TestHeatmap:
     def test_matrix_properties_and_csv(self, tmp_path):
         g = tree_graph()
