@@ -183,8 +183,8 @@ class SamplePlan:
     passes its graph's, shared by every plan of that graph, and a plan made
     by hand builds its own, so its pairs may come in any order. The intra
     pool scores each edge once, from its lower end, at weight 2, so a plan
-    made by hand must list every pair in both directions and no self-pair;
-    it raises ``SamplingError`` naming the first pair that breaks this."""
+    made by hand must list every pair in both directions, as often one way
+    as the other, and no self-pair; it raises ``SamplingError`` naming the first pair that breaks this."""
 
     neg_intra: np.ndarray  # (n, m)
     neg_inter: np.ndarray  # (n, m)
@@ -196,18 +196,25 @@ class SamplePlan:
         if self.frame is None:
             anchor = np.asarray(self.edge_anchor, dtype=np.int64)
             nbr = np.asarray(self.edge_nbr, dtype=np.int64)
-            if anchor.size:
-                stride = int(max(anchor.max(), nbr.max())) + 1
-                keys = np.sort(anchor * stride + nbr)
-                back = nbr * stride + anchor
-                found = keys[np.minimum(np.searchsorted(keys, back), keys.size - 1)] == back
-                bad = np.flatnonzero((anchor == nbr) | ~found)
-                if bad.size:
-                    i, j = int(anchor[bad[0]]), int(nbr[bad[0]])
-                    why = "is a self-pair" if i == j else f"has no reverse ({j}, {i})"
-                    raise SamplingError(f"hand-made pair ({i}, {j}) {why}; a plan made by "
-                                        f"hand lists each edge in both directions and no "
-                                        f"self-pair")
+            # The pairs come both ways, each as often as its reverse, when
+            # their keys and their reversed keys sort alike.
+            stride = self.n_nodes + 1
+            fwd, back = anchor * stride + nbr, nbr * stride + anchor
+            keys = np.sort(fwd)
+            if np.any(anchor == nbr) or not np.array_equal(keys, np.sort(back)):
+                n_fwd, n_back = (np.searchsorted(keys, k, "right") - np.searchsorted(keys, k)
+                                 for k in (fwd, back))
+                p = np.flatnonzero((anchor == nbr) | (n_fwd != n_back))[0]
+                i, j = int(anchor[p]), int(nbr[p])
+                if i == j:
+                    why = "is a self-pair"
+                elif n_back[p] == 0:
+                    why = f"has no reverse ({j}, {i})"
+                else:
+                    why = f"appears {n_fwd[p]} times and its reverse ({j}, {i}) {n_back[p]}"
+                raise SamplingError(f"hand-made pair ({i}, {j}) {why}; a plan made by "
+                                    f"hand lists each edge in both directions, as often "
+                                    f"one way as the other, and no self-pair")
             self.frame = PlanFrame.build(self.edge_anchor, self.edge_nbr,
                                          self.n_nodes, self.num_negatives)
 

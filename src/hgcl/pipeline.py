@@ -408,66 +408,50 @@ _HEATMAP_BLOCK = 128
 
 
 def _ascii_words() -> np.ndarray:
-    """The 4-digit ASCII words of 0..9999 as uint32, four tables end to end:
-    plain ("0120"), trailing zeros blank ("012 "), leading zeros blank
-    (" 120", 0 blank) and leading zeros blank with the ones digit kept
-    (0 is "   0")."""
+    """The 4-digit ASCII words of 0..9999 as uint32, three tables end to end:
+    plain ("0120"), trailing zeros blank ("012 ") and leading zeros blank
+    with the ones digit kept (" 120", 0 is "   0")."""
     digits = np.arange(10**4)[:, None] // 10 ** np.arange(3, -1, -1) % 10
     zero = digits == 0
-    lead = np.cumprod(zero, axis=1).astype(bool)
     trail = np.cumprod(zero[:, ::-1], axis=1)[:, ::-1].astype(bool)
-    keep = lead.copy()
-    keep[:, 3] = False
-    words = [np.where(blank, 32, digits + 48) for blank in (np.zeros_like(zero), trail, lead, keep)]
+    lead = np.cumprod(zero, axis=1).astype(bool)
+    lead[:, 3] = False
+    words = [np.where(blank, 32, digits + 48) for blank in (np.zeros_like(zero), trail, lead)]
     return np.concatenate(words).astype(np.uint8).view(np.uint32).ravel()
 
 
 _WORDS = _ascii_words()
-_POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
+_POW10 = np.array([float(10**k) for k in range(17)])  # exact doubles
 _POW10_INT = 10 ** np.arange(17, dtype=np.int64)
+_SLOT = np.dtype({"names": ["int", "point", "frac", "sep"], "formats": ["V4", "u1", "V16", "u1"],
+                  "offsets": [0, 4, 5, 21], "itemsize": 22})
 
 
-def _fixed_point(n: np.ndarray, exp: np.ndarray, int_words: int, frac_words: int,
-                 out: np.ndarray) -> None:
+def _fixed_point(n: np.ndarray, exp: np.ndarray, out: np.ndarray) -> None:
     """Fill the (len, 22) uint8 ``out`` with "%.12g"'s fixed-point text of
-    the 12-digit integers ``n`` (< 10**12) read at decimal exponent ``exp``:
-    the integer part right-aligned in ``int_words`` 4-digit words, the
-    point, the fraction left-aligned in ``frac_words`` words, then the
-    separator. Its leading and trailing zeros, and the point of a whole
-    number, are spaces, which the CSV drops; 4 * (int_words + frac_words)
-    + 1 must be 21."""
+    the 12-digit integers ``n`` (< 10**12) read at decimal exponent ``exp``
+    in [-4, 3]: the integer part right-aligned in one 4-digit word, the
+    point, the fraction left-aligned in four words, then the separator. Its
+    leading and trailing zeros, and the point of a whole number, are spaces,
+    which the CSV drops."""
     frac_len = 11 - exp
     scale = _POW10_INT[frac_len]
     whole = n // scale
-    frac = (n - whole * scale) * _POW10_INT[4 * frac_words - frac_len]
+    frac = (n - whole * scale) * _POW10_INT[16 - frac_len]
     # Each word as an index into _WORDS, split off with floor division by a
     # scalar, several times faster than % or divmod on int64.
-    int_idx = np.empty((n.size, int_words), dtype=np.intp)
-    rest = whole
-    for k in range(int_words - 1):
-        place = 10 ** (4 * (int_words - 1 - k))
-        word = rest // place
-        rest = rest - word * place
-        int_idx[:, k] = word + 2 * 10**4 * (whole < 10**4 * place)
-    int_idx[:, -1] = rest + 3 * 10**4 * (whole < 10**4)  # the ones digit stays
-    frac_idx = np.empty((n.size, frac_words), dtype=np.intp)
+    idx = np.empty((n.size, 4), dtype=np.intp)
     rest = frac
-    for k in range(frac_words - 1):
-        place = 10 ** (4 * (frac_words - 1 - k))
+    for k in range(3):
+        place = 10 ** (12 - 4 * k)
         word = rest // place
         rest = rest - word * place
-        frac_idx[:, k] = word + 10**4 * (rest == 0)
-    frac_idx[:, -1] = rest + 10**4
-    # Each field is written whole through a structured view of the slots; a
-    # row whose integer part is too wide for int_words indexes out of the
-    # tables, which "clip" lets pass, and the caller rewrites the row.
-    int_bytes, frac_bytes = 4 * int_words, 4 * frac_words
-    slots = out.view(np.dtype({"names": ["int", "point", "frac", "sep"],
-                               "formats": [f"V{int_bytes}", "u1", f"V{frac_bytes}", "u1"],
-                               "offsets": [0, int_bytes, int_bytes + 1, 21], "itemsize": 22}))[:, 0]
-    slots["int"] = _WORDS.take(int_idx, mode="clip").view(f"V{int_bytes}")[:, 0]
+        idx[:, k] = word + 10**4 * (rest == 0)
+    idx[:, 3] = rest + 10**4
+    slots = out.view(_SLOT)[:, 0]
+    slots["int"] = _WORDS.take(whole + 2 * 10**4).view("V4")
     slots["point"] = np.where(frac == 0, 32, 46)
-    slots["frac"] = _WORDS.take(frac_idx).view(f"V{frac_bytes}")[:, 0]
+    slots["frac"] = _WORDS.take(idx).view("V16")[:, 0]
     slots["sep"] = 44
 
 
@@ -475,16 +459,16 @@ def _format_g12(values: np.ndarray, out: np.ndarray) -> None:
     """Fill row i of the (len, 22) uint8 ``out`` with ``b"%-21.12g," %
     values[i]``, up to where its spaces fall (the CSV drops them).
 
-    0.0 and the values 1e-4 <= v < 1e11, where "%.12g" is fixed-point with
-    exponent X in [-4, 10], are written with array ops. X is floor(log10 v),
+    0.0 and the values 1e-4 <= v < 1e4, where "%.12g" is fixed-point with
+    exponent X in [-4, 3], are written with array ops. X is floor(log10 v),
     corrected both ways so that s = v * 10**(11 - X) lies in [1e11, 1e12);
     10**(11 - X) is exact, so s holds one rounding of at most 2**-14 and
     rint(s) is the correctly rounded 12 digits, unless s lies within 1e-3
-    of a half. A rint(s) of 1e12 carries: it reads 1e11 at X + 1 (X = 11 is
-    1e11 itself, which "%.12g" still writes in fixed point). The values
-    near a half, and every value outside the range (negative, -0.0,
-    < 1e-4, >= 1e11, inf, nan), go through ``%``."""
-    fast = (values >= 1e-4) & (values < 1e11)
+    of a half. A rint(s) of 1e12 carries: it reads 1e11 at X + 1. The
+    values near a half, those whose carry reaches X = 4, and every value
+    outside the range (negative, -0.0, < 1e-4, >= 1e4, inf, nan), go
+    through ``%``."""
+    fast = (values >= 1e-4) & (values < 1e4)
     zero = (values == 0) & ~np.signbit(values)
     v = np.where(fast, values, 1.0)
     exp = np.floor(np.log10(v)).astype(np.intp)
@@ -498,15 +482,11 @@ def _format_g12(values: np.ndarray, out: np.ndarray) -> None:
     carry = n == 1e12
     n[carry] = 1e11
     exp += carry
+    slow |= exp > 3
     n = n.astype(np.int64)
-    n[zero] = 0
-    wide = exp >= 4  # more integer digits than the narrow layout holds
-    _fixed_point(n, exp, 1, 4, out)
-    rows = np.flatnonzero(wide & ~slow)
-    if rows.size:
-        part = np.empty((rows.size, 22), dtype=np.uint8)
-        _fixed_point(n[rows], exp[rows], 3, 2, part)
-        out[rows] = part
+    n[zero | slow] = 0  # the slow rows are rewritten below
+    exp[slow] = 0
+    _fixed_point(n, exp, out)
     rows = np.flatnonzero(slow)
     if rows.size:
         text = b"%-21.12g," * rows.size % tuple(values[rows].tolist())

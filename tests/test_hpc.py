@@ -352,7 +352,10 @@ class TestHpcLoss:
         ([2], [2], "(2, 2) is a self-pair"),
         ([0, 1, 3, 2, 2], [1, 0, 2, 3, 2], "(2, 2) is a self-pair"),
         ([0, 3, 1, 2], [1, 2, 0, 1], "(3, 2) has no reverse (2, 3)"),
-    ], ids=["one-way", "self", "self-after-both-ways", "first-of-two-one-way"])
+        ([0, 0, 1], [1, 1, 0], "(0, 1) appears 2 times and its reverse (1, 0) 1"),
+        ([1, 0, 1, 2, 3], [0, 1, 0, 3, 2], "(1, 0) appears 2 times and its reverse (0, 1) 1"),
+    ], ids=["one-way", "self", "self-after-both-ways", "first-of-two-one-way",
+            "doubled-one-way", "doubled-first"])
     def test_hand_built_pairs_must_come_both_ways(self, anchor, nbr, named):
         # The intra pool keeps each edge from its lower end at weight 2, so a
         # one-way pair or a self-pair would be scored unlike the mi_* sums.
