@@ -485,7 +485,6 @@ def _format_g12(values: np.ndarray, out: np.ndarray) -> None:
     slow |= exp > 3
     n = n.astype(np.int64)
     n[zero | slow] = 0  # the slow rows are rewritten below
-    exp[slow] = 0
     _fixed_point(n, exp, out)
     rows = np.flatnonzero(slow)
     if rows.size:
