@@ -456,11 +456,13 @@ def _hpc_cases(seed: int) -> list[GradCheckCase]:
     # The merged pools that hpc_loss scores: the inter block [i, inter
     # negatives] against a second tensor and the intra CSR (neighbors, then
     # intra negatives) against the view itself, negatives weighted by
-    # lambda_neg = 0.7, on a graph whose node 6 has no neighbor (an empty CSR
-    # row when lambda_neg = 0 drops the negatives).
+    # lambda_neg = 0.7, on a graph whose node 6 has no neighbor; at
+    # lambda_neg = 0 the pools of an m = 0 plan, as train draws them, where
+    # node 6's CSR row is empty.
     pool_graph = data_mod.Graph(7, np.array([(0, 1), (1, 2), (1, 3), (3, 4), (4, 5)]),
                                 np.zeros((7, 1)), np.zeros(7, dtype=int))
-    pool_plan = build_sample_plan(pool_graph, 2, np.random.default_rng(seed + 6))
+    pool_plans = {m: build_sample_plan(pool_graph, m, np.random.default_rng(seed + 6))
+                  for m in (0, 2)}
 
     def merged_case(man, similarity, intra, clamped=False, lambda_neg=0.7):
         def run():
@@ -470,7 +472,8 @@ def _hpc_cases(seed: int) -> list[GradCheckCase]:
             # Clamped: bias -10 puts sigma on the lower clamp past d = 1.28.
             cfg = HpcConfig(lambda_neg=lambda_neg, bias=-10.0 if clamped else 2.0,
                             temperature=0.7, similarity=similarity)
-            pool = (pool_plan.intra_pool if intra else pool_plan.inter_pool)(lambda_neg)
+            plan = pool_plans[2 if lambda_neg > 0 else 0]
+            pool = (plan.intra_pool if intra else plan.inter_pool)(lambda_neg)
             return ad.grad_check(lambda: pool_log_probs(man, own, cand, pool, cfg),
                                  [own] if intra else [own, cand])
         return run

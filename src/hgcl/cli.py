@@ -173,13 +173,18 @@ def cmd_train(args) -> int:
     graph, source = _load_dataset(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    written = []  # the manifest lists these, not what --out held before
+
+    def write(name: str, text: str) -> None:
+        _atomic_write(out / name, text)
+        written.append(name)
 
     per_seed = []
     for seed in seeds:
         config = dataclasses.replace(base, seed=seed)
         result = pl.train(graph, config)
         stream = "\n".join(rec.to_json() for rec in result.history) + "\n"
-        _atomic_write(out / f"metrics_seed{seed}.jsonl", stream)
+        write(f"metrics_seed{seed}.jsonl", stream)
         summary = {
             "seed": seed,
             "ablation": config.ablation,
@@ -192,9 +197,9 @@ def cmd_train(args) -> int:
                      "macro_f1": result.test_metrics.macro_f1},
             "config": config.to_dict(),
         }
-        _atomic_write(out / f"summary_seed{seed}.json",
-                      json.dumps(summary, sort_keys=True, indent=2) + "\n")
+        write(f"summary_seed{seed}.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
         result.model.save(out / f"model_seed{seed}.npz")
+        written.append(f"model_seed{seed}.npz")
         per_seed.append(summary)
 
     scores = [s["test"][base.eval_metric] for s in per_seed]
@@ -207,14 +212,14 @@ def cmd_train(args) -> int:
         "per_seed_test": scores,
         "ablation": per_seed[0]["ablation"],
     }
-    _atomic_write(out / "aggregate.json", json.dumps(aggregate, sort_keys=True, indent=2) + "\n")
+    write("aggregate.json", json.dumps(aggregate, sort_keys=True, indent=2) + "\n")
 
     manifest = {
         "command": "train",
         "source": source,
         "config": base.to_dict(),
         "seeds": seeds,
-        "outputs": sorted(p.name for p in out.iterdir() if p.name != "manifest.json"),
+        "outputs": sorted(written),
         "duration_sec": round(time.time() - t_start, 3),
     }
     _atomic_write(out / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")

@@ -183,17 +183,21 @@ class DualEmbedding:
         t = self.tangent_alpha if view == "alpha" else self.tangent_beta
         return dg.log0(man, h) if t is None else t
 
-    def points(self, view: str) -> np.ndarray:
-        """Materialize one view as validated ambient point rows. A row the
-        view's model cannot represent raises ``GeometryError`` naming the
-        view and the first 8 such rows (node ids)."""
+    def points(self, view: str, node_ids=None) -> np.ndarray:
+        """Materialize one view as validated ambient point rows: every node's,
+        or those of ``node_ids`` in their order, and only those are validated.
+        A row the view's model cannot represent raises ``GeometryError``
+        naming the view and the first 8 such node ids; its ``rows`` holds
+        them all."""
         man, t = self.view(view)
-        pts = dg.internal_to_ambient(man, t.value)
+        coords = t.value if node_ids is None else t.value[node_ids]
+        pts = dg.internal_to_ambient(man, coords)
         try:
             man.check_points(pts)
         except GeometryError as exc:  # a row fault: the width is the model's
-            ids = ", ".join(str(i) for i in exc.rows[:8]) + (", ..." if exc.rows.size > 8 else "")
-            raise GeometryError(f"view {view!r}: {exc}; node ids {ids}", exc.rows) from exc
+            rows = exc.rows if node_ids is None else np.asarray(node_ids)[exc.rows]
+            ids = ", ".join(str(i) for i in rows[:8]) + (", ..." if rows.size > 8 else "")
+            raise GeometryError(f"view {view!r}: {exc}; node ids {ids}", rows) from exc
         return pts
 
 

@@ -20,7 +20,9 @@ positives, ``lambda_neg`` for negatives). What a plan reads of its pairs is
 one :class:`PlanFrame`, the two pools' skeletons included, built once per
 graph and m (:func:`plan_frame`), or from its own pairs by a plan made by
 hand; an epoch only draws the negative ids and writes them into copies of
-the skeletons.
+the skeletons. At ``lambda_neg`` = 0 nothing would score a negative, so
+``pipeline.train`` samples with m = 0, whose frame holds the positives
+alone.
 :func:`pool_log_probs` is the node, and the only fused route: it takes rows
 in scoring form, works through the pairs in blocks of ``PAIR_CHUNK``,
 gathers each side of a block once and takes the distance and its slopes
@@ -111,17 +113,10 @@ class Pool:
 
     def filled(self, negatives: np.ndarray, lambda_neg: float) -> "Pool":
         """This skeleton with the (n_own, m) ``negatives`` written into its
-        negative slots, row by row, and weighted by ``lambda_neg``; with its
-        positives alone when ``lambda_neg`` is 0."""
-        if lambda_neg > 0.0:
-            ids = self.ids.copy()
-            ids[self.negative] = negatives.ravel()
-            return replace(self, ids=ids, neg_weight=lambda_neg)
-        keep = ~self.negative
-        return Pool(self.ids[keep][:, None], self.negative[keep][:, None],
-                    self.indptr - negatives.shape[1] * np.arange(self.indptr.size), 0.0,
-                    None if self.anchors is None else self.anchors[keep.ravel()],
-                    self.pos_weight)
+        negative slots, row by row, and weighted by ``lambda_neg``."""
+        ids = self.ids.copy()
+        ids[self.negative] = negatives.ravel()
+        return replace(self, ids=ids, neg_weight=lambda_neg)
 
 
 @dataclass(frozen=True)
@@ -228,14 +223,13 @@ class SamplePlan:
 
     def inter_pool(self, lambda_neg: float) -> Pool:
         """Each node against [itself, its inter negatives] in the other view:
-        one (n, m + 1) block, the negatives dropped when ``lambda_neg`` is 0."""
+        one (n, m + 1) block."""
         return self.frame.inter.filled(self.neg_inter, lambda_neg)
 
     def intra_pool(self, lambda_neg: float) -> Pool:
         """Each node against its neighbors above it, at weight 2, then its
         intra negatives, in its own view: one CSR whose rows are the upper
-        half of the adjacency's plus m slots each, the negatives dropped when
-        ``lambda_neg`` is 0."""
+        half of the adjacency's plus m slots each."""
         return self.frame.intra.filled(self.neg_intra, lambda_neg)
 
 
@@ -411,8 +405,7 @@ def _anchor_term(man: Manifold, own: Tensor, i: int, cand: Tensor, pos_ids, neg_
                           ad.gather_rows(cand, ids), cfg).value[:, 0]
         return math.fsum(map(math.log, (1.0 - prob if negative else prob).tolist()))
 
-    pos = log_sum(pos_ids, False)
-    return pos if cfg.lambda_neg == 0.0 else pos + cfg.lambda_neg * log_sum(neg_ids, True)
+    return log_sum(pos_ids, False) + cfg.lambda_neg * log_sum(neg_ids, True)
 
 
 def mi_consistency(i: int, emb: DualEmbedding, plan: SamplePlan, cfg: HpcConfig,

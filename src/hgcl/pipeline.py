@@ -311,8 +311,10 @@ def train(graph: Graph, config: TrainConfig) -> TrainResult:
     use_hpc = config.ablation != "no_hpc" and config.lambda_contrast > 0.0
     include_tolerance = config.ablation != "no_pos"
     hpc_cfg = config.effective_hpc()
+    # Negatives weighted 0 would be drawn and scored for nothing.
+    num_negatives = hpc_cfg.num_negatives if hpc_cfg.lambda_neg > 0 else 0
     if use_hpc:  # a negative pool short of m fails here, not at epoch 0
-        plan_frame(graph, hpc_cfg.num_negatives)
+        plan_frame(graph, num_negatives)
     model = HgclModel(config, graph.features.shape[1], graph.n_classes)
     a_norm = normalize_adjacency(graph)
     message, _ = first_message(graph.features, a_norm, config.max_feature_norm)
@@ -353,7 +355,7 @@ def train(graph: Graph, config: TrainConfig) -> TrainResult:
             stage = "training step"
             plan: SamplePlan | None = None
             if use_hpc:
-                plan = build_sample_plan(graph, hpc_cfg.num_negatives, neg_rng)
+                plan = build_sample_plan(graph, num_negatives, neg_rng)
                 plan_builds += 1
             task, hpc_value, total = step(*held, plan)
             held = plan = None  # free this step's graph before the next forward
@@ -497,8 +499,11 @@ def export_heatmap(model: HgclModel, graph: Graph, node_ids, view: str, out_path
     """Write the pairwise hyperbolic distance matrix of the chosen view's
     embeddings for the given nodes as CSV (ids as headers, labels appended).
 
-    The matrix is returned; the CSV holds the same values. Each upper-triangle
-    distance is formatted once, and the mirrored cell reuses its text."""
+    The matrix is returned; the CSV holds the same values. Only the exported
+    nodes' points are validated (``DualEmbedding.points``), so a node the
+    view's model cannot represent fails the export only when it is exported.
+    Each upper-triangle distance is formatted once, and the mirrored cell
+    reuses its text."""
     if view not in VIEWS:  # before the forward, which would be wasted
         raise PipelineError(f"view must be one of {VIEWS}, got {view!r}")
     node_ids = np.asarray(node_ids, dtype=np.int64)
@@ -507,8 +512,7 @@ def export_heatmap(model: HgclModel, graph: Graph, node_ids, view: str, out_path
     a_norm = normalize_adjacency(graph) if a_norm is None else a_norm
     emb = model.embed(graph, a_norm)
     man, _ = emb.view(view)
-    pts = emb.points(view)[node_ids]
-    dist = man.pairwise_dist(pts)
+    dist = man.pairwise_dist(emb.points(view, node_ids))
     m = len(node_ids)
     upper = np.triu(np.ones((m, m), dtype=bool), 1)
     k = int(upper.sum())

@@ -133,6 +133,19 @@ class TestTrainCommand:
         assert man["outputs"] == sorted(expected)
         assert sorted(p.name for p in out.iterdir()) == sorted(expected + ["manifest.json"])
 
+    def test_manifest_lists_only_this_runs_files(self, tmp_path):
+        out = tmp_path / "run"
+        args = ["train", "--synthetic", "2,3,8,0.2", "--out", str(out), "--epochs", "3",
+                "--patience", "3", "--hidden-dim", "4", "--embed-dim", "4"]
+        assert main(args + ["--seeds", "0,1"]) == 0
+        (out / "heatmap.csv").write_text("id,label\r\n")  # a file train did not write
+        assert main(args + ["--seeds", "5"]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["seeds"] == [5]
+        assert man["outputs"] == ["aggregate.json", "metrics_seed5.jsonl", "model_seed5.npz",
+                                  "summary_seed5.json"]
+        assert (out / "metrics_seed0.jsonl").exists()  # earlier runs' files stay, unlisted
+
     def test_writes_stay_under_out(self, tmp_path, monkeypatch):
         workdir = tmp_path / "cwd"
         workdir.mkdir()

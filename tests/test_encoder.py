@@ -309,6 +309,13 @@ class TestEncodeViews:
                                    "0.0316228; node ids 1, 4, 5, 6, 9, 11, 12, 15, ...")
         assert info.value.rows.tolist() == far
         assert emb.points("beta").shape == (20, 3)
+        # Asked for some nodes, only those are validated, and a fault names
+        # node ids, not positions in the request.
+        near = [0, 3, 2]
+        assert np.array_equal(emb.points("alpha", near), emb.alpha.value[near])
+        with pytest.raises(mf.GeometryError, match="; node ids 9, 4$") as info:
+            emb.points("alpha", [0, 9, 2, 4])
+        assert info.value.rows.tolist() == [9, 4]
 
     def test_independent_inits_give_different_views(self, ten_node_graph):
         a_norm = normalize_adjacency(ten_node_graph)

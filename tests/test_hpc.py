@@ -395,7 +395,6 @@ class TestHpcLoss:
         edges = [(0, j) for j in range(1, 7)] + [(6, 7), (8, 9), (9, 10), (10, 11)]
         g = Graph(13, np.array(edges), np.zeros((13, 1)), np.zeros(13, dtype=int))
         man_a, man_b = mf.poincare(3, -1.3), mf.lorentz(3, -0.7)
-        plan = build_sample_plan(g, 3, np.random.default_rng(4))
         emb = DualEmbedding(
             Tensor(dg.ambient_to_internal(man_a, man_a.random_points(rng, 13, 2.5))),
             Tensor(dg.ambient_to_internal(man_b, man_b.random_points(rng, 13, 2.5))),
@@ -409,14 +408,15 @@ class TestHpcLoss:
 
         monkeypatch.setattr(hpc_mod, "pool_log_probs", counting_node)
         terms = [mi_consistency] + ([mi_tolerance] if include_tolerance else [])
-        for lambda_neg in (0.8, 0.0):
+        # train samples m = 0 at lambda_neg = 0, so that case gathers no negative row
+        for lambda_neg, m in ((0.8, 3), (0.0, 0)):
+            plan = build_sample_plan(g, m, np.random.default_rng(4))
             cfg = HpcConfig(num_negatives=3, lambda_neg=lambda_neg, similarity=similarity)
             total = math.fsum(term(i, emb, plan, cfg, view) for term in terms
                               for view in ("alpha", "beta") for i in range(13))
             gathered.clear()
             got = hpc_loss(emb, plan, cfg, include_tolerance=include_tolerance).item()
             assert got == pytest.approx(-total / (2 * 13), abs=1e-10)
-            m = 3 if lambda_neg > 0 else 0  # lambda_neg = 0 gathers no negative row
             per_view = [(13 * (1 + m), 13 * m)]
             if include_tolerance:
                 per_view.append((len(edges) + 13 * m, 13 * m))  # each edge once
@@ -779,13 +779,35 @@ class TestMergedPools:
         assert np.array_equal(again.ids[~again.negative], pool.ids[~pool.negative])
 
     def test_lambda_zero_pools_hold_no_negatives(self):
-        plan = build_sample_plan(POOL_GRAPH, 2, np.random.default_rng(0))
+        plan = build_sample_plan(POOL_GRAPH, 0, np.random.default_rng(0))  # as train draws it
         inter, intra = plan.inter_pool(0.0), plan.intra_pool(0.0)
         assert np.array_equal(inter.ids, np.arange(8)[:, None]) and not np.any(inter.negative)
         upper = plan.edge_nbr > plan.edge_anchor
         assert np.array_equal(intra.ids[:, 0], plan.edge_nbr[upper]) and not np.any(intra.negative)
         assert np.array_equal(intra.indptr, np.concatenate(
             [[0], np.cumsum(np.bincount(plan.edge_anchor[upper], minlength=8))]))
+
+    @pytest.mark.parametrize("similarity", ["distance", "neg_dot"])
+    def test_lambda_zero_scores_drawn_negatives_at_weight_zero(self, similarity):
+        # A plan with m >= 1 scored at lambda_neg = 0 (one made by hand, or a
+        # direct hpc_loss call) adds exact zeros: the gradients are those of
+        # the m = 0 plan bit for bit, and only the loss's sum order moves.
+        rng = np.random.default_rng(2)
+        man_a, man_b = MODELS
+        ha = ad.parameter(dg.ambient_to_internal(man_a, man_a.random_points(rng, 8, 2.0)))
+        hb = ad.parameter(dg.ambient_to_internal(man_b, man_b.random_points(rng, 8, 2.0)))
+        cfg = HpcConfig(lambda_neg=0.0, similarity=similarity)
+        results = []
+        for m in (2, 0):
+            plan = build_sample_plan(POOL_GRAPH, m, np.random.default_rng(0))
+            ha.grad = hb.grad = None
+            with Tape() as tape:
+                loss = hpc_loss(DualEmbedding(ha, hb, man_a, man_b), plan, cfg)
+                tape.backward(loss)
+            results.append((loss.item(), ha.grad.copy(), hb.grad.copy()))
+        (drawn, *drawn_grads), (none, *none_grads) = results
+        assert drawn == pytest.approx(none, rel=1e-15)
+        assert all(np.array_equal(a, b) for a, b in zip(drawn_grads, none_grads))
 
     @pytest.mark.parametrize("intra", [False, True], ids=["inter-block", "intra-csr"])
     @pytest.mark.parametrize("similarity", ["distance", "neg_dot"])

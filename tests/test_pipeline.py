@@ -276,6 +276,43 @@ class TestTrain:
         assert [r.to_json() for r in a.history] == [r.to_json() for r in b.history] \
             == [r.to_json() for r in c.history]
 
+    def test_lambda_neg_zero_metric_stream_is_unchanged(self):
+        # Recorded when lambda_neg = 0 still drew m negatives per anchor and
+        # dropped them from the pools: sampling none must not move it.
+        res = train(tree_graph(), small_config(epochs=5, patience=5,
+                                               hpc=HpcConfig(lambda_neg=0.0)))
+        assert [rec.to_json() for rec in res.history] == [
+            '{"epoch": 0, "hpc_loss": 0.580458962, "task_loss": 0.7011118318, '
+            '"total_loss": 1.2815707938, "val_metric": 0.6666666667}',
+            '{"epoch": 1, "hpc_loss": 0.5271913865, "task_loss": 0.6816619952, '
+            '"total_loss": 1.2088533817, "val_metric": 1.0}',
+            '{"epoch": 2, "hpc_loss": 0.4875432229, "task_loss": 0.6654338449, '
+            '"total_loss": 1.1529770678, "val_metric": 1.0}',
+            '{"epoch": 3, "hpc_loss": 0.4599041412, "task_loss": 0.6516015825, '
+            '"total_loss": 1.1115057236, "val_metric": 0.8333333333}',
+            '{"epoch": 4, "hpc_loss": 0.443841506, "task_loss": 0.6390739302, '
+            '"total_loss": 1.0829154361, "val_metric": 0.8333333333}',
+        ]
+
+    def test_lambda_neg_zero_draws_no_negatives(self, monkeypatch):
+        # A star's hub has no non-neighbour, so m = 5 draws would fail before
+        # the first step; at lambda_neg = 0 nothing scores a negative, none is
+        # drawn, and the star trains.
+        n = 12
+        g = masked(data_mod.Graph(n, np.array([(0, j) for j in range(1, n)]),
+                                  np.random.default_rng(0).standard_normal((n, 4)),
+                                  np.arange(n) % 2))
+        plans, real_build = [], pl.build_sample_plan
+
+        def recording_build(*args):
+            plans.append(real_build(*args))
+            return plans[-1]
+
+        monkeypatch.setattr(pl, "build_sample_plan", recording_build)
+        res = train(g, small_config(epochs=3, patience=3, hpc=HpcConfig(lambda_neg=0.0)))
+        assert len(plans) == res.epochs_run == 3
+        assert all(p.neg_intra.size == p.neg_inter.size == 0 for p in plans)
+
     def test_missing_masks_rejected(self):
         g = synthetic_tree(2, 3, d_feat=8)
         with pytest.raises(PipelineError):
@@ -795,6 +832,27 @@ class TestHeatmap:
                                     + [str(int(g.labels[nid]))])
                 assert out.read_bytes() == ref.getvalue().encode()
                 assert [p.name for p in tmp_path.iterdir()] == ["heat.csv"]
+
+    def test_only_the_exported_nodes_are_validated(self, tmp_path):
+        # At K = -1000 the ball's radius is 0.0316: after 30 epochs 286 of
+        # the tree's 364 alpha points round onto its boundary.
+        g = masked(synthetic_tree(3, 5, noise=1.0))
+        res = train(g, TrainConfig(curvature_alpha=-1000.0, epochs=30, patience=30))
+        emb = res.model.embed(g, normalize_adjacency(g))
+        with pytest.raises(mf.GeometryError) as info:
+            emb.points("alpha")
+        bad = info.value.rows
+        good = np.setdiff1d(np.arange(g.n_nodes), bad)[:5]
+        assert bad.size == 286 and good.size == 5
+        dist = export_heatmap(res.model, g, good, "alpha", tmp_path / "good.csv")
+        # ball points are their training coordinates
+        assert np.array_equal(dist, emb.manifold_alpha.pairwise_dist(emb.alpha.value[good]))
+        node = int(bad[3])
+        with pytest.raises(mf.GeometryError, match=rf"^view 'alpha': 1 point\(s\) outside the "
+                                                   rf"open ball .*; node ids {node}$") as info:
+            export_heatmap(res.model, g, [int(good[0]), node], "alpha", tmp_path / "bad.csv")
+        assert info.value.rows.tolist() == [node]
+        assert not (tmp_path / "bad.csv").exists()
 
     def test_unknown_node_id_rejected(self, tmp_path):
         g = tree_graph()
