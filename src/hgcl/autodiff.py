@@ -47,6 +47,7 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Tensor] = []
+        self._spent = False  # set by backward, which consumes the record
 
     def __enter__(self) -> "Tape":
         stack = getattr(Tape._local, "stack", None)
@@ -67,17 +68,27 @@ class Tape:
     def backward(self, loss: "Tensor") -> None:
         """Seed d(loss)/d(loss) = 1 and accumulate grads through the record.
 
-        Each interior node's grad is freed (set to None) once its backward has
-        run, so peak memory holds only the live frontier of gradients; the
-        leaves (parameters) are never on the tape and keep theirs.
+        Each node's grad and ``_backward_fn`` are freed (set to None) once the
+        walk has passed it, so peak memory holds only the live frontier of
+        gradients and the closures of the nodes still to run, with whatever
+        they keep for their backward; the leaves (parameters) are never on the
+        tape and keep their grads. The walk consumes the record: a second
+        backward on the same tape raises ``AutodiffError``.
         """
         if loss.value.size != 1:
             raise AutodiffError(f"backward needs a scalar loss, got shape {loss.value.shape}")
+        if self._spent:
+            raise AutodiffError("backward already ran on this tape; record the "
+                                "forward on a new Tape to differentiate it again")
+        self._spent = True
         loss.grad = np.ones((1, 1))
         for node in reversed(self.nodes):
+            # Only later nodes feed a node's grad, so one the walk reaches
+            # without a grad never gets one.
             if node.grad is not None:
                 node._backward_fn(node.grad)
                 node.grad = None
+            node._backward_fn = None
 
 
 class Tensor:

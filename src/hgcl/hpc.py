@@ -25,19 +25,21 @@ the skeletons. At ``lambda_neg`` = 0 nothing would score a negative, so
 alone.
 :func:`pool_log_probs` is the node, and the only fused route: it takes rows
 in scoring form, works through the pairs in blocks of ``PAIR_CHUNK``,
-gathers each side of a block once and takes the distance and its slopes
-from ``Manifold.pair_dist``; ``hpc_loss`` computes each scored view's node
-terms once and hands them to both nodes that read it. The node's value
-runs the float ops of the composed ``pair_probs`` route, and its backward
-is closed form: one sparse n x n product per side from the pool's row
-pointer, no n·m x d tensors on the tape. ``pair_probs`` stays as the
-composed reference that the per-anchor ``mi_*`` sums and the parity tests
-run. The cross-view positives move each view into the other's model with
-``dg.transfer0``, one ``exp0`` node, from the origin tangent the encoder
-carries (``DualEmbedding.tangent``), which the decoder reads too.
-``neg_dot`` scores those tangents directly, and the pool node multiplies a
-moved view's dot products by ``transfer_scale``, so a ``neg_dot`` step
-takes no ``log0`` and records no scaled copy of a view.
+gathers each side of a block once and takes the distance and a per-pair
+state from ``Manifold.pair_dist``; ``hpc_loss`` computes each scored view's
+node terms once and hands them to both nodes that read it. The node's value
+runs the float ops of the composed ``pair_probs`` route. Until its backward
+runs it keeps 16 bytes per pair, each block's sigmoids and that state, and
+the backward reads the node terms again by index for
+``Manifold.pair_slopes``. The backward is closed form: one sparse n x n
+product per side from the pool's row pointer, no n·m x d tensors on the
+tape. ``pair_probs`` stays as the composed reference that the per-anchor
+``mi_*`` sums and the parity tests run. The cross-view positives move each
+view into the other's model with ``dg.transfer0``, one ``exp0`` node, from
+the origin tangent the encoder carries (``DualEmbedding.tangent``), which
+the decoder reads too. ``neg_dot`` scores those tangents directly, and the
+pool node multiplies a moved view's dot products by ``transfer_scale``, so
+a ``neg_dot`` step takes no ``log0`` and records no scaled copy of a view.
 """
 
 from __future__ import annotations
@@ -274,7 +276,9 @@ def build_sample_plan(graph, m: int, rng: np.random.Generator) -> SamplePlan:
         for k in range(m):
             top = pool - m + k
             pick = rng.integers(0, top + 1)
-            seen = np.any(ranks[:, :k] == pick[:, None], axis=1)
+            seen = np.zeros(n, dtype=bool)
+            for j in range(k):  # k < m column passes, no (n, k) temporaries
+                seen |= ranks[:, j] == pick
             ranks[:, k] = np.where(seen, top, pick)
         ranks.sort(axis=1)
         skipped = (np.searchsorted(frame.rank_keys, frame.row_keys + ranks, side="right")
@@ -313,11 +317,16 @@ def pool_log_probs(man: Manifold, own: Tensor, cand: Tensor, pool: Pool, cfg: Hp
     ``PAIR_CHUNK`` pairs at a time, forward and backward: each side of a
     block of pairs is gathered once, and the block's per-pair arrays stay in
     cache. Its value runs the float ops of ``pair_probs`` on gathered rows
-    followed by ``log``. The backward is closed form, through the slopes of
-    ``Manifold.pair_dist``, and keeps each masked zero slope of the composed
-    route: the probability clamp, acosh at arg <= 1 and the conformal
-    factor's floor. ``own is cand`` (the intra-view pools) accumulates both
-    sides into the one tensor."""
+    followed by ``log``. For its backward the node keeps, per block, its
+    row slice, the sigmoids and ``pair_dist``'s state (none for
+    ``neg_dot``): 16 bytes per pair, freed with the closure once
+    ``Tape.backward`` has run it. The backward gathers the node terms again by index and is closed
+    form, through ``Manifold.pair_slopes``, keeping each masked zero slope of
+    the composed route: the probability clamp, acosh at arg <= 1 and the
+    conformal factor's floor. It frees its per-pair node weights before the
+    sparse products and sums each side's gradient into one array in place.
+    ``own is cand`` (the intra-view pools) accumulates both sides into the
+    one tensor."""
     same = own is cand
     x, y = own.value, cand.value
     if cfg.similarity == "distance":
@@ -327,16 +336,18 @@ def pool_log_probs(man: Manifold, own: Tensor, cand: Tensor, pool: Pool, cfg: Hp
         tx, ty = terms
     ids, anchors = pool.ids, pool.anchors
     logs = np.empty(ids.shape)
-    blocks = []  # (rows, sig, slopes) of each block, for the backward
+    blocks = []  # (rows, sig, state) of each block: 16 bytes per pair for the backward
+
+    def own_terms(r):
+        return tx[r] if anchors is None else np.take(tx, anchors[r])
+
     for r in pool.blocks():
         own_rows = x[r] if anchors is None else np.take(x, anchors[r], axis=0)
         cand_rows = np.take(y, ids[r].ravel(), axis=0).reshape(-1, ids.shape[1], y.shape[1])
         if cfg.similarity == "neg_dot":
-            score = np.einsum("nd,ncd->nc", own_rows, cand_rows) * -cand_scale
-            slopes = _dot_slopes(cand_scale)
+            score, state = np.einsum("nd,ncd->nc", own_rows, cand_rows) * -cand_scale, None
         else:
-            t_own = tx[r] if anchors is None else np.take(tx, anchors[r])
-            score, slopes = man.pair_dist(own_rows, t_own, cand_rows, np.take(ty, ids[r]))
+            score, state = man.pair_dist(own_rows, own_terms(r), cand_rows, np.take(ty, ids[r]))
         if not np.all(np.isfinite(score)):  # the clamp below would hide an inf
             raise ad.NonFiniteError("non-finite values produced by 'pair_log_probs'")
         sig = ad.stable_sigmoid((cfg.bias - score) * (1.0 / cfg.temperature))
@@ -344,42 +355,46 @@ def pool_log_probs(man: Manifold, own: Tensor, cand: Tensor, pool: Pool, cfg: Hp
         negative = pool.negative[r]
         logs[r] = (np.log(np.where(negative, 1.0 - prob, prob))
                    * np.where(negative, pool.neg_weight, pool.pos_weight))
-        blocks.append((r, sig, slopes))
+        blocks.append((r, sig, state))
 
     def backward(g):
         w, u_rows, v = np.empty(ids.shape), np.empty(ids.shape[0]), np.empty(ids.shape)
         scale = g.item() / cfg.temperature
-        for r, sig, slopes in blocks:
+        for r, sig, state in blocks:
             # dL/dscore: d log(sig) and d log(1 - sig) times sigma' = sig(1 - sig),
             # times dz/dscore = -1/tau; zero where the probability is clamped.
             live = (sig >= PROB_CLAMP) & (sig <= 1.0 - PROB_CLAMP)
             gs = np.where(pool.negative[r], pool.neg_weight * sig, pool.pos_weight * (sig - 1.0))
             gs *= live * scale
-            w[r], u, v[r] = slopes(gs)
+            if state is None:  # neg_dot's -s·x·y: pair weight -s, no node weight
+                w[r], u, v[r] = gs * -cand_scale, np.zeros_like(gs), np.zeros_like(gs)
+            else:
+                w[r], u, v[r] = man.pair_slopes(state, own_terms(r), np.take(ty, ids[r]), gs)
             u_rows[r] = np.sum(u, axis=1)
         u_own = u_rows if anchors is None else np.bincount(anchors, u_rows, x.shape[0])
         u_cand = np.bincount(ids.ravel(), v.ravel(), y.shape[0])
-        # (own, cand) matrix of the pair weights; a repeated pair's weights sum
-        # in its products.
+        # (own, cand) matrix of the pair weights, which holds w's buffer; a
+        # repeated pair's weights sum in its products.
         pairs = sp.csr_matrix((w.ravel(), ids.ravel(), pool.indptr),
                               shape=(x.shape[0], y.shape[0]))
+        del w, v
         if same:
-            own.accumulate((u_own + u_cand)[:, None] * x + pairs @ y + pairs.T @ x)
+            grad = (u_own + u_cand)[:, None] * x
+            grad += pairs @ y
+            grad += pairs.T @ x
+            own.accumulate(grad)
             return
         if own.requires_grad:
-            own.accumulate(u_own[:, None] * x + pairs @ y)
+            grad = u_own[:, None] * x
+            grad += pairs @ y
+            own.accumulate(grad)
         if cand.requires_grad:
-            cand.accumulate(u_cand[:, None] * y + pairs.T @ x)
+            grad = u_cand[:, None] * y
+            grad += pairs.T @ x
+            cand.accumulate(grad)
 
     return ad.record("pair_log_probs", np.sum(logs).reshape(1, 1),
                      (own,) if same else (own, cand), backward)
-
-
-def _dot_slopes(cand_scale: float):
-    """``slopes`` of the ``neg_dot`` score -s·x·y: pair weight -s, no node weight."""
-    def slopes(gs):
-        return gs * -cand_scale, np.zeros_like(gs), np.zeros_like(gs)
-    return slopes
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ Conventions used throughout:
 This is the numpy reference route: every closed form (distances, origin and
 general-base maps, Mobius addition, gyration, the ball/hyperboloid isometry)
 is written here once; ``dist`` and the fused HPC pair pools share
-``Manifold.pair_dist``. ``hgcl.diffgeo`` holds the same formulas on the
-autodiff tape, and the two check each other.
+``Manifold.pair_dist``, whose slopes ``Manifold.pair_slopes`` gives.
+``hgcl.diffgeo`` holds the same formulas on the autodiff tape, and the two
+check each other.
 """
 
 from __future__ import annotations
@@ -194,50 +195,47 @@ class Manifold:
 
     def pair_dist(self, x, tx, y, ty):
         """Distance d_rj between intrinsic row x_r and each of its candidate
-        rows y_rj, shape (rows, c), and ``slopes(gs)``.
+        rows y_rj, shape (rows, c), and the per-pair state ``pair_slopes``
+        reads: the squared Euclidean distance |x_r - y_rj|^2 on the ball, the
+        acosh argument on the hyperboloid.
 
         x is (rows, d) and y (rows, c, d), both gathered by the caller; tx
         (rows,) and ty (rows, c) are their ``node_terms``. The float ops are
         those of ``diffgeo.dist_rows``, in order; the sums over d are
         ``np.einsum``'s, as in ``autodiff.row_dot``, so the two agree
-        bitwise. ``slopes`` maps dL/dd to per-pair weights w, u, v with
+        bitwise. A caller that differentiates keeps the state alone, 8 bytes
+        per pair, and hands ``pair_slopes`` the node terms again.
+        """
+        k, inv_sk = self.k, 1.0 / self.sqrt_abs_k
+        if self.kind is Model.POINCARE:
+            diff = x[:, None, :] - y
+            state = np.einsum("ncd,ncd->nc", diff, diff)
+            arg = _ball_terms(k, state, tx[:, None], ty)[3]
+        else:
+            arg = state = (np.einsum("nd,ncd->nc", x, y) - tx[:, None] * ty) * k
+        return np.arccosh(np.maximum(arg, 1.0)) * inv_sk, state
+
+    def pair_slopes(self, state, tx, ty, gs):
+        """Per-pair weights w, u, v of dL/dd = ``gs`` through ``pair_dist``,
+        from its ``state`` and the node terms tx (rows,) and ty (rows, c):
         dL/dx_r = sum_j (u_rj·x_r + w_rj·y_rj) and dL/dy_rj = v_rj·y_rj +
         w_rj·x_r (Nickel & Kiela 2017, eq. 4; 2018 for the hyperboloid). They
         keep the composed route's masked zero slopes: acosh at arg <= 1 and
-        the conformal floor.
-        """
+        the conformal floor."""
         k, inv_sk = self.k, 1.0 / self.sqrt_abs_k
         ta, tb = tx[:, None], ty
         if self.kind is Model.POINCARE:
-            diff = x[:, None, :] - y
-            d2 = np.einsum("ncd,ncd->nc", diff, diff)
-
-            def ball_terms():
-                """Floored conformal terms, their product and the acosh argument;
-                the backward recomputes them, so a tape keeps d2, ta, tb only."""
-                qa, qb = np.clip(ta, MIN_NORM, np.inf), np.clip(tb, MIN_NORM, np.inf)
-                den = qa * qb
-                return qa, qb, den, 1.0 - (d2 / den) * (2.0 * k)
-
-            arg = ball_terms()[3]
-
-            def slopes(gs):
-                # d2 enters through d2/den, and den = qa·qb through each floored
-                # term: dL/dq_a = -k·d2/q_a · dL/dd2 where q_a is not floored.
-                qa, qb, den, arg = ball_terms()
-                g_d2 = gs * acosh_slope(arg) * (-4.0 * k * inv_sk) / den
-                u = g_d2 * (1.0 - d2 * (k * (ta >= MIN_NORM) / qa))
-                v = g_d2 * (1.0 - d2 * (k * (tb >= MIN_NORM) / qb))
-                return -g_d2, u, v
-        else:
-            arg = (np.einsum("nd,ncd->nc", x, y) - ta * tb) * k
-
-            def slopes(gs):
-                g_inner = gs * inv_sk * acosh_slope(arg) * k
-                return (g_inner, -g_inner * tb / np.maximum(ta, MIN_NORM),
-                        -g_inner * ta / np.maximum(tb, MIN_NORM))
-
-        return np.arccosh(np.maximum(arg, 1.0)) * inv_sk, slopes
+            # d2 enters through d2/den, and den = qa·qb through each floored
+            # term: dL/dq_a = -k·d2/q_a · dL/dd2 where q_a is not floored.
+            d2 = state
+            qa, qb, den, arg = _ball_terms(k, d2, ta, tb)
+            g_d2 = gs * acosh_slope(arg) * (-4.0 * k * inv_sk) / den
+            u = g_d2 * (1.0 - d2 * (k * (ta >= MIN_NORM) / qa))
+            v = g_d2 * (1.0 - d2 * (k * (tb >= MIN_NORM) / qb))
+            return -g_d2, u, v
+        g_inner = gs * inv_sk * acosh_slope(state) * k
+        return (g_inner, -g_inner * tb / np.maximum(ta, MIN_NORM),
+                -g_inner * ta / np.maximum(tb, MIN_NORM))
 
     def pairwise_dist(self, x):
         """Symmetric distance matrix of the rows of x, [i, j] = ``dist(x[i], x[j])``:
@@ -389,6 +387,15 @@ class Manifold:
     def random_points(self, rng, n: int, max_radius: float = 2.5) -> np.ndarray:
         """Points with geodesic distance from the origin uniform in (0, max_radius)."""
         return self.exp0(self.random_tangents0(rng, n, max_norm=max_radius))
+
+
+def _ball_terms(k, d2, ta, tb):
+    """The ball's floored conformal terms, their product and the acosh
+    argument, from d2 and the node terms; ``pair_dist`` and ``pair_slopes``
+    both compute them, so the backward needs d2 alone per pair."""
+    qa, qb = np.clip(ta, MIN_NORM, np.inf), np.clip(tb, MIN_NORM, np.inf)
+    den = qa * qb
+    return qa, qb, den, 1.0 - (d2 / den) * (2.0 * k)
 
 
 def poincare(dim: int, curvature: float = -1.0) -> Manifold:

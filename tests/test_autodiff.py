@@ -125,6 +125,18 @@ class TestBackwardRules:
             assert p.grad is not None and p.grad.shape == p.value.shape
             assert np.all(np.isfinite(p.grad)) and np.any(p.grad != 0)
 
+    def test_backward_releases_closures_and_runs_once(self):
+        # A second walk would rerun every closure and double each grad (4 -> 8).
+        w = ad.parameter([[2.0]])
+        with Tape() as tape:
+            loss = ad.reduce_sum(ad.matmul(w, w))
+            tape.backward(loss)
+            with pytest.raises(AutodiffError, match="^backward already ran on this tape"):
+                tape.backward(loss)
+        np.testing.assert_array_equal(w.grad, [[4.0]])
+        assert len(tape.nodes) == 2
+        assert all(node._backward_fn is None for node in tape.nodes)
+
     def test_shared_first_grad_is_never_written_in_place(self):
         a = ad.parameter(np.zeros((2, 3)))
         b = ad.parameter(np.zeros((2, 3)))

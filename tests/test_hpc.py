@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -721,6 +722,36 @@ class TestPairLogProbs:
         assert len(tape.nodes) <= 12
         from_points = hpc_loss(DualEmbedding(ha, hb, man_a, man_b), plan, cfg)
         assert carried.item() == pytest.approx(from_points.item(), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("intra", [False, True], ids=["inter", "intra"])
+    @pytest.mark.parametrize("similarity", ["distance", "neg_dot"])
+    @pytest.mark.parametrize("man", MODELS, ids=lambda m: m.kind.value)
+    def test_keeps_16_bytes_per_pair_for_its_backward(self, man, similarity, intra):
+        # After its forward, the node holds its sigmoids and pair_dist's state
+        # (none for neg_dot), 8 bytes each per pair; the 8 KiB slack covers its
+        # tensor, closure and block tuples. The node terms are read again by
+        # index in the backward, not kept per pair.
+        graph = synthetic_tree(3, 7)
+        plan = build_sample_plan(graph, 5, np.random.default_rng(0))
+        rng = np.random.default_rng(9)
+        x, y = (ad.parameter(dg.ambient_to_internal(man, man.random_points(rng, graph.n_nodes)))
+                for _ in range(2))
+        cand = x if intra else y
+        pool = plan.intra_pool(0.5) if intra else plan.inter_pool(0.5)
+        terms = man.node_terms(x.value), man.node_terms(cand.value)
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                before = tracemalloc.get_traced_memory()[0]
+                out = pool_log_probs(man, x, cand, pool, HpcConfig(similarity=similarity),
+                                     terms)
+                added = tracemalloc.get_traced_memory()[0] - before - out.value.nbytes
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert len(pool.blocks()) == 2 and tape.nodes == [out]
+        assert added <= 16 * pool.ids.size + 8192
 
 
 # hub 0 with leaves 1-4, path 5-6; node 7 isolated

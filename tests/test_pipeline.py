@@ -669,6 +669,21 @@ class TestTapeSize:
         train(masked(synthetic_tree(3, 5)), TrainConfig(epochs=1, patience=1, ablation=ablation))
         assert seen == [n_bytes]
 
+    @pytest.mark.parametrize("ablation", ["full", "no_dist"])
+    def test_backward_leaves_no_closure(self, monkeypatch, ablation):
+        # What a node keeps for its backward is freed once the walk passes it.
+        tapes, real = [], ad.Tape.backward
+
+        def recording(tape, loss):
+            tapes.append(tape)
+            return real(tape, loss)
+
+        monkeypatch.setattr(ad.Tape, "backward", recording)
+        train(masked(synthetic_tree(3, 5)), TrainConfig(epochs=1, patience=1, ablation=ablation))
+        [tape] = tapes
+        assert Counter(node._op for node in tape.nodes)["pair_log_probs"] == 4
+        assert all(node._backward_fn is None and node.grad is None for node in tape.nodes)
+
 
 class TestSmallRandomGraphs:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
